@@ -18,7 +18,7 @@ Two wirings share the backbone:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -174,45 +174,57 @@ def timestep_features(t, dim) -> np.ndarray:
     return np.concatenate([np.cos(args), np.sin(args)], axis=-1)
 
 
-def embed_timestep(params, cfg: ModelConfig, t) -> np.ndarray:
-    """Sinusoidal features of t through a two-layer perceptron; (B, hidden)."""
-    f = timestep_features(t, cfg.hidden).astype(params["t_mlp.w1"].dtype)
-    u1 = f @ params["t_mlp.w1"] + params["t_mlp.b1"]
-    a1, _ = _silu(u1)
-    return a1 @ params["t_mlp.w2"] + params["t_mlp.b2"]
-
-
 # ---------------------------------------------------------------------------
 # backbone forward/backward
 
 
-def _forward_core(params, cfg: ModelConfig, h0, t, attn_bias=None):
+def _forward_core(params, cfg: ModelConfig, h0, t, attn_bias=None, step=None,
+                  for_backward=True):
     """Run the block stack on pre-assembled hidden states h0 (B, S, hidden).
 
-    Returns (out, cache); out is (B, S, out_dim).
+    Returns (out, cache); out is (B, S, out_dim). cache holds the
+    intermediates _backward_core needs, or is None when for_backward is
+    False, so that inference frees each block's activations as it goes.
+
+    With step, an ARStepCache, the call is one of a diffusion step's cached
+    AR calls: the first one computes the timestep modulations and stores them
+    along with each layer's K/V; later ones skip the timestep path, and their
+    rows attend to every stored position as well as to their own.
     """
     dtype = h0.dtype
     nh, dh = cfg.heads, cfg.hidden // cfg.heads
     B, S, _ = h0.shape
 
-    f = timestep_features(t, cfg.hidden).astype(dtype)
-    u1 = f @ params["t_mlp.w1"] + params["t_mlp.b1"]
-    a1, s_u1 = _silu(u1)
-    temb = a1 @ params["t_mlp.w2"] + params["t_mlp.b2"]
-    c, s_temb = _silu(temb)
-
-    cache = {
-        "h0": h0, "f": f, "u1": u1, "s_u1": s_u1, "a1": a1,
-        "temb": temb, "s_temb": s_temb, "c": c,
-        "attn_bias": attn_bias, "blocks": [],
-    }
+    cache = None
+    if step is not None and step.mods is not None:
+        mods = step.mods
+    else:
+        f = timestep_features(t, cfg.hidden).astype(dtype)
+        u1 = f @ params["t_mlp.w1"] + params["t_mlp.b1"]
+        a1, s_u1 = _silu(u1)
+        temb = a1 @ params["t_mlp.w2"] + params["t_mlp.b2"]
+        c, s_temb = _silu(temb)
+        # (shift, scale, gate) for attention and MLP per block, then the
+        # final layer's (shift, scale)
+        mods = [
+            np.split(c @ params[f"blocks.{i}.mod.w"] + params[f"blocks.{i}.mod.b"], 6, axis=-1)
+            for i in range(cfg.layers)
+        ]
+        mods.append(np.split(c @ params["final.mod.w"] + params["final.mod.b"], 2, axis=-1))
+        if step is not None:
+            step.mods = mods
+        if for_backward:
+            cache = {
+                "h0": h0, "f": f, "u1": u1, "s_u1": s_u1, "a1": a1,
+                "temb": temb, "s_temb": s_temb, "c": c,
+                "attn_bias": attn_bias, "blocks": [],
+            }
 
     x = h0
     scale = 1.0 / math.sqrt(dh)
     for i in range(cfg.layers):
         p = f"blocks.{i}."
-        mod = c @ params[p + "mod.w"] + params[p + "mod.b"]
-        sh1, sc1, g1, sh2, sc2, g2 = np.split(mod, 6, axis=-1)
+        sh1, sc1, g1, sh2, sc2, g2 = mods[i]
 
         xn1, inv1 = _layernorm(x)
         xm1 = xn1 * (1.0 + sc1[:, None, :]) + sh1[:, None, :]
@@ -222,6 +234,11 @@ def _forward_core(params, cfg: ModelConfig, h0, t, attn_bias=None):
             a.reshape(B, S, nh, dh).transpose(0, 2, 1, 3)
             for a in np.split(qkv, 3, axis=-1)
         ]
+        if step is not None:
+            if i in step.kv:
+                k = np.concatenate([step.kv[i][0], k], axis=2)
+                v = np.concatenate([step.kv[i][1], v], axis=2)
+            step.kv[i] = (k, v)
         logits = (q @ k.transpose(0, 1, 3, 2)) * scale
         if attn_bias is not None:
             logits = logits + attn_bias
@@ -239,22 +256,23 @@ def _forward_core(params, cfg: ModelConfig, h0, t, attn_bias=None):
         mlp_out = am @ params[p + "mlp.w2"] + params[p + "mlp.b2"]
         x3 = x2 + g2[:, None, :] * mlp_out
 
-        cache["blocks"].append({
-            "x": x, "xn1": xn1, "inv1": inv1, "xm1": xm1,
-            "q": q, "k": k, "v": v, "probs": probs, "ctx": ctx,
-            "attn_out": attn_out, "x2": x2, "xn2": xn2, "inv2": inv2,
-            "xm2": xm2, "um": um, "phi": phi, "am": am, "mlp_out": mlp_out,
-            "sc1": sc1, "g1": g1, "sc2": sc2, "g2": g2,
-        })
+        if cache is not None:
+            cache["blocks"].append({
+                "x": x, "xn1": xn1, "inv1": inv1, "xm1": xm1,
+                "q": q, "k": k, "v": v, "probs": probs, "ctx": ctx,
+                "attn_out": attn_out, "x2": x2, "xn2": xn2, "inv2": inv2,
+                "xm2": xm2, "um": um, "phi": phi, "am": am, "mlp_out": mlp_out,
+                "sc1": sc1, "g1": g1, "sc2": sc2, "g2": g2,
+            })
         x = x3
 
-    mod_f = c @ params["final.mod.w"] + params["final.mod.b"]
-    sh_f, sc_f = np.split(mod_f, 2, axis=-1)
+    sh_f, sc_f = mods[-1]
     xnf, invf = _layernorm(x)
     xmf = xnf * (1.0 + sc_f[:, None, :]) + sh_f[:, None, :]
     out = xmf @ params["head.w"] + params["head.b"]
-    cache.update({"x_last": x, "xnf": xnf, "invf": invf, "xmf": xmf,
-                  "sc_f": sc_f})
+    if cache is not None:
+        cache.update({"x_last": x, "xnf": xnf, "invf": invf, "xmf": xmf,
+                      "sc_f": sc_f})
     return out, cache
 
 
@@ -374,7 +392,7 @@ def forward_nonar(params, cfg: ModelConfig, tokens, t) -> VariancePrediction:
         tokens = tokens[None]
         t = np.atleast_1d(t)
     h0 = _embed_nonar(params, cfg, tokens)
-    out, _ = _forward_core(params, cfg, h0, t)
+    out, _ = _forward_core(params, cfg, h0, t, for_backward=False)
     pred = _split_output(cfg, out)
     if squeeze:
         pred.eps_hat = pred.eps_hat[0]
@@ -415,16 +433,49 @@ def _embed_ar(params, cfg: ModelConfig, tokens, noise):
     start_h = np.broadcast_to(start_h, (B, 1, cfg.hidden))
     parts = [data_h, start_h]
     if k:
-        noise_h = noise @ params["in_proj.w"] + params["in_proj.b"] + params["pos"][None, n + 1 : n + 1 + k, :] + seg[2]
-        parts.append(noise_h)
+        parts.append(_embed_noise(params, noise, n + 1))
     return np.concatenate(parts, axis=1)
 
 
-def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t) -> np.ndarray:
+def _embed_noise(params, noise, first_pos):
+    """Hidden states of noise rows (B, k, token_dim) placed from first_pos on."""
+    k = noise.shape[1]
+    return noise @ params["in_proj.w"] + params["in_proj.b"] + params["pos"][None, first_pos : first_pos + k, :] + params["seg"][2]
+
+
+@dataclass
+class ARStepCache:
+    """What the token-by-token forward_ar calls of one diffusion step share.
+
+    The step's first call runs the data+START prefix and stores the timestep
+    modulations, which are the same for every token, and each layer's K/V.
+    Every later call embeds and runs only the newest noise row, which
+    attends to all stored positions and adds its own K/V. Under _ar_bias the
+    prefix never attends to noise rows, so its stored K/V stay valid for the
+    whole step. One cache serves one (tokens, t) pair: make a new one for
+    each diffusion step.
+    """
+
+    mods: list | None = None
+    # layer index -> (K, V), each (B, heads, positions, head_dim)
+    kv: dict = field(default_factory=dict)
+
+    @property
+    def positions(self) -> int:
+        return self.kv[0][0].shape[2] if self.kv else 0
+
+
+def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t,
+               cache: ARStepCache | None = None) -> np.ndarray:
     """Predict the noise for token i = len(noise_prefix), read at the last position.
 
     Accepts a single sample (n_max, token_dim) or a batch (B, n_max, token_dim);
     the prediction shape follows the input.
+
+    With a cache, the calls of one diffusion step must come in order,
+    i = 0, 1, ..., with the same tokens and t; call i runs only the data+START
+    prefix (i = 0) or noise row i - 1, and its result equals the uncached
+    call's to float rounding.
     """
     if not cfg.ar_mode:
         raise UnsupportedModeError("model config does not enable ar_mode")
@@ -441,9 +492,23 @@ def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t) -> np.ndarray:
     k = noise_prefix.shape[1]
     if not (0 <= k < cfg.n_max):
         raise ValueError(f"noise prefix length {k} outside [0, {cfg.n_max})")
-    h0 = _embed_ar(params, cfg, tokens, noise_prefix)
-    bias = _ar_bias(cfg.n_max, k, h0.dtype)
-    out, _ = _forward_core(params, cfg, h0, t, attn_bias=bias)
+    n = cfg.n_max
+    # call k follows the n+1 prefix rows and noise rows 0..k-2
+    expected = n + k if k else 0
+    if cache is not None and cache.positions != expected:
+        raise ValueError(
+            f"the cache holds {cache.positions} positions, but a noise prefix "
+            f"of length {k} needs {expected}"
+        )
+    if cache is None or k == 0:
+        h0 = _embed_ar(params, cfg, tokens, noise_prefix)
+        bias = _ar_bias(n, k, h0.dtype)
+    else:
+        dtype = params["in_proj.w"].dtype
+        h0 = _embed_noise(params, noise_prefix[:, -1:].astype(dtype), n + k)
+        bias = None
+    out, _ = _forward_core(params, cfg, h0, t, attn_bias=bias, step=cache,
+                           for_backward=False)
     pred = out[:, -1, : cfg.token_dim]
     return pred[0] if squeeze else pred
 

@@ -19,10 +19,7 @@ from .core import (
     DatasetConfig,
     detokenize_layout,
     detokenize_segments,
-    encode_category,
     tokenize_layout,
-    PAD_CATEGORY,
-    TOKEN_DIM,
 )
 
 
@@ -81,18 +78,18 @@ def mask_from_layout(layout, cfg: DatasetConfig, kind: str) -> ConditionMask:
 def apply_condition(xt, cond: ConditionMask, t, sched: S.Schedule, rng):
     """Overwrite conditioned entries with the knowns noised to level t.
 
-    t = -1 denotes the clean boundary: the knowns are copied verbatim.
+    t = -1 denotes the clean boundary: the knowns are copied verbatim. The
+    knowns broadcast over a batch, and the noise is drawn with xt's shape.
     """
     xt = np.asarray(xt, dtype=np.float64)
     if cond is None or cond.empty:
         return xt
-    if t < 0:
-        noised = cond.values
-    else:
-        noised = S.q_sample(cond.values, t, rng.standard_normal(cond.values.shape), sched)
+    values = np.broadcast_to(cond.values, xt.shape)
+    if t >= 0:
+        values = S.q_sample(values, t, rng.standard_normal(xt.shape), sched)
     out = xt.copy()
     m = np.broadcast_to(cond.mask, xt.shape)
-    out[m] = np.broadcast_to(noised, xt.shape)[m]
+    out[m] = values[m]
     return out
 
 
@@ -101,9 +98,12 @@ def sample_tokens(predictor, sched: S.Schedule, shape, rng, method="ddpm",
                   capture_stride: int | None = None):
     """Drive the reverse process from x_T ~ N(0, I) down to a clean sample.
 
-    predictor(x, t) must return the predicted noise for the whole batch; it
-    may also return a VariancePrediction to supply a learned variance to the
-    DDPM step. Returns (x0, trajectory-or-None).
+    shape is (n_max, token_dim) for one sample or (B, n_max, token_dim) for a
+    batch. predictor(x, t) must return the predicted noise for the whole
+    batch; it may also return a VariancePrediction to supply a learned
+    variance to the DDPM step. Raises FloatingPointError naming the sample
+    and t as soon as a reverse step yields a non-finite entry. Returns
+    (x0, trajectory-or-None).
     """
     T = sched.T
     x = rng.standard_normal(shape)
@@ -124,10 +124,32 @@ def sample_tokens(predictor, sched: S.Schedule, shape, rng, method="ddpm",
             x = S.ddim_step(x, eps_hat, t, t - 1, eta, sched, rng)
         else:
             raise ValueError(f"unknown sampling method {method!r}")
+        finite = np.isfinite(x).reshape(-1, *shape[-2:]).all(axis=(1, 2))
+        if not finite.all():
+            raise FloatingPointError(
+                f"sample {int(np.argmin(finite))} has a non-finite entry after "
+                f"the reverse step at t={t}"
+            )
         x = apply_condition(x, cond, t - 1, sched, rng)
     if traj is not None:
         traj.snapshots.append((-1, x.copy()))
     return x, traj
+
+
+class SampleStreams:
+    """One random stream per sample, spawned from the seed.
+
+    A draw of shape (n, ...) takes row i from stream i, so each sample gets
+    the draws it would get if it were sampled alone. Spawned child i does not
+    depend on n, and no stream of one seed repeats a stream of another seed.
+    """
+
+    def __init__(self, seed: int, n: int):
+        self.rngs = [np.random.default_rng(s)
+                     for s in np.random.SeedSequence(seed).spawn(n)]
+
+    def standard_normal(self, shape):
+        return np.stack([rng.standard_normal(shape[1:]) for rng in self.rngs])
 
 
 def _detok(batch, data_cfg: DatasetConfig):
@@ -145,53 +167,53 @@ def _check_compat(params, cfg: M.ModelConfig, data_cfg: DatasetConfig):
         raise ValueError("parameters do not match the model config")
 
 
+def _sample(predictor, params, cfg: M.ModelConfig, sched: S.Schedule,
+            data_cfg: DatasetConfig, n_samples: int, seed: int, mask, method,
+            eta, capture_stride):
+    """Run all n_samples through one batched reverse process."""
+    _check_compat(params, cfg, data_cfg)
+    tokens, traj = sample_tokens(
+        predictor, sched, (n_samples, cfg.n_max, cfg.token_dim),
+        SampleStreams(seed, n_samples), method=method, eta=eta, cond=mask,
+        capture_stride=capture_stride,
+    )
+    trajs = None
+    if traj is not None:
+        trajs = [Trajectory([(t, x[i]) for t, x in traj.snapshots])
+                 for i in range(n_samples)]
+    return _detok(tokens, data_cfg), tokens, trajs
+
+
 def sample_nonar(params, cfg: M.ModelConfig, sched: S.Schedule,
                  data_cfg: DatasetConfig, n_samples: int, seed: int,
                  mask: ConditionMask | None = None, method="ddpm", eta=0.0,
                  capture_stride: int | None = None):
     """Generate n_samples layouts (or segment sets) with the one-pass model.
 
-    Each sample owns its own rng stream (seed xor sample index). Returns
-    (items, token matrices, trajectories-or-None).
+    All samples step as one batch; each owns its own rng stream (see
+    SampleStreams). Returns (items, token matrices, trajectories-or-None).
     """
-    _check_compat(params, cfg, data_cfg)
-    shape = (cfg.n_max, cfg.token_dim)
-    outs, trajs = [], []
-    for i in range(n_samples):
-        rng = np.random.default_rng(seed ^ i)
-
-        def predictor(x, t):
-            pred = M.forward_nonar(params, cfg, x[None], np.array([t]))
-            if pred.var_coef is not None:
-                return M.VariancePrediction(pred.eps_hat[0], pred.var_coef[0])
-            return pred.eps_hat[0]
-
-        x0, traj = sample_tokens(
-            predictor, sched, shape, rng, method=method, eta=eta, cond=mask,
-            capture_stride=capture_stride,
-        )
-        outs.append(x0)
-        trajs.append(traj)
-    tokens = np.stack(outs)
-    items = _detok(tokens, data_cfg)
-    return items, tokens, (trajs if capture_stride else None)
+    return _sample(lambda x, t: M.forward_nonar(params, cfg, x, t), params,
+                   cfg, sched, data_cfg, n_samples, seed, mask, method, eta,
+                   capture_stride)
 
 
 def ar_predictor(params, cfg: M.ModelConfig):
-    """Assemble eps_hat token by token, per the autoregressive sampling loop."""
+    """Assemble eps_hat token by token, per the autoregressive sampling loop.
+
+    Takes x as (n_max, token_dim) or (B, n_max, token_dim). Each call is one
+    diffusion step with its own ARStepCache: the data+START prefix runs once,
+    then one noise row per token.
+    """
 
     def predictor(x, t):
-        noise_rows = []
+        x = np.asarray(x)
+        batch = x if x.ndim == 3 else x[None]
+        cache = M.ARStepCache()
+        eps = np.zeros(batch.shape, dtype=np.float64)
         for i in range(cfg.n_max):
-            prefix = (
-                np.stack(noise_rows, axis=0)
-                if noise_rows
-                else np.zeros((0, cfg.token_dim), dtype=x.dtype)
-            )
-            noise_rows.append(
-                np.asarray(M.forward_ar(params, cfg, x, prefix, t), dtype=np.float64)
-            )
-        return np.stack(noise_rows, axis=0)
+            eps[:, i] = M.forward_ar(params, cfg, batch, eps[:, :i], t, cache=cache)
+        return eps if x.ndim == 3 else eps[0]
 
     return predictor
 
@@ -202,21 +224,8 @@ def sample_ar(params, cfg: M.ModelConfig, sched: S.Schedule,
               capture_stride: int | None = None):
     """Autoregressive sampling: per diffusion step, generate each token's
     noise prediction conditioned on the previously generated ones, then take
-    one (DDIM by default) reverse step."""
+    one (DDIM by default) reverse step. All samples step as one batch."""
     if not cfg.ar_mode:
         raise M.UnsupportedModeError("sample_ar requires an ar_mode model")
-    _check_compat(params, cfg, data_cfg)
-    shape = (cfg.n_max, cfg.token_dim)
-    predictor = ar_predictor(params, cfg)
-    outs, trajs = [], []
-    for i in range(n_samples):
-        rng = np.random.default_rng(seed ^ i)
-        x0, traj = sample_tokens(
-            predictor, sched, shape, rng, method=method, eta=eta, cond=mask,
-            capture_stride=capture_stride,
-        )
-        outs.append(x0)
-        trajs.append(traj)
-    tokens = np.stack(outs)
-    items = _detok(tokens, data_cfg)
-    return items, tokens, (trajs if capture_stride else None)
+    return _sample(ar_predictor(params, cfg), params, cfg, sched, data_cfg,
+                   n_samples, seed, mask, method, eta, capture_stride)

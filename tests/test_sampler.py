@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from layoutdiff.core import BoundingBox, DatasetConfig, Layout, decode_category
-from layoutdiff.model import ModelConfig, init_params
+from layoutdiff.model import ARStepCache, ModelConfig, forward_ar, init_params, param_shapes
 from layoutdiff.sampling import (
     ConditionMask,
     apply_condition,
@@ -20,6 +20,13 @@ DCFG = DatasetConfig(n_max=4, num_categories=5, h_max=256.0, w_max=256.0)
 
 def zero_predictor(x, t):
     return np.zeros_like(x)
+
+
+def random_params(cfg, seed, dtype=np.float64, scale=0.3):
+    """Every weight random, so no zero-initialized head hides the network."""
+    rng = np.random.default_rng(seed)
+    return {name: (rng.standard_normal(shape) * scale).astype(dtype)
+            for name, shape in param_shapes(cfg).items()}
 
 
 def make_layout():
@@ -129,6 +136,17 @@ class TestSampleTokens:
             assert ts[0] == SCHED.T - 1 and ts[-1] == -1
             assert all(a > b for a, b in zip(ts, ts[1:]))
 
+    def test_non_finite_step_names_sample_and_t(self):
+        def diverging(x, t):
+            eps = np.zeros_like(x)
+            if t == 37:
+                eps[1, 2, 5] = np.nan
+            return eps
+
+        with pytest.raises(FloatingPointError, match=r"^sample 1 .* at t=37$"):
+            sample_tokens(diverging, SCHED, (3, 4, 16),
+                          np.random.default_rng(7), method="ddim")
+
     def test_no_capture_by_default(self):
         _, traj = sample_tokens(zero_predictor, SCHED, (2, 16),
                                 np.random.default_rng(6), method="ddim")
@@ -221,3 +239,63 @@ class TestModelSamplers:
         out_b, _ = sample_tokens(pred_single_pass, SCHED, (1, 16),
                                  np.random.default_rng(16), method="ddim")
         assert np.array_equal(out_a, out_b)
+
+    def test_sample_streams_differ_across_seeds(self):
+        """Sample 1 of seed 0 and sample 0 of seed 1 draw different noise."""
+        cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=4)
+        params = init_params(cfg, seed=0)
+        _, a, _ = sample_nonar(params, cfg, SCHED, DCFG, 2, seed=0)
+        _, b, _ = sample_nonar(params, cfg, SCHED, DCFG, 1, seed=1)
+        assert not np.allclose(a[1], b[0])
+
+    @pytest.mark.parametrize("ar", [False, True])
+    def test_first_sample_does_not_depend_on_batch_size(self, ar):
+        cfg = ModelConfig(layers=2, heads=2, hidden=16, n_max=4, ar_mode=ar)
+        params = random_params(cfg, seed=17, scale=0.05)
+        sampler = sample_ar if ar else sample_nonar
+        cond = mask_from_layout(make_layout(), DCFG, "cate")
+        _, three, _ = sampler(params, cfg, SCHED, DCFG, 3, seed=18, mask=cond)
+        _, one, _ = sampler(params, cfg, SCHED, DCFG, 1, seed=18, mask=cond)
+        np.testing.assert_allclose(three[0], one[0], rtol=0, atol=1e-9)
+        assert not np.allclose(three[0], three[1])
+
+    def test_batched_ar_trajectories_split_per_sample(self):
+        cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=2, ar_mode=True)
+        dcfg = DatasetConfig(n_max=2, num_categories=5, h_max=256.0, w_max=256.0)
+        params = random_params(cfg, seed=19, scale=0.05)
+        _, toks, trajs = sample_ar(params, cfg, SCHED, dcfg, 3, seed=20,
+                                   capture_stride=25)
+        assert len(trajs) == 3
+        for i, traj in enumerate(trajs):
+            assert [t for t, _ in traj.snapshots] == [99, 74, 49, 24, -1]
+            assert all(m.shape == (2, 16) for _, m in traj.snapshots)
+            assert np.array_equal(traj.snapshots[-1][1], toks[i])
+        assert not np.array_equal(trajs[0].snapshots[0][1], trajs[1].snapshots[0][1])
+
+
+class TestARCache:
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("batch", [(), (1,), (3,)])
+    @pytest.mark.parametrize("n_max", [1, 2, 5])
+    def test_cached_predictor_matches_uncached_calls(self, n_max, batch, dtype, atol):
+        cfg = ModelConfig(layers=2, heads=2, hidden=16, n_max=n_max, ar_mode=True)
+        params = random_params(cfg, seed=21, dtype=dtype)
+        x = np.random.default_rng(22).standard_normal(batch + (n_max, 16))
+        for t in (0, 57, 99):
+            want = np.zeros_like(x)
+            for i in range(n_max):
+                want[..., i, :] = forward_ar(params, cfg, x, want[..., :i, :], t)
+            got = ar_predictor(params, cfg)(x, t)
+            assert got.shape == x.shape and got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+    def test_calls_out_of_order_rejected(self):
+        cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=3, ar_mode=True)
+        params = random_params(cfg, seed=23)
+        x = np.zeros((3, 16))
+        cache = ARStepCache()
+        with pytest.raises(ValueError, match="holds 0 positions"):
+            forward_ar(params, cfg, x, np.zeros((1, 16)), 5, cache=cache)
+        forward_ar(params, cfg, x, np.zeros((0, 16)), 5, cache=cache)
+        with pytest.raises(ValueError, match="holds 4 positions"):
+            forward_ar(params, cfg, x, np.zeros((2, 16)), 5, cache=cache)
