@@ -135,10 +135,6 @@ class DatasetConfig:
             raise ValidationError("normalization bounds must be positive", field="h_max")
 
 
-# counters for total-function decoding; useful when eyeballing generated output
-clamp_count = 0
-
-
 def normalize_box(box: BoundingBox, layout: Layout) -> np.ndarray:
     """Map a box inside an H x W scene to the [-1, 1]^4 vector (x, y, h, w)."""
     H, W = layout.H, layout.W
@@ -218,11 +214,10 @@ def tokenize_layout(layout: Layout, cfg: DatasetConfig) -> np.ndarray:
 def detokenize_layout(m, cfg: DatasetConfig) -> Layout:
     """Decode an (n_max, 16) matrix back to a layout.
 
-    Total by design: out-of-range entries are clamped to [-1, 1] (counted in
-    `clamp_count`), categories are sign-thresholded, and rows decoding to the
-    PAD category are dropped.
+    Total by design: out-of-range entries are clamped to [-1, 1] (their count
+    is logged at debug level), categories are sign-thresholded, and rows
+    decoding to the PAD category are dropped.
     """
-    global clamp_count
     m = np.asarray(m, dtype=float)
     if m.shape != (cfg.n_max, TOKEN_DIM):
         raise ValidationError(
@@ -230,7 +225,6 @@ def detokenize_layout(m, cfg: DatasetConfig) -> Layout:
         )
     n_clamped = int(np.sum((m[:, :6] < -1.0) | (m[:, :6] > 1.0)))
     if n_clamped:
-        clamp_count += n_clamped
         logger.debug("detokenize_layout clamped %d entries", n_clamped)
     geo = np.clip(m[:, :6], -1.0, 1.0)
     # the scene dims are replicated on every row; the median is exact on clean

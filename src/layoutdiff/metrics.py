@@ -1,5 +1,5 @@
 """Evaluation metrics: alignment, overlap, MaxIoU, DocSim, the two-level
-segment Difference score, the assignment solver they share, and a pluggable
+segment Difference score, the assignment wrapper they share, and a pluggable
 Frechet feature distance standing in for FID.
 
 All box-level formulas operate on per-layout normalized coordinates in [0, 1].
@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Layout, Segment
+from .data import _dump, _record_dict
 
 
 def hungarian(cost) -> tuple[list[tuple[int, int]], float]:
-    """Minimum-cost assignment of rows to columns (n <= m), O(n^3).
+    """Minimum-cost assignment of rows to columns (n <= m) by scipy's
+    linear_sum_assignment (Crouse, IEEE TAES 2016).
 
-    Shortest-augmenting-path formulation with row/column potentials.
-    Returns (list of (row, col), total cost).
+    Returns (list of (row, col) sorted by row, total cost).
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -31,49 +32,12 @@ def hungarian(cost) -> tuple[list[tuple[int, int]], float]:
     n, m = cost.shape
     if n > m:
         raise ValueError(f"hungarian requires n <= m, got {n} x {m}")
-    if n == 0:
-        return [], 0.0
-    INF = np.inf
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
-    p = np.zeros(m + 1, dtype=int)  # p[j]: row (1-based) assigned to column j
-    way = np.zeros(m + 1, dtype=int)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(m + 1, INF)
-        used = np.zeros(m + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = -1
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    assignment = sorted((p[j] - 1, j - 1) for j in range(1, m + 1) if p[j] > 0)
-    total = float(sum(cost[r, c] for r, c in assignment))
-    return assignment, total
+    # imported here: scipy.optimize adds about 0.35 s to `import layoutdiff`,
+    # which every CLI command pays, and only the metrics need it
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(cost)
+    return list(zip(rows.tolist(), cols.tolist())), float(cost[rows, cols].sum())
 
 
 def max_weight_matching(weights) -> tuple[list[tuple[int, int]], float]:
@@ -92,25 +56,28 @@ def max_weight_matching(weights) -> tuple[list[tuple[int, int]], float]:
 # box geometry
 
 
+def _intersections(a, b) -> np.ndarray:
+    """(na, nb) intersection areas of two (n, 4) arrays of (x, y, h, w) boxes."""
+    a, b = a[:, None, :], b[None, :, :]
+    # columns 2:4 are (h, w), so the far corner is (x + w, y + h)
+    lo = np.maximum(a[..., :2], b[..., :2])
+    hi = np.minimum(a[..., :2] + a[..., [3, 2]], b[..., :2] + b[..., [3, 2]])
+    return np.prod(np.maximum(hi - lo, 0.0), axis=-1)
+
+
+def _iou_matrix(a, b) -> np.ndarray:
+    """(na, nb) IoU of two (n, 4) box arrays; degenerate pairs score 0."""
+    inter = _intersections(a, b)
+    union = (a[:, 2] * a[:, 3])[:, None] + b[:, 2] * b[:, 3] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
 def iou(a, b) -> float:
     """Intersection over union of two boxes given as (x, y, h, w) tuples or
     BoundingBox values; degenerate pairs score 0."""
-    ax, ay, ah, aw = _box_tuple(a)
-    bx, by, bh, bw = _box_tuple(b)
-    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
-    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
-    inter = ix * iy
-    union = ah * aw + bh * bw - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
-def _box_tuple(b):
-    if hasattr(b, "x"):
-        return b.x, b.y, b.h, b.w
-    x, y, h, w = b
-    return x, y, h, w
+    a, b = (np.array([[v.x, v.y, v.h, v.w] if hasattr(v, "x") else v], dtype=np.float64)
+            for v in (a, b))
+    return float(_iou_matrix(a, b)[0, 0])
 
 
 def _norm_boxes(layout: Layout) -> np.ndarray:
@@ -135,20 +102,11 @@ def alignment_score(layouts) -> float:
             continue
         x, y, h, w = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
         anchors = np.stack([x, x + w / 2, x + w, y + h, y + h / 2, y], axis=1)
-        total = 0.0
-        for i in range(n):
-            d = np.abs(anchors - anchors[i])
-            d[i] = np.inf
-            g = min(float(d.min()), 1.0 - 1e-12)
-            total += -np.log(1.0 - g)
-        scores.append(100.0 / n * total)
+        d = np.abs(anchors[:, None, :] - anchors[None, :, :])
+        d[np.arange(n), np.arange(n)] = np.inf
+        g = np.minimum(d.min(axis=(1, 2)), 1.0 - 1e-12)
+        scores.append(100.0 / n * float(np.sum(-np.log(1.0 - g))))
     return float(np.mean(scores)) if scores else 0.0
-
-
-def _pair_intersection(b1, b2) -> float:
-    ix = max(0.0, min(b1[0] + b1[3], b2[0] + b2[3]) - max(b1[0], b2[0]))
-    iy = max(0.0, min(b1[1] + b1[2], b2[1] + b2[2]) - max(b1[1], b2[1]))
-    return ix * iy
 
 
 def overlap_score(layouts) -> float:
@@ -157,15 +115,11 @@ def overlap_score(layouts) -> float:
     scores = []
     for layout in layouts:
         boxes = _norm_boxes(layout)
-        n = boxes.shape[0]
         total_area = float(np.sum(boxes[:, 2] * boxes[:, 3]))
         if total_area <= 0.0:
             scores.append(0.0)
             continue
-        inter = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                inter += _pair_intersection(boxes[i], boxes[j])
+        inter = float(np.sum(np.triu(_intersections(boxes, boxes), k=1)))
         scores.append(100.0 * inter / total_area)
     return float(np.mean(scores)) if scores else 0.0
 
@@ -175,12 +129,8 @@ def _layout_pair_maxiou(a: Layout, b: Layout) -> float:
     na, nb = len(a.boxes), len(b.boxes)
     if na == 0 or nb == 0:
         return 1.0 if na == nb else 0.0
-    ba, bb = _norm_boxes(a), _norm_boxes(b)
-    w = np.zeros((na, nb))
-    for i, abox in enumerate(a.boxes):
-        for j, bbox in enumerate(b.boxes):
-            if abox.c == bbox.c:
-                w[i, j] = iou(tuple(ba[i]), tuple(bb[j]))
+    same_category = np.equal.outer([x.c for x in a.boxes], [y.c for y in b.boxes])
+    w = np.where(same_category, _iou_matrix(_norm_boxes(a), _norm_boxes(b)), 0.0)
     _, total = max_weight_matching(w)
     return total / max(na, nb)
 
@@ -211,17 +161,12 @@ def _docsim_pair(a: Layout, b: Layout) -> float:
     if na == 0 or nb == 0:
         return 0.0
     ba, bb = _norm_boxes(a), _norm_boxes(b)
-    w = np.zeros((na, nb))
-    for i in range(na):
-        for j in range(nb):
-            area_i = ba[i, 2] * ba[i, 3]
-            area_j = bb[j, 2] * bb[j, 3]
-            alpha = np.sqrt(min(area_i, area_j))
-            ci = ba[i, :2] + np.array([ba[i, 3] / 2, ba[i, 2] / 2])
-            cj = bb[j, :2] + np.array([bb[j, 3] / 2, bb[j, 2] / 2])
-            dc = float(np.linalg.norm(ci - cj))
-            ds = abs(ba[i, 3] - bb[j, 3]) + abs(ba[i, 2] - bb[j, 2])
-            w[i, j] = alpha * 2.0 ** (-dc - 2.0 * ds)
+    ca = ba[:, :2] + ba[:, [3, 2]] / 2
+    cb = bb[:, :2] + bb[:, [3, 2]] / 2
+    alpha = np.sqrt(np.minimum.outer(ba[:, 2] * ba[:, 3], bb[:, 2] * bb[:, 3]))
+    dc = np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=-1)
+    ds = np.abs(ba[:, None, 2:] - bb[None, :, 2:]).sum(axis=-1)
+    w = alpha * 2.0 ** (-dc - 2.0 * ds)
     _, total = max_weight_matching(w)
     return total / max(na, nb)
 
@@ -252,7 +197,8 @@ def image_weight(s1, s2) -> float:
         raise ValueError(f"segment counts differ: {len(s1)} vs {len(s2)}")
     if not s1:
         return 0.0
-    cost = np.array([[segment_weight(a, b) for b in s2] for a in s1])
+    e1, e2 = (np.array([[s.x1, s.y1, s.x2, s.y2] for s in segs]) for segs in (s1, s2))
+    cost = np.abs(e1[:, None, :] - e2[None, :, :]).sum(axis=-1)
     _, total = hungarian(cost)
     return total
 
@@ -356,8 +302,27 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def _config_hash(meta: dict) -> str:
-    return hashlib.sha256(json.dumps(meta, sort_keys=True).encode()).hexdigest()[:12]
+def _finish_report(report, generated, reference, images_generated, images_reference,
+                   extractor) -> MetricReport:
+    """Add the feature distance when renders are supplied, then the meta: the
+    corpus sizes and a hash of the canonical records of both corpora plus the
+    feature extractor's parameters."""
+    inputs = {"generated": [_record_dict(r) for r in generated],
+              "reference": [_record_dict(r) for r in reference]}
+    if images_generated is not None and images_reference is not None:
+        if extractor is None:
+            extractor = RandomProjectionExtractor()
+        report.scalars["feature_distance"] = feature_distance(
+            images_generated, images_reference, extractor
+        )
+        inputs["extractor"] = {"dim": getattr(extractor, "dim", None),
+                               "seed": getattr(extractor, "seed", None)}
+    report.meta = {
+        "n_generated": len(generated),
+        "n_reference": len(reference),
+        "config_hash": hashlib.sha256(_dump(inputs).encode()).hexdigest()[:12],
+    }
+    return report
 
 
 def evaluate_layout_corpora(generated, reference, images_generated=None,
@@ -369,18 +334,10 @@ def evaluate_layout_corpora(generated, reference, images_generated=None,
     report.scalars["overlap"] = overlap_score(generated)
     report.scalars["max_iou"] = max_iou(generated, reference)
     report.scalars["docsim"] = docsim(generated, reference)
-    if images_generated is not None and images_reference is not None:
-        report.scalars["feature_distance"] = feature_distance(
-            images_generated, images_reference, extractor
-        )
     report.per_sample["alignment"] = [alignment_score([g]) for g in generated]
     report.per_sample["overlap"] = [overlap_score([g]) for g in generated]
-    report.meta = {
-        "n_generated": len(generated),
-        "n_reference": len(reference),
-    }
-    report.meta["config_hash"] = _config_hash(report.meta)
-    return report
+    return _finish_report(report, generated, reference, images_generated,
+                          images_reference, extractor)
 
 
 def evaluate_segment_corpora(generated, reference, images_generated=None,
@@ -388,13 +345,5 @@ def evaluate_segment_corpora(generated, reference, images_generated=None,
     generated, reference = list(generated), list(reference)
     report = MetricReport()
     report.scalars["difference"] = difference_score(generated, reference)
-    if images_generated is not None and images_reference is not None:
-        report.scalars["feature_distance"] = feature_distance(
-            images_generated, images_reference, extractor
-        )
-    report.meta = {
-        "n_generated": len(generated),
-        "n_reference": len(reference),
-    }
-    report.meta["config_hash"] = _config_hash(report.meta)
-    return report
+    return _finish_report(report, generated, reference, images_generated,
+                          images_reference, extractor)

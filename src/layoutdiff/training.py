@@ -258,17 +258,28 @@ def save_checkpoint(path: str, state: TrainState) -> None:
 
 
 def load_checkpoint(path: str) -> TrainState:
+    """Read a checkpoint back. A file that is truncated, whose manifest does
+    not parse, or whose parameter shapes do not fit its model config raises
+    ValueError naming the path and the bad entry or byte offset."""
     with open(path, "rb") as f:
-        magic = f.read(len(CKPT_MAGIC))
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (mlen,) = struct.unpack("<I", f.read(4))
-        manifest = json.loads(f.read(mlen).decode("utf-8"))
-        if manifest["version"] != CKPT_VERSION:
-            raise ValueError(
-                f"{path}: checkpoint version {manifest['version']} != {CKPT_VERSION}"
-            )
-        blob = f.read()
+        data = f.read()
+    start = len(CKPT_MAGIC) + 4
+    if data[:len(CKPT_MAGIC)] != CKPT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    if len(data) < start:
+        raise ValueError(f"{path}: file ends at byte {len(data)}, inside the manifest "
+                         f"length field at bytes {len(CKPT_MAGIC)}-{start}")
+    (mlen,) = struct.unpack_from("<I", data, len(CKPT_MAGIC))
+    blob_start = start + mlen
+    try:
+        manifest = json.loads(data[start:blob_start].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValueError(f"{path}: manifest at bytes {start}-{blob_start} does not parse "
+                         f"({len(data)} bytes in file): {e}") from e
+    if manifest["version"] != CKPT_VERSION:
+        raise ValueError(
+            f"{path}: checkpoint version {manifest['version']} != {CKPT_VERSION}"
+        )
     model_cfg = M.ModelConfig(**manifest["model_cfg"])
     data_cfg = DatasetConfig(**manifest["data_cfg"])
     train_cfg = TrainConfig(**manifest["train_cfg"])
@@ -276,11 +287,24 @@ def load_checkpoint(path: str) -> TrainState:
     groups = {"param": {}, "adam_m": {}, "adam_v": {}, "ema": {}}
     for e in manifest["entries"]:
         group, name = e["name"].split("/", 1)
-        arr = np.frombuffer(
-            blob, dtype="<f4", count=int(np.prod(e["shape"])) if e["shape"] else 1,
-            offset=e["offset"],
+        count = int(np.prod(e["shape"]))
+        offset = blob_start + e["offset"]
+        if e["size"] != 4 * count or offset + e["size"] > len(data):
+            raise ValueError(
+                f"{path}: entry {e['name']} of shape {tuple(e['shape'])} takes "
+                f"{e['size']} bytes at file offset {offset}, the file has {len(data)}"
+            )
+        groups[group][name] = np.frombuffer(
+            data, dtype="<f4", count=count, offset=offset
         ).reshape(e["shape"]).copy()
-        groups[group][name] = arr
+    shapes = {name: a.shape for name, a in groups["param"].items()}
+    expected = M.param_shapes(model_cfg)
+    if shapes != expected:
+        name = min(n for n in shapes.keys() | expected.keys() if shapes.get(n) != expected.get(n))
+        raise ValueError(
+            f"{path}: entry param/{name} has shape {shapes.get(name)}, the model "
+            f"config gives {expected.get(name)}"
+        )
     rng = np.random.default_rng()
     rng.bit_generator.state = manifest["rng_state"]
     return TrainState(

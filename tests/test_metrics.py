@@ -284,6 +284,80 @@ class TestDocSim:
         assert docsim(gen, ref) == pytest.approx(oracle, abs=1e-9)
 
 
+def docsim_oracle(generated, reference):
+    """Brute-force DocSim: explicit permutation matching of every pair."""
+    def pair(a, b):
+        na, nb = len(a.boxes), len(b.boxes)
+        if na == 0 or nb == 0:
+            return 0.0
+        wa = [(bb.x / a.W, bb.y / a.H, bb.h / a.H, bb.w / a.W) for bb in a.boxes]
+        wb = [(bb.x / b.W, bb.y / b.H, bb.h / b.H, bb.w / b.W) for bb in b.boxes]
+        small, big = (wa, wb) if na <= nb else (wb, wa)
+        best = 0.0
+        for perm in itertools.permutations(range(len(big)), len(small)):
+            s = 0.0
+            for i, j in enumerate(perm):
+                x1, y1, h1, w1 = small[i]
+                x2, y2, h2, w2 = big[j]
+                alpha = np.sqrt(min(h1 * w1, h2 * w2))
+                dc = np.hypot(x1 + w1 / 2 - x2 - w2 / 2, y1 + h1 / 2 - y2 - h2 / 2)
+                ds = abs(w1 - w2) + abs(h1 - h2)
+                s += alpha * 2.0 ** (-dc - 2 * ds)
+            best = max(best, s)
+        return best / max(na, nb)
+    return float(np.mean([max(pair(g, r) for r in reference) for g in generated]))
+
+
+class TestDegenerateBoxes:
+    """Zero-area, identical and disjoint boxes through the matrix paths."""
+
+    def layouts(self):
+        B = BoundingBox
+        zero = B(10.0, 10.0, 0.0, 30.0, 1)
+        flat = B(10.0, 10.0, 20.0, 0.0, 2)
+        box = B(40.0, 40.0, 30.0, 30.0, 1)
+        far = B(200.0, 200.0, 20.0, 20.0, 2)
+        def lay(*boxes):
+            return Layout(H=256.0, W=256.0, boxes=boxes)
+        return [
+            lay(zero),
+            lay(zero, zero),
+            lay(zero, flat, box),
+            lay(box, box),
+            lay(box, box, box),
+            lay(box, far),
+            lay(far, zero, box),
+            lay(flat),
+        ]
+
+    def test_max_iou_matches_brute_force(self):
+        layouts = self.layouts()
+        for gen in (layouts, layouts[:3], layouts[3:]):
+            assert max_iou(gen, layouts) == pytest.approx(
+                max_iou_oracle(gen, layouts), abs=1e-12)
+            assert max_iou(gen, layouts[::-1]) == pytest.approx(
+                max_iou_oracle(gen, layouts[::-1]), abs=1e-12)
+
+    def test_docsim_matches_brute_force(self):
+        layouts = self.layouts()
+        for gen in (layouts, layouts[:3], layouts[3:]):
+            assert docsim(gen, layouts) == pytest.approx(
+                docsim_oracle(gen, layouts), abs=1e-12)
+
+    def test_overlap_matches_oracle(self):
+        layouts = self.layouts()
+        assert overlap_score(layouts) == pytest.approx(overlap_oracle(layouts), abs=1e-12)
+        for layout in layouts:
+            assert overlap_score([layout]) == pytest.approx(
+                overlap_oracle([layout]), abs=1e-12)
+
+    def test_zero_area_pairs_score_zero(self):
+        zero = Layout(H=256.0, W=256.0, boxes=(BoundingBox(10.0, 10.0, 0.0, 30.0, 1),))
+        assert max_iou([zero], [zero]) == 0.0
+        assert docsim([zero], [zero]) == 0.0
+        assert overlap_score([zero]) == 0.0
+
+
 class TestDifference:
     def test_segment_weight_frozen(self):
         a = Segment(0.0, 0.0, 1.0, 1.0)
@@ -405,6 +479,31 @@ class TestReports:
         _, sets = synth_segment_corpus(1, 5, k_segments=4)
         rep = evaluate_segment_corpora(sets, sets)
         assert rep.scalars["difference"] == 0.0
+
+    def test_config_hash_covers_inputs(self):
+        _, a = synth_layout_corpus(6, 5, style="grid")
+        _, b = synth_layout_corpus(7, 5, style="grid")
+        h = lambda gen, ref, **kw: evaluate_layout_corpora(gen, ref, **kw).meta["config_hash"]
+        assert h(a, b) == h(list(a), list(b))
+        assert len({h(a, b), h(b, a), h(a, a), h(b, b)}) == 4
+        _, s1 = synth_segment_corpus(2, 4, k_segments=3)
+        _, s2 = synth_segment_corpus(3, 4, k_segments=3)
+        hs = lambda gen, ref: evaluate_segment_corpora(gen, ref).meta["config_hash"]
+        assert hs(s1, s2) == hs(s1, s2)
+        assert hs(s1, s2) != hs(s2, s1)
+
+    def test_config_hash_covers_extractor(self):
+        from layoutdiff.render import rasterize
+        _, layouts = synth_layout_corpus(8, 4, style="grid")
+        images = [rasterize(l, size=16) for l in layouts]
+        def h(extractor):
+            return evaluate_layout_corpora(
+                layouts, layouts, images, images, extractor).meta["config_hash"]
+        plain = evaluate_layout_corpora(layouts, layouts).meta["config_hash"]
+        default = h(None)
+        assert default == h(RandomProjectionExtractor())
+        assert len({plain, default, h(RandomProjectionExtractor(dim=16)),
+                    h(RandomProjectionExtractor(seed=1))}) == 4
 
     def test_report_json_roundtrip(self):
         import json

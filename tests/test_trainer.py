@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,35 @@ class TestCheckpoint:
         p.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError):
             load_checkpoint(str(p))
+
+    def test_truncated_file_names_path_and_offset(self, tmp_path):
+        state = init_state(TrainConfig(seed=8), TINY, DCFG)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), state)
+        data = path.read_bytes()
+        magic = b"LAYOUTDIFF-CKPT\n"
+        mlen = int.from_bytes(data[len(magic):len(magic) + 4], "little")
+        blob_start = len(magic) + 4 + mlen
+        cuts = [
+            (len(magic) + 2, "length field"),
+            (len(magic) + 4 + mlen // 2, "manifest .* does not parse"),
+            (blob_start - 1, "manifest .* does not parse"),
+            ((blob_start + len(data)) // 2, "entry .* at file offset"),
+            (len(data) - 1, "entry .* at file offset"),
+        ]
+        for cut, message in cuts:
+            short = tmp_path / f"cut_{cut}.ckpt"
+            short.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=f"{re.escape(str(short))}: .*{message}"):
+                load_checkpoint(str(short))
+
+    def test_param_shape_mismatch_names_entry(self, tmp_path):
+        state = init_state(TrainConfig(seed=9), TINY, DCFG)
+        state.params["in_proj.b"] = np.zeros(TINY.hidden + 1, dtype=np.float32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), state)
+        with pytest.raises(ValueError, match=r"param/in_proj\.b has shape \(17,\)"):
+            load_checkpoint(str(path))
 
     def test_save_is_atomic_no_tmp_left(self, tmp_path):
         state = init_state(TrainConfig(seed=7), TINY, DCFG)
