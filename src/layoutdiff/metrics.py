@@ -1,6 +1,8 @@
 """Evaluation metrics: alignment, overlap, MaxIoU, DocSim, the two-level
 segment Difference score, the assignment wrapper they share, and a pluggable
-Frechet feature distance standing in for FID.
+Frechet feature distance standing in for FID. Its default features are a
+fixed-seed Gaussian random projection of the renders, streamed in row blocks
+over all renders at once and never held whole.
 
 All box-level formulas operate on per-layout normalized coordinates in [0, 1].
 """
@@ -228,23 +230,49 @@ def difference_score(set_a, set_b) -> float:
 # Frechet feature distance
 
 
+# Rows of the projection drawn and applied at a time: 16384 x 32 float64 is
+# 4 MiB, where the whole projection of a 256 px render is 48 MiB.
+PROJECTION_BLOCK_ROWS = 16384
+
+
 class RandomProjectionExtractor:
     """Documented default feature proxy: a fixed-seed Gaussian projection of
-    the flattened image. Deterministic; NOT comparable with Inception FID."""
+    the flattened image. Deterministic; NOT comparable with Inception FID.
+
+    The (D, dim) projection is drawn from default_rng(seed) and scaled by
+    1/sqrt(D). It is drawn and applied PROJECTION_BLOCK_ROWS rows at a time,
+    in one pass for a whole batch of images, and never held whole. Successive
+    draws from one generator give the numbers of one whole draw, so the
+    blocks are the rows of the same matrix."""
 
     def __init__(self, dim=32, seed=0):
         self.dim = dim
         self.seed = seed
-        self._proj = None
-        self._in_dim = None
+
+    def features(self, images) -> np.ndarray:
+        """(n, dim) features of n images of one size. Raises ValueError
+        naming the first image whose size differs from image 0's, or whose
+        features are not finite."""
+        flats = [np.asarray(im, dtype=np.float64).ravel() for im in images]
+        size = flats[0].size if flats else 0
+        for i, flat in enumerate(flats):
+            if flat.size != size:
+                raise ValueError(f"image {i} has {flat.size} values, image 0 has {size}")
+        rng = np.random.default_rng(self.seed)
+        out = np.zeros((len(flats), self.dim))
+        # overflow and NaN pixels show as non-finite features, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, size, PROJECTION_BLOCK_ROWS):
+                block = rng.standard_normal((min(PROJECTION_BLOCK_ROWS, size - lo), self.dim))
+                out += np.stack([flat[lo:lo + len(block)] for flat in flats]) @ block
+        out /= np.sqrt(size)
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        if bad.size:
+            raise ValueError(f"image {bad[0]} has non-finite features")
+        return out
 
     def __call__(self, image) -> np.ndarray:
-        flat = np.asarray(image, dtype=np.float64).ravel()
-        if self._proj is None or self._in_dim != flat.size:
-            rng = np.random.default_rng(self.seed)
-            self._proj = rng.standard_normal((flat.size, self.dim)) / np.sqrt(flat.size)
-            self._in_dim = flat.size
-        return flat @ self._proj
+        return self.features([image])[0]
 
 
 def frechet_gaussian_distance(feats_a, feats_b) -> float:
@@ -271,12 +299,19 @@ def frechet_gaussian_distance(feats_a, feats_b) -> float:
 
 
 def feature_distance(generated_images, reference_images, extractor=None) -> float:
-    """Frechet distance between feature populations of two render sets."""
+    """Frechet distance between feature populations of two render sets.
+
+    `extractor` is any object with `features(images) -> (n, dim)` array;
+    the default is RandomProjectionExtractor(). Both sets go through one
+    `features` call, generated first, so the projection is drawn once and
+    an image index in its errors counts the reference images after the
+    generated ones."""
     if extractor is None:
         extractor = RandomProjectionExtractor()
-    fa = np.stack([extractor(im) for im in generated_images])
-    fb = np.stack([extractor(im) for im in reference_images])
-    return frechet_gaussian_distance(fa, fb)
+    generated_images = list(generated_images)
+    feats = extractor.features(generated_images + list(reference_images))
+    n = len(generated_images)
+    return frechet_gaussian_distance(feats[:n], feats[n:])
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 The checkpoint container is a single file: a magic string, a 4-byte
 little-endian manifest length, a human-readable JSON manifest, then raw
-little-endian float32 blocks (parameters and optimizer moments) in the order
-listed by the manifest. Reloading restores the exact training state, so a
+little-endian blocks (parameters and optimizer moments) in the order listed by
+the manifest. Each manifest entry records its block's dtype: `<f8` for a
+float64 array, `<f4` otherwise (version 1 files, which have no dtype field,
+are all `<f4`). Reloading restores the exact training state, so a
 resumed run reproduces the original loss trajectory bit for bit in
 single-threaded mode.
 """
@@ -24,7 +26,7 @@ from . import schedule as S
 from .core import DatasetConfig
 
 CKPT_MAGIC = b"LAYOUTDIFF-CKPT\n"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -227,11 +229,13 @@ def save_checkpoint(path: str, state: TrainState) -> None:
         groups.append(("ema", state.ema_params))
     for group, d in groups:
         for name in sorted(d):
-            arr = np.ascontiguousarray(d[name], dtype="<f4")
+            dtype = "<f8" if d[name].dtype == np.float64 else "<f4"
+            arr = np.ascontiguousarray(d[name], dtype=dtype)
             blocks.append(arr.tobytes())
             entries.append({
                 "name": f"{group}/{name}",
                 "shape": list(d[name].shape),
+                "dtype": dtype,
                 "offset": offset,
                 "size": arr.nbytes,
             })
@@ -276,9 +280,9 @@ def load_checkpoint(path: str) -> TrainState:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"{path}: manifest at bytes {start}-{blob_start} does not parse "
                          f"({len(data)} bytes in file): {e}") from e
-    if manifest["version"] != CKPT_VERSION:
+    if manifest["version"] not in (1, CKPT_VERSION):
         raise ValueError(
-            f"{path}: checkpoint version {manifest['version']} != {CKPT_VERSION}"
+            f"{path}: checkpoint version {manifest['version']} is not 1 or {CKPT_VERSION}"
         )
     model_cfg = M.ModelConfig(**manifest["model_cfg"])
     data_cfg = DatasetConfig(**manifest["data_cfg"])
@@ -287,15 +291,20 @@ def load_checkpoint(path: str) -> TrainState:
     groups = {"param": {}, "adam_m": {}, "adam_v": {}, "ema": {}}
     for e in manifest["entries"]:
         group, name = e["name"].split("/", 1)
+        dtype = e.get("dtype", "<f4")
+        if dtype not in ("<f4", "<f8"):
+            raise ValueError(f"{path}: entry {e['name']} has dtype {dtype!r}, "
+                             f"not '<f4' or '<f8'")
         count = int(np.prod(e["shape"]))
         offset = blob_start + e["offset"]
-        if e["size"] != 4 * count or offset + e["size"] > len(data):
+        if e["size"] != np.dtype(dtype).itemsize * count or offset + e["size"] > len(data):
             raise ValueError(
-                f"{path}: entry {e['name']} of shape {tuple(e['shape'])} takes "
-                f"{e['size']} bytes at file offset {offset}, the file has {len(data)}"
+                f"{path}: entry {e['name']} of shape {tuple(e['shape'])} and dtype "
+                f"{dtype} takes {e['size']} bytes at file offset {offset}, the file "
+                f"has {len(data)}"
             )
         groups[group][name] = np.frombuffer(
-            data, dtype="<f4", count=count, offset=offset
+            data, dtype=dtype, count=count, offset=offset
         ).reshape(e["shape"]).copy()
     shapes = {name: a.shape for name, a in groups["param"].items()}
     expected = M.param_shapes(model_cfg)

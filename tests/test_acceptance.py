@@ -200,6 +200,7 @@ def test_c04_gradient_correctness():
 # 5. overfit oracles on a frozen 32-layout corpus
 
 
+@pytest.mark.slow
 def test_c05_overfit_oracles():
     t0 = time.perf_counter()
     dcfg, layouts = synth_layout_corpus(0, 32, style="columns", n_max=2)
@@ -480,6 +481,7 @@ def test_c08_metric_oracles():
 # 9. latent-adapter ablation direction, 5 seeded runs
 
 
+@pytest.mark.slow
 def test_c09_adapter_ablation_direction():
     t0 = time.perf_counter()
     d_latent = 4

@@ -464,6 +464,59 @@ class TestFrechet:
         assert np.array_equal(ex(im), RandomProjectionExtractor(dim=8, seed=3)(im))
 
 
+class TestRandomProjection:
+    @pytest.mark.parametrize("shape", [(16, 16, 3), (80, 80, 3)])
+    def test_features_match_whole_projection(self, shape):
+        """The streamed features equal those of one whole draw; 80x80x3 =
+        19200 rows ends part way into the second block."""
+        from layoutdiff.metrics import PROJECTION_BLOCK_ROWS
+        size = int(np.prod(shape))
+        assert (size < PROJECTION_BLOCK_ROWS) == (shape[0] == 16)
+        assert size % PROJECTION_BLOCK_ROWS != 0
+        images = np.random.default_rng(20).uniform(0, 1, (5,) + shape)
+        ex = RandomProjectionExtractor(dim=8, seed=4)
+        flat = images.reshape(5, size)
+        expected = (flat @ np.random.default_rng(4).standard_normal((size, 8))
+                    / np.sqrt(size))
+        np.testing.assert_allclose(ex.features(images), expected, rtol=1e-12, atol=0)
+
+    def test_features_do_not_depend_on_batch(self):
+        images = list(np.random.default_rng(21).uniform(0, 1, (6, 80, 80, 3)))
+        ex = RandomProjectionExtractor(dim=8, seed=5)
+        batch = ex.features(images)
+        for i in (0, 3):
+            np.testing.assert_allclose(ex.features([images[i]])[0], batch[i],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ex.features(images[i:i + 2])[0], batch[i],
+                                       rtol=0, atol=1e-12)
+
+    def test_call_is_features_of_one(self):
+        im = np.random.default_rng(22).uniform(0, 1, (16, 16, 3))
+        ex = RandomProjectionExtractor(dim=8, seed=6)
+        assert np.array_equal(ex(im), ex.features([im])[0])
+
+    def test_mixed_sizes_rejected(self):
+        rng = np.random.default_rng(23)
+        images = [rng.uniform(0, 1, (16, 16, 3)) for _ in range(4)]
+        images[2] = rng.uniform(0, 1, (32, 32, 3))
+        with pytest.raises(ValueError, match=r"image 2 has 3072 values, image 0 has 768"):
+            RandomProjectionExtractor().features(images)
+        with pytest.raises(ValueError, match=r"image 2 has 3072 values"):
+            feature_distance(images[:3], images[3:] + images[:1])
+
+    def test_non_finite_features_rejected(self):
+        """Checked on the features: 1e308 pixels are finite, their
+        projection overflows."""
+        rng = np.random.default_rng(24)
+        for bad in (np.nan, 1e308):
+            images = [rng.uniform(0, 1, (16, 16, 3)) for _ in range(5)]
+            images[3][:] = bad
+            with pytest.raises(ValueError, match=r"image 3 has non-finite features"):
+                RandomProjectionExtractor().features(images)
+            with pytest.raises(ValueError, match=r"image 3 has non-finite features"):
+                feature_distance(images[:2], images[2:])
+
+
 class TestReports:
     def test_layout_report_fields(self):
         _, layouts = synth_layout_corpus(5, 6, style="columns")

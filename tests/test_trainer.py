@@ -246,6 +246,66 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"param/in_proj\.b has shape \(17,\)"):
             load_checkpoint(str(path))
 
+    def test_float64_state_roundtrips_bit_exact(self, tmp_path):
+        tokens = corpus_tokens()
+        state = init_state(TrainConfig(seed=10, ema_decay=0.9), TINY, DCFG,
+                           dtype=np.float64)
+        for _ in range(3):
+            train_step_nonar(state, tokens)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), state)
+        loaded = load_checkpoint(str(path))
+        for group in ("params", "adam_m", "adam_v", "ema_params"):
+            a, b = getattr(state, group), getattr(loaded, group)
+            for k in a:
+                assert a[k].dtype == b[k].dtype == np.float64, (group, k)
+                assert np.array_equal(a[k], b[k]), (group, k)
+
+    @staticmethod
+    def rewrite_manifest(path, edit):
+        """Apply edit(manifest) to a checkpoint file's manifest in place."""
+        import json
+        data = path.read_bytes()
+        magic = b"LAYOUTDIFF-CKPT\n"
+        mlen = int.from_bytes(data[len(magic):len(magic) + 4], "little")
+        manifest = json.loads(data[len(magic) + 4:len(magic) + 4 + mlen])
+        edit(manifest)
+        payload = json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8")
+        path.write_bytes(magic + len(payload).to_bytes(4, "little") + payload
+                         + data[len(magic) + 4 + mlen:])
+
+    def test_version_1_file_still_loads(self, tmp_path):
+        """The version 1 layout is this one with no dtype field: every block
+        is <f4, and loads as float32."""
+        state = init_state(TrainConfig(seed=11), TINY, DCFG)
+        train_step_nonar(state, corpus_tokens())
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(str(path), state)
+
+        def to_v1(manifest):
+            manifest["version"] = 1
+            for e in manifest["entries"]:
+                del e["dtype"]
+        self.rewrite_manifest(path, to_v1)
+        loaded = load_checkpoint(str(path))
+        assert loaded.step == state.step
+        for group in ("params", "adam_m", "adam_v"):
+            a, b = getattr(state, group), getattr(loaded, group)
+            assert sorted(a) == sorted(b)
+            for k in a:
+                assert b[k].dtype == np.float32 and np.array_equal(a[k], b[k]), (group, k)
+
+    def test_entry_dtype_checked(self, tmp_path):
+        state = init_state(TrainConfig(seed=12), TINY, DCFG)
+        for dtype, message in (("<i4", r"entry param/\S+ has dtype '<i4'"),
+                               ("<f8", r"entry param/\S+ of shape .* and dtype <f8 takes")):
+            path = tmp_path / f"bad_{dtype[1:]}.ckpt"
+            save_checkpoint(str(path), state)
+            self.rewrite_manifest(
+                path, lambda m: m["entries"][0].update(dtype=dtype))
+            with pytest.raises(ValueError, match=message):
+                load_checkpoint(str(path))
+
     def test_save_is_atomic_no_tmp_left(self, tmp_path):
         state = init_state(TrainConfig(seed=7), TINY, DCFG)
         path = tmp_path / "model.ckpt"
