@@ -21,12 +21,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .schedule import ConfigError
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# tanh-form GELU: 0.5 x (1 + tanh(GELU_C (x + GELU_A x^3)))
+GELU_C = math.sqrt(2.0 / math.pi)
+GELU_A = 0.044715
+GELU_FORMS = ("erf", "tanh")
 
 
 class UnsupportedModeError(RuntimeError):
@@ -43,6 +46,9 @@ class ModelConfig:
     variance_head: bool = False
     ar_mode: bool = False
     adapter_latent: int | None = None
+    # "tanh" is the DiT backbone's approximation; checkpoints written before
+    # the field existed load as "erf", the exact form they were trained with
+    gelu: str = "tanh"
 
     def __post_init__(self):
         if self.layers < 1:
@@ -55,6 +61,8 @@ class ModelConfig:
             raise ConfigError("hidden must be even (sinusoidal features pair up)")
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
+        if self.gelu not in GELU_FORMS:
+            raise ConfigError(f"gelu must be one of {GELU_FORMS}, got {self.gelu!r}")
 
     @property
     def out_dim(self) -> int:
@@ -141,13 +149,43 @@ def _silu_grad(x, s):
     return s * (1.0 + x * (1.0 - s))
 
 
-def _gelu(x):
-    phi = 0.5 * (1.0 + erf(x / SQRT2))
-    return x * phi, phi
+def _gelu(x, form):
+    """GELU of x in the given form; returns (y, aux) for _gelu_grad.
+
+    aux is Phi(x) for "erf" and tanh(GELU_C (x + GELU_A x^3)) for "tanh".
+    """
+    if form == "erf":
+        # imported here: scipy.special adds about 0.3 s to `import layoutdiff`
+        from scipy.special import erf
+
+        phi = 0.5 * (1.0 + erf(x / SQRT2))
+        return x * phi, phi
+    th = x * x
+    th *= GELU_C * GELU_A
+    th += GELU_C
+    th *= x
+    np.tanh(th, out=th)
+    y = th + 1.0
+    y *= x
+    y *= 0.5
+    return y, th
 
 
-def _gelu_grad(x, phi):
-    return phi + x * INV_SQRT_2PI * np.exp(-0.5 * x * x)
+def _gelu_grad(x, aux, form):
+    if form == "erf":
+        return aux + x * INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    # 0.5 (1 + th) + 0.5 x (1 - th^2) GELU_C (1 + 3 GELU_A x^2)
+    d = x * x
+    d *= 3.0 * GELU_C * GELU_A
+    d += GELU_C
+    d *= x
+    sech2 = aux * aux
+    np.subtract(1.0, sech2, out=sech2)
+    d *= sech2
+    d += aux
+    d += 1.0
+    d *= 0.5
+    return d
 
 
 def _layernorm(x, eps=1e-6):
@@ -252,7 +290,7 @@ def _forward_core(params, cfg: ModelConfig, h0, t, attn_bias=None, step=None,
         xn2, inv2 = _layernorm(x2)
         xm2 = xn2 * (1.0 + sc2[:, None, :]) + sh2[:, None, :]
         um = xm2 @ params[p + "mlp.w1"] + params[p + "mlp.b1"]
-        am, phi = _gelu(um)
+        am, gelu_aux = _gelu(um, cfg.gelu)
         mlp_out = am @ params[p + "mlp.w2"] + params[p + "mlp.b2"]
         x3 = x2 + g2[:, None, :] * mlp_out
 
@@ -261,7 +299,8 @@ def _forward_core(params, cfg: ModelConfig, h0, t, attn_bias=None, step=None,
                 "x": x, "xn1": xn1, "inv1": inv1, "xm1": xm1,
                 "q": q, "k": k, "v": v, "probs": probs, "ctx": ctx,
                 "attn_out": attn_out, "x2": x2, "xn2": xn2, "inv2": inv2,
-                "xm2": xm2, "um": um, "phi": phi, "am": am, "mlp_out": mlp_out,
+                "xm2": xm2, "um": um, "gelu_aux": gelu_aux, "am": am,
+                "mlp_out": mlp_out,
                 "sc1": sc1, "g1": g1, "sc2": sc2, "g2": g2,
             })
         x = x3
@@ -310,7 +349,7 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         grads[p + "mlp.w2"] = bc["am"].reshape(-1, 4 * cfg.hidden).T @ dmlp_out.reshape(-1, cfg.hidden)
         grads[p + "mlp.b2"] = dmlp_out.sum(axis=(0, 1))
         dam = dmlp_out @ params[p + "mlp.w2"].T
-        dum = dam * _gelu_grad(bc["um"], bc["phi"])
+        dum = dam * _gelu_grad(bc["um"], bc["gelu_aux"], cfg.gelu)
         grads[p + "mlp.w1"] = bc["xm2"].reshape(-1, cfg.hidden).T @ dum.reshape(-1, 4 * cfg.hidden)
         grads[p + "mlp.b1"] = dum.sum(axis=(0, 1))
         dxm2 = dum @ params[p + "mlp.w1"].T
@@ -547,18 +586,6 @@ def _embed_grads_nonar(params, cfg, tokens, dh0):
     return g
 
 
-def _zero_grads_like(params):
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
-def _merge_grads(params, *grad_dicts):
-    out = _zero_grads_like(params)
-    for g in grad_dicts:
-        for k, v in g.items():
-            out[k] += v
-    return out
-
-
 def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true,
                          sched=None, x0=None, kl_weight=1e-3):
     """MSE (plus KL in learned-variance mode) and its parameter gradients."""
@@ -603,8 +630,9 @@ def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true,
         dout[..., cfg.token_dim :] = draw
     dout[..., : cfg.token_dim] = deps.astype(dtype)
 
-    core_grads, dh0 = _backward_core(params, cfg, cache, dout)
-    grads = _merge_grads(params, core_grads, _embed_grads_nonar(params, cfg, xt, dh0))
+    # the core and embedding grads cover disjoint parameters
+    grads, dh0 = _backward_core(params, cfg, cache, dout)
+    grads.update(_embed_grads_nonar(params, cfg, xt, dh0))
     return loss, grads
 
 
@@ -644,22 +672,17 @@ def ar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true):
     xt = np.asarray(xt, dtype=dtype)
     eps_true = np.asarray(eps_true, dtype=dtype)
     B, n, td = xt.shape
-    noise_prefixes = eps_true[:, : n - 1, :]
-    h0 = _embed_ar(params, cfg, xt, noise_prefixes)
-    bias = _ar_bias(n, n - 1, h0.dtype)
-    out, cache = _forward_core(params, cfg, h0, t, attn_bias=bias)
-    preds = out[:, n : 2 * n, : cfg.token_dim]
+    preds, cache = forward_ar_all(params, cfg, xt, eps_true, t)
     diff = preds - eps_true
     # per-token mean squared error, summed over token index
     per_token = np.mean(diff.astype(np.float64) ** 2, axis=(0, 2))
     loss = float(per_token.sum())
     dpred = (2.0 / (B * td)) * diff
-    dout = np.zeros_like(out)
+    # the sequence is n data rows, START and n - 1 noise rows
+    dout = np.zeros((B, 2 * n, cfg.out_dim), dtype=dtype)
     dout[:, n : 2 * n, : cfg.token_dim] = dpred.astype(dtype)
-    core_grads, dh0 = _backward_core(params, cfg, cache, dout)
-    grads = _merge_grads(
-        params, core_grads, _embed_grads_ar(params, cfg, xt, noise_prefixes, dh0)
-    )
+    grads, dh0 = _backward_core(params, cfg, cache, dout)
+    grads.update(_embed_grads_ar(params, cfg, xt, eps_true[:, : n - 1, :], dh0))
     return loss, grads
 
 

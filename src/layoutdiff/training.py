@@ -103,7 +103,9 @@ def init_state(train_cfg: TrainConfig, model_cfg: M.ModelConfig,
 def adamw_update(state: TrainState, grads: dict) -> None:
     cfg = state.train_cfg
     if cfg.grad_clip is not None:
-        sq = sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values())
+        # summed in parameter order, so the norm does not depend on the order
+        # in which the model filled the grad dict
+        sq = sum(float(np.sum(grads[k].astype(np.float64) ** 2)) for k in state.params)
         norm = np.sqrt(sq)
         if norm > cfg.grad_clip:
             scale = cfg.grad_clip / norm
@@ -263,8 +265,10 @@ def save_checkpoint(path: str, state: TrainState) -> None:
 
 def load_checkpoint(path: str) -> TrainState:
     """Read a checkpoint back. A file that is truncated, whose manifest does
-    not parse, or whose parameter shapes do not fit its model config raises
-    ValueError naming the path and the bad entry or byte offset."""
+    not parse, whose config groups do not build their configs, or whose
+    parameter shapes do not fit its model config raises ValueError naming
+    the path and the bad group, entry or byte offset. A model config with no
+    `gelu` field loads as "erf", the form such files were trained with."""
     with open(path, "rb") as f:
         data = f.read()
     start = len(CKPT_MAGIC) + 4
@@ -284,9 +288,18 @@ def load_checkpoint(path: str) -> TrainState:
         raise ValueError(
             f"{path}: checkpoint version {manifest['version']} is not 1 or {CKPT_VERSION}"
         )
-    model_cfg = M.ModelConfig(**manifest["model_cfg"])
-    data_cfg = DatasetConfig(**manifest["data_cfg"])
-    train_cfg = TrainConfig(**manifest["train_cfg"])
+    cfgs = {}
+    for group, cls in (("model_cfg", M.ModelConfig), ("data_cfg", DatasetConfig),
+                       ("train_cfg", TrainConfig)):
+        try:
+            fields = dict(manifest[group])
+            if group == "model_cfg":
+                # files written before ModelConfig.gelu existed used exact GELU
+                fields.setdefault("gelu", "erf")
+            cfgs[group] = cls(**fields)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: {group} is not a valid {cls.__name__}: {e}") from e
+    model_cfg, data_cfg, train_cfg = cfgs["model_cfg"], cfgs["data_cfg"], cfgs["train_cfg"]
     sched = S.build_schedule(manifest["schedule"]["T"], manifest["schedule"]["kind"])
     groups = {"param": {}, "adam_m": {}, "adam_v": {}, "ema": {}}
     for e in manifest["entries"]:

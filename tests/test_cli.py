@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import layoutdiff
 from layoutdiff.cli import cli
 from layoutdiff.data import load_canonical
 
@@ -197,6 +200,19 @@ class TestRender:
                 open(out / f, "rb").read()
                 for f in sorted(os.listdir(out)) if f.endswith(".svg")))
         assert blobs[0] == blobs[1]
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        """Every command pays the package import; scipy (about 0.3 s for
+        scipy.special alone) is imported only where a function needs it."""
+        src = os.path.dirname(os.path.dirname(layoutdiff.__file__))
+        code = ("import sys, layoutdiff, layoutdiff.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestParsing:

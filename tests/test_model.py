@@ -1,9 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from layoutdiff.model import (
+    GELU_FORMS,
     ModelConfig,
     UnsupportedModeError,
+    _gelu,
+    _gelu_grad,
     adapter_decode,
     adapter_encode,
     ar_loss_and_grads,
@@ -91,6 +97,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(layers=1, heads=2, hidden=8, n_max=0)
 
+    def test_gelu_form_checked(self):
+        assert ModelConfig().gelu == "tanh"
+        with pytest.raises(ConfigError, match="gelu"):
+            ModelConfig(gelu="relu")
+
 
 class TestForwardNonAR:
     def test_untrained_model_outputs_exact_zero(self):
@@ -130,32 +141,41 @@ class TestForwardNonAR:
 
 
 class TestGradients:
+    """64-bit finite-difference checks of the hand-written backward pass."""
+
+    GELU = "tanh"
+
+    def cfg(self, base):
+        return dataclasses.replace(base, gelu=self.GELU)
+
     def test_nonar_mse_gradcheck(self):
-        params = random_params(TINY, 10)
+        cfg = self.cfg(TINY)
+        params = random_params(cfg, 10)
         rng = np.random.default_rng(11)
         xt = rng.standard_normal((2, 3, 16))
         eps = rng.standard_normal((2, 3, 16))
         t = np.array([5, 60])
-        _, grads = nonar_loss_and_grads(params, TINY, xt, t, eps)
+        _, grads = nonar_loss_and_grads(params, cfg, xt, t, eps)
         errs = relative_errors(
-            lambda p: nonar_loss_and_grads(p, TINY, xt, t, eps)[0],
+            lambda p: nonar_loss_and_grads(p, cfg, xt, t, eps)[0],
             params, grads, seed=12)
         assert errs.max() < 1e-3
 
     def test_ar_gradcheck(self):
-        params = random_params(TINY_AR, 13)
+        cfg = self.cfg(TINY_AR)
+        params = random_params(cfg, 13)
         rng = np.random.default_rng(14)
         xt = rng.standard_normal((2, 3, 16))
         eps = rng.standard_normal((2, 3, 16))
         t = np.array([20, 80])
-        _, grads = ar_loss_and_grads(params, TINY_AR, xt, t, eps)
+        _, grads = ar_loss_and_grads(params, cfg, xt, t, eps)
         errs = relative_errors(
-            lambda p: ar_loss_and_grads(p, TINY_AR, xt, t, eps)[0],
+            lambda p: ar_loss_and_grads(p, cfg, xt, t, eps)[0],
             params, grads, seed=15)
         assert errs.max() < 1e-3
 
     def test_variance_head_gradcheck(self):
-        cfg = ModelConfig(layers=2, heads=2, hidden=8, n_max=3, variance_head=True)
+        cfg = self.cfg(ModelConfig(layers=2, heads=2, hidden=8, n_max=3, variance_head=True))
         sched = build_schedule(100)
         params = random_params(cfg, 16)
         rng = np.random.default_rng(17)
@@ -172,6 +192,67 @@ class TestGradients:
         # the KL term's gradients can sit near the finite-difference noise
         # floor (~1e-8); the 1e-6 denominator floor absorbs that
         assert errs.max() < 2e-3
+
+
+class TestGradientsErf(TestGradients):
+    GELU = "erf"
+
+
+class TestGradDict:
+    @pytest.mark.parametrize("cfg", [
+        TINY, TINY_AR, ModelConfig(layers=2, heads=2, hidden=8, n_max=3, variance_head=True),
+    ], ids=["nonar", "ar", "variance_head"])
+    def test_one_grad_per_param(self, cfg):
+        """The core and embedding grads together cover every parameter once."""
+        params = random_params(cfg, 30, dtype=np.float32)
+        rng = np.random.default_rng(31)
+        xt = rng.standard_normal((2, 3, 16))
+        eps = rng.standard_normal((2, 3, 16))
+        t = np.array([5, 60])
+        if cfg.ar_mode:
+            _, grads = ar_loss_and_grads(params, cfg, xt, t, eps)
+        else:
+            kw = {}
+            if cfg.variance_head:
+                kw = dict(sched=build_schedule(100), x0=rng.uniform(-1, 1, (2, 3, 16)))
+            _, grads = nonar_loss_and_grads(params, cfg, xt, t, eps, **kw)
+        assert sorted(grads) == sorted(param_shapes(cfg))
+        for name, shape in param_shapes(cfg).items():
+            assert grads[name].shape == shape and grads[name].dtype == np.float32, name
+
+
+def reference_gelu(x, form):
+    """GELU and its derivative of one float, in Python float arithmetic."""
+    if form == "erf":
+        phi = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+        return x * phi, phi + x * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    th = math.tanh(c * (x + a * x**3))
+    return (0.5 * x * (1.0 + th),
+            0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * c * (1.0 + 3.0 * a * x * x))
+
+
+class TestGelu:
+    X = np.concatenate([np.linspace(-10.0, 10.0, 2001), [-1e3, -40.0, 0.0, 40.0, 1e3]])
+
+    @pytest.mark.parametrize("form", GELU_FORMS)
+    # in float32 the tanh derivative loses digits in 1 - tanh^2 near |x| = 5
+    # (worst 1.2e-6 on a 2e5-point grid over [-12, 12])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-14), (np.float32, 3e-6)])
+    def test_matches_float64_reference(self, form, dtype, tol):
+        ref = np.array([reference_gelu(float(x), form) for x in self.X.astype(dtype)])
+        x = self.X.astype(dtype)
+        y, aux = _gelu(x, form)
+        dy = _gelu_grad(x, aux, form)
+        assert y.dtype == dy.dtype == dtype
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(dy))
+        scale = np.maximum(1.0, np.abs(ref))
+        assert np.max(np.abs(y - ref[:, 0]) / scale[:, 0]) < tol
+        assert np.max(np.abs(dy - ref[:, 1]) / scale[:, 1]) < tol
+
+    def test_forms_differ_by_the_tanh_approximation(self):
+        gap = np.abs(_gelu(self.X, "tanh")[0] - _gelu(self.X, "erf")[0]).max()
+        assert 1e-4 < gap < 5e-4
 
 
 class TestForwardAR:

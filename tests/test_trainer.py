@@ -5,7 +5,7 @@ import pytest
 
 from layoutdiff.core import DatasetConfig, tokenize_layout
 from layoutdiff.data import synth_layout_corpus
-from layoutdiff.model import ModelConfig
+from layoutdiff.model import ModelConfig, forward_nonar
 from layoutdiff.schedule import ConfigError, build_schedule
 from layoutdiff.training import (
     TrainConfig,
@@ -305,6 +305,42 @@ class TestCheckpoint:
                 path, lambda m: m["entries"][0].update(dtype=dtype))
             with pytest.raises(ValueError, match=message):
                 load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("group", ["model_cfg", "data_cfg", "train_cfg"])
+    def test_unknown_config_key_names_path_and_group(self, tmp_path, group):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=13), TINY, DCFG))
+        self.rewrite_manifest(path, lambda m: m[group].update(dropout=0.1))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {group} .*dropout"):
+            load_checkpoint(str(path))
+
+    def test_bad_gelu_names_path_and_group(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=14), TINY, DCFG))
+        self.rewrite_manifest(path, lambda m: m["model_cfg"].update(gelu="relu"))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: model_cfg .*'relu'"):
+            load_checkpoint(str(path))
+
+    def test_file_without_gelu_field_loads_as_erf(self, tmp_path):
+        """Checkpoints written before ModelConfig.gelu existed keep exact GELU,
+        and with it their predictions, bit for bit."""
+        cfg = ModelConfig(layers=2, heads=2, hidden=16, n_max=4, gelu="erf")
+        state = init_state(TrainConfig(seed=15, lr=1e-2), cfg, DCFG)
+        for _ in range(3):
+            train_step_nonar(state, corpus_tokens())
+        x = np.random.default_rng(16).standard_normal((3, 4, 16)).astype(np.float32)
+        t = np.array([0, 40, 99])
+        before = forward_nonar(state.params, cfg, x, t).eps_hat
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(str(path), state)
+        self.rewrite_manifest(path, lambda m: m["model_cfg"].pop("gelu"))
+        loaded = load_checkpoint(str(path))
+        assert loaded.model_cfg == cfg
+        after = forward_nonar(loaded.params, loaded.model_cfg, x, t).eps_hat
+        assert after.tobytes() == before.tobytes()
+        # the tanh form is a different function of the same parameters
+        tanh = forward_nonar(loaded.params, TINY, x, t).eps_hat
+        assert not np.array_equal(tanh, before)
 
     def test_save_is_atomic_no_tmp_left(self, tmp_path):
         state = init_state(TrainConfig(seed=7), TINY, DCFG)
