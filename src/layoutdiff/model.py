@@ -53,6 +53,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.layers < 1:
             raise ConfigError(f"layers must be >= 1, got {self.layers}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.hidden % self.heads != 0:
             raise ConfigError(
                 f"hidden ({self.hidden}) must be divisible by heads ({self.heads})"
@@ -186,6 +188,15 @@ def _gelu_grad(x, aux, form):
     d += 1.0
     d *= 0.5
     return d
+
+
+def _matmul_rows(x, w):
+    """x (..., k) @ w (k, n) as one 2-D GEMM over the flattened rows of x.
+
+    numpy runs a 3-D activation times a transposed 2-D weight as a stacked
+    product; flattening sends it through a single BLAS call instead.
+    """
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
 
 
 def _layernorm(x, eps=1e-6):
@@ -326,7 +337,7 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
     # final layer
     grads["head.w"] = cache["xmf"].reshape(-1, cfg.hidden).T @ dout.reshape(-1, cfg.out_dim)
     grads["head.b"] = dout.sum(axis=(0, 1))
-    dxmf = dout @ params["head.w"].T
+    dxmf = _matmul_rows(dout, params["head.w"].T)
     sc_f = cache["sc_f"]
     dxnf = dxmf * (1.0 + sc_f[:, None, :])
     dsc_f = (dxmf * cache["xnf"]).sum(axis=1)
@@ -348,11 +359,11 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         dx2 = dx
         grads[p + "mlp.w2"] = bc["am"].reshape(-1, 4 * cfg.hidden).T @ dmlp_out.reshape(-1, cfg.hidden)
         grads[p + "mlp.b2"] = dmlp_out.sum(axis=(0, 1))
-        dam = dmlp_out @ params[p + "mlp.w2"].T
+        dam = _matmul_rows(dmlp_out, params[p + "mlp.w2"].T)
         dum = dam * _gelu_grad(bc["um"], bc["gelu_aux"], cfg.gelu)
         grads[p + "mlp.w1"] = bc["xm2"].reshape(-1, cfg.hidden).T @ dum.reshape(-1, 4 * cfg.hidden)
         grads[p + "mlp.b1"] = dum.sum(axis=(0, 1))
-        dxm2 = dum @ params[p + "mlp.w1"].T
+        dxm2 = _matmul_rows(dum, params[p + "mlp.w1"].T)
         dxn2 = dxm2 * (1.0 + bc["sc2"][:, None, :])
         dsc2 = (dxm2 * bc["xn2"]).sum(axis=1)
         dsh2 = dxm2.sum(axis=1)
@@ -364,7 +375,7 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         dx_res = dx2
         grads[p + "attn.wo"] = bc["ctx"].reshape(-1, cfg.hidden).T @ dattn_out.reshape(-1, cfg.hidden)
         grads[p + "attn.bo"] = dattn_out.sum(axis=(0, 1))
-        dctx = (dattn_out @ params[p + "attn.wo"].T).reshape(B, S, nh, dh).transpose(0, 2, 1, 3)
+        dctx = _matmul_rows(dattn_out, params[p + "attn.wo"].T).reshape(B, S, nh, dh).transpose(0, 2, 1, 3)
         probs = bc["probs"]
         dprobs = dctx @ bc["v"].transpose(0, 1, 3, 2)
         dv = probs.transpose(0, 1, 3, 2) @ dctx
@@ -377,7 +388,7 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         )
         grads[p + "attn.wqkv"] = bc["xm1"].reshape(-1, cfg.hidden).T @ dqkv.reshape(-1, 3 * cfg.hidden)
         grads[p + "attn.bqkv"] = dqkv.sum(axis=(0, 1))
-        dxm1 = dqkv @ params[p + "attn.wqkv"].T
+        dxm1 = _matmul_rows(dqkv, params[p + "attn.wqkv"].T)
         dxn1 = dxm1 * (1.0 + bc["sc1"][:, None, :])
         dsc1 = (dxm1 * bc["xn1"]).sum(axis=1)
         dsh1 = dxm1.sum(axis=1)
@@ -726,10 +737,14 @@ def adapter_decode(adapter, cfg: ModelConfig, latents):
 
 
 def train_adapter(adapter, cfg: ModelConfig, tokens, steps=2000, lr=1e-2):
-    """Fit the autoencoder by reconstruction MSE (plain Adam); returns losses."""
+    """Fit the autoencoder by reconstruction MSE (Adam: AdamW with no weight
+    decay and no clipping, in float64); returns losses."""
+    # imported here: training imports this module
+    from .training import adamw_step
+
     x = np.asarray(tokens, dtype=np.float64).reshape(-1, cfg.token_dim)
-    m = {k: np.zeros_like(v) for k, v in adapter.items()}
-    v2 = {k: np.zeros_like(v) for k, v in adapter.items()}
+    m = {k: np.zeros(v.shape) for k, v in adapter.items()}
+    v2 = {k: np.zeros(v.shape) for k, v in adapter.items()}
     losses = []
     for step in range(1, steps + 1):
         z = x @ adapter["enc.w"] + adapter["enc.b"]
@@ -745,10 +760,5 @@ def train_adapter(adapter, cfg: ModelConfig, tokens, steps=2000, lr=1e-2):
         dz = dy @ adapter["dec.w"].T
         g["enc.w"] = x.T @ dz
         g["enc.b"] = dz.sum(axis=0)
-        for k in adapter:
-            m[k] = 0.9 * m[k] + 0.1 * g[k]
-            v2[k] = 0.999 * v2[k] + 0.001 * g[k] ** 2
-            mhat = m[k] / (1.0 - 0.9**step)
-            vhat = v2[k] / (1.0 - 0.999**step)
-            adapter[k] -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+        adamw_step(adapter, m, v2, g, step, lr, weight_decay=0.0, grad_clip=None)
     return losses

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +43,6 @@ class TrainConfig:
     total_steps: int = 1000
     seed: int = 0
     variant: str = "nonar"  # "nonar" | "ar"
-    ema_decay: float | None = None
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
     weight_decay: float = 0.01
     beta1: float = 0.9
@@ -60,6 +60,15 @@ class TrainConfig:
             raise S.ConfigError(f"unknown variant {self.variant!r}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise S.ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
+        # beta = 1 divides by a zero bias correction, and a negative clip
+        # flips every step uphill
+        for name in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise S.ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (self.weight_decay >= 0.0):
+            raise S.ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.grad_clip is not None and not (self.grad_clip > 0.0):
+            raise S.ConfigError(f"grad_clip must be positive or None, got {self.grad_clip}")
 
 
 @dataclass
@@ -73,7 +82,6 @@ class TrainState:
     data_cfg: DatasetConfig
     train_cfg: TrainConfig
     sched: S.Schedule
-    ema_params: dict | None = None
 
 
 def init_state(train_cfg: TrainConfig, model_cfg: M.ModelConfig,
@@ -92,44 +100,75 @@ def init_state(train_cfg: TrainConfig, model_cfg: M.ModelConfig,
         data_cfg=data_cfg,
         train_cfg=train_cfg,
         sched=sched,
-        ema_params=(
-            {k: v.copy() for k, v in params.items()}
-            if train_cfg.ema_decay is not None
-            else None
-        ),
     )
 
 
+def _sum_squares(arrays) -> float:
+    """Sum of the squares of every entry, accumulated in float64 through one
+    buffer the size of the largest array, not a float64 copy of each."""
+    buf = np.empty(max(a.size for a in arrays))
+    total = 0.0
+    for a in arrays:
+        x = buf[:a.size]
+        np.copyto(x, a.reshape(-1))
+        total += float(x @ x)
+    return total
+
+
+def adamw_step(params, m, v, grads, step, lr, beta1=0.9, beta2=0.999,
+               weight_decay=0.0, grad_clip=None) -> None:
+    """One AdamW update (Loshchilov & Hutter, arXiv:1711.05101) of params and
+    their moments m and v, all in place; step is the 1-based update count.
+
+    With grad_clip, grads are scaled so that their global norm is at most
+    grad_clip. The scale, the bias corrections and the learning rate are
+    folded into scalars, so each tensor needs one temporary and the caller's
+    grads are only read.
+    """
+    scale = 1.0
+    if grad_clip is not None:
+        # in parameter order, so the norm does not depend on the order in
+        # which the model filled the grad dict
+        norm = math.sqrt(_sum_squares([grads[k] for k in params]))
+        if norm > grad_clip:
+            scale = grad_clip / norm
+    c1 = (1.0 - beta1) * scale
+    c2 = (1.0 - beta2) * scale * scale
+    # with eps = 1e-8:
+    # mhat / (sqrt(vhat) + eps) = m * (sqrt(bc2) / bc1) / (sqrt(v) + eps * sqrt(bc2))
+    root_bc2 = math.sqrt(1.0 - beta2**step)
+    step_size = lr * root_bc2 / (1.0 - beta1**step)
+    eps_v = 1e-8 * root_bc2
+    decay = 1.0 - lr * weight_decay
+    for k, p in params.items():
+        g, mk, vk = grads[k], m[k], v[k]
+        tmp = np.multiply(g, c1, dtype=mk.dtype)
+        mk *= beta1
+        mk += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= c2
+        vk *= beta2
+        vk += tmp
+        np.sqrt(vk, out=tmp)
+        tmp += eps_v
+        np.divide(mk, tmp, out=tmp)
+        tmp *= step_size
+        if weight_decay:
+            p *= decay
+        p -= tmp
+
+
 def adamw_update(state: TrainState, grads: dict) -> None:
+    """Advance state by one AdamW step on grads, at the scheduled lr."""
     cfg = state.train_cfg
-    if cfg.grad_clip is not None:
-        # summed in parameter order, so the norm does not depend on the order
-        # in which the model filled the grad dict
-        sq = sum(float(np.sum(grads[k].astype(np.float64) ** 2)) for k in state.params)
-        norm = np.sqrt(sq)
-        if norm > cfg.grad_clip:
-            scale = cfg.grad_clip / norm
-            grads = {k: g * scale for k, g in grads.items()}
     state.step += 1
-    t = state.step
     lr = cfg.lr
     if cfg.lr_schedule == "cosine":
-        frac = min((t - 1) / max(cfg.total_steps, 1), 1.0)
-        lr = cfg.lr * 0.5 * (1.0 + np.cos(np.pi * frac))
-    b1, b2 = cfg.beta1, cfg.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-    for k, p in state.params.items():
-        g = grads[k].astype(p.dtype)
-        state.adam_m[k] = b1 * state.adam_m[k] + (1.0 - b1) * g
-        state.adam_v[k] = b2 * state.adam_v[k] + (1.0 - b2) * g * g
-        mhat = state.adam_m[k] / bc1
-        vhat = state.adam_v[k] / bc2
-        p -= (lr * (mhat / (np.sqrt(vhat) + 1e-8) + cfg.weight_decay * p)).astype(p.dtype)
-    if state.ema_params is not None:
-        d = cfg.ema_decay
-        for k, p in state.params.items():
-            state.ema_params[k] = d * state.ema_params[k] + (1.0 - d) * p
+        frac = min((state.step - 1) / max(cfg.total_steps, 1), 1.0)
+        lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * frac))
+    adamw_step(state.params, state.adam_m, state.adam_v, grads, state.step, lr,
+               beta1=cfg.beta1, beta2=cfg.beta2, weight_decay=cfg.weight_decay,
+               grad_clip=cfg.grad_clip)
 
 
 def _draw_noising(state: TrainState, batch):
@@ -226,10 +265,8 @@ def save_checkpoint(path: str, state: TrainState) -> None:
     blocks = []
     entries = []
     offset = 0
-    groups = [("param", state.params), ("adam_m", state.adam_m), ("adam_v", state.adam_v)]
-    if state.ema_params is not None:
-        groups.append(("ema", state.ema_params))
-    for group, d in groups:
+    for group, d in (("param", state.params), ("adam_m", state.adam_m),
+                     ("adam_v", state.adam_v)):
         for name in sorted(d):
             dtype = "<f8" if d[name].dtype == np.float64 else "<f4"
             arr = np.ascontiguousarray(d[name], dtype=dtype)
@@ -263,12 +300,64 @@ def save_checkpoint(path: str, state: TrainState) -> None:
     os.replace(tmp, path)
 
 
+# the keys every manifest carries, in the order they are checked
+MANIFEST_KEYS = ("version", "model_cfg", "data_cfg", "train_cfg", "schedule",
+                 "step", "rng_state", "entries")
+ENTRY_KEYS = ("name", "shape", "offset", "size")
+# files written before EMA was removed may carry an "ema" group; it is read
+# and dropped, since nothing uses it
+ENTRY_GROUPS = ("param", "adam_m", "adam_v", "ema")
+
+
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0  # JSON true/false are bools, not counts
+
+
+def _read_entry(path, data, blob_start, i, e):
+    """Check manifest entry i and return (group, name, array)."""
+    if not isinstance(e, dict):
+        raise ValueError(f"{path}: entry {i} is not a JSON object")
+    missing = [k for k in ENTRY_KEYS if k not in e]
+    if missing:
+        raise ValueError(f"{path}: entry {e.get('name', i)!r} has no "
+                         f"{', '.join(map(repr, missing))}")
+    full = e["name"]
+    if not isinstance(full, str) or "/" not in full:
+        raise ValueError(f"{path}: entry {i} has name {full!r}, not '<group>/<name>'")
+    group, name = full.split("/", 1)
+    if group not in ENTRY_GROUPS:
+        raise ValueError(f"{path}: entry {full} is in unknown group {group!r}")
+    shape, offset, size = e["shape"], e["offset"], e["size"]
+    if not (isinstance(shape, list) and all(map(_is_count, shape))
+            and _is_count(offset) and _is_count(size)):
+        raise ValueError(f"{path}: entry {full} has shape {shape!r}, offset {offset!r} "
+                         f"and size {size!r}, not non-negative integers")
+    dtype = e.get("dtype", "<f4")
+    if dtype not in ("<f4", "<f8"):
+        raise ValueError(f"{path}: entry {full} has dtype {dtype!r}, "
+                         f"not '<f4' or '<f8'")
+    count = math.prod(shape)
+    offset += blob_start
+    if size != np.dtype(dtype).itemsize * count or offset + size > len(data):
+        raise ValueError(
+            f"{path}: entry {full} of shape {tuple(shape)} and dtype "
+            f"{dtype} takes {size} bytes at file offset {offset}, the file "
+            f"has {len(data)}"
+        )
+    arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+    return group, name, arr.reshape(shape).copy()
+
+
 def load_checkpoint(path: str) -> TrainState:
-    """Read a checkpoint back. A file that is truncated, whose manifest does
-    not parse, whose config groups do not build their configs, or whose
-    parameter shapes do not fit its model config raises ValueError naming
-    the path and the bad group, entry or byte offset. A model config with no
-    `gelu` field loads as "erf", the form such files were trained with."""
+    """Read a checkpoint back. A file that is not one, is truncated, whose
+    manifest does not parse or lacks a key, whose config groups, schedule,
+    step or RNG state do not build, or whose entries do not fit the file or
+    the model config raises one ValueError naming the path and the bad key,
+    group, entry or byte offset.
+
+    Older files load too: a model config with no `gelu` field loads as
+    "erf", the form such files were trained with, and the `ema_decay` field
+    and `ema` group of files written before EMA was removed are dropped."""
     with open(path, "rb") as f:
         data = f.read()
     start = len(CKPT_MAGIC) + 4
@@ -284,9 +373,14 @@ def load_checkpoint(path: str) -> TrainState:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"{path}: manifest at bytes {start}-{blob_start} does not parse "
                          f"({len(data)} bytes in file): {e}") from e
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest is not a JSON object")
+    missing = [k for k in MANIFEST_KEYS if k not in manifest]
+    if missing:
+        raise ValueError(f"{path}: manifest has no {', '.join(map(repr, missing))}")
     if manifest["version"] not in (1, CKPT_VERSION):
         raise ValueError(
-            f"{path}: checkpoint version {manifest['version']} is not 1 or {CKPT_VERSION}"
+            f"{path}: checkpoint version {manifest['version']!r} is not 1 or {CKPT_VERSION}"
         )
     cfgs = {}
     for group, cls in (("model_cfg", M.ModelConfig), ("data_cfg", DatasetConfig),
@@ -296,48 +390,52 @@ def load_checkpoint(path: str) -> TrainState:
             if group == "model_cfg":
                 # files written before ModelConfig.gelu existed used exact GELU
                 fields.setdefault("gelu", "erf")
+            if group == "train_cfg":
+                fields.pop("ema_decay", None)
             cfgs[group] = cls(**fields)
         except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: {group} is not a valid {cls.__name__}: {e}") from e
     model_cfg, data_cfg, train_cfg = cfgs["model_cfg"], cfgs["data_cfg"], cfgs["train_cfg"]
-    sched = S.build_schedule(manifest["schedule"]["T"], manifest["schedule"]["kind"])
-    groups = {"param": {}, "adam_m": {}, "adam_v": {}, "ema": {}}
-    for e in manifest["entries"]:
-        group, name = e["name"].split("/", 1)
-        dtype = e.get("dtype", "<f4")
-        if dtype not in ("<f4", "<f8"):
-            raise ValueError(f"{path}: entry {e['name']} has dtype {dtype!r}, "
-                             f"not '<f4' or '<f8'")
-        count = int(np.prod(e["shape"]))
-        offset = blob_start + e["offset"]
-        if e["size"] != np.dtype(dtype).itemsize * count or offset + e["size"] > len(data):
-            raise ValueError(
-                f"{path}: entry {e['name']} of shape {tuple(e['shape'])} and dtype "
-                f"{dtype} takes {e['size']} bytes at file offset {offset}, the file "
-                f"has {len(data)}"
-            )
-        groups[group][name] = np.frombuffer(
-            data, dtype=dtype, count=count, offset=offset
-        ).reshape(e["shape"]).copy()
-    shapes = {name: a.shape for name, a in groups["param"].items()}
-    expected = M.param_shapes(model_cfg)
-    if shapes != expected:
-        name = min(n for n in shapes.keys() | expected.keys() if shapes.get(n) != expected.get(n))
-        raise ValueError(
-            f"{path}: entry param/{name} has shape {shapes.get(name)}, the model "
-            f"config gives {expected.get(name)}"
-        )
+    try:
+        sched = S.build_schedule(manifest["schedule"]["T"], manifest["schedule"]["kind"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: schedule {manifest['schedule']!r} does not build "
+                         f"a schedule: {e!r}") from e
+    step = manifest["step"]
+    if not _is_count(step):
+        raise ValueError(f"{path}: step {step!r} is not a non-negative integer")
     rng = np.random.default_rng()
-    rng.bit_generator.state = manifest["rng_state"]
+    try:
+        rng.bit_generator.state = manifest["rng_state"]
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"{path}: rng_state is not a "
+                         f"{type(rng.bit_generator).__name__} state: {e!r}") from e
+    entries = manifest["entries"]
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: entries is not a list")
+    groups = {group: {} for group in ENTRY_GROUPS}
+    for i, e in enumerate(entries):
+        group, name, arr = _read_entry(path, data, blob_start, i, e)
+        groups[group][name] = arr
+    del groups["ema"]
+    expected = M.param_shapes(model_cfg)
+    for group, arrays in groups.items():
+        shapes = {name: a.shape for name, a in arrays.items()}
+        if shapes != expected:
+            name = min(n for n in shapes.keys() | expected.keys()
+                       if shapes.get(n) != expected.get(n))
+            raise ValueError(
+                f"{path}: entry {group}/{name} has shape {shapes.get(name)}, the model "
+                f"config gives {expected.get(name)}"
+            )
     return TrainState(
         params=groups["param"],
         adam_m=groups["adam_m"],
         adam_v=groups["adam_v"],
-        step=manifest["step"],
+        step=step,
         rng=rng,
         model_cfg=model_cfg,
         data_cfg=data_cfg,
         train_cfg=train_cfg,
         sched=sched,
-        ema_params=groups["ema"] or None,
     )

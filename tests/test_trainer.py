@@ -2,12 +2,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from layoutdiff.core import DatasetConfig, tokenize_layout
 from layoutdiff.data import synth_layout_corpus
 from layoutdiff.model import ModelConfig, forward_nonar
 from layoutdiff.schedule import ConfigError, build_schedule
 from layoutdiff.training import (
+    CKPT_MAGIC,
+    ENTRY_KEYS,
+    MANIFEST_KEYS,
     TrainConfig,
     TrainingDiverged,
     adamw_update,
@@ -41,6 +45,15 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(variant="both")
+
+
+    @pytest.mark.parametrize("field,value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("weight_decay", -0.01),
+        ("grad_clip", 0.0), ("grad_clip", -1.0), ("beta2", float("nan")),
+    ])
+    def test_optimizer_fields_validated(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestTrainSteps:
@@ -128,15 +141,59 @@ class TestAdamW:
         with pytest.raises(ConfigError):
             TrainConfig(lr_schedule="linear")
 
-    def test_ema_tracks_params(self):
-        state = init_state(TrainConfig(lr=1e-3, ema_decay=0.9), TINY, DCFG)
-        assert state.ema_params is not None
-        start = {k: v.copy() for k, v in state.params.items()}
-        grads = {k: np.ones_like(v) for k, v in state.params.items()}
+    @staticmethod
+    def textbook_adamw(params, m, v, grads, t, cfg):
+        """AdamW as written before the in-place update, one tensor at a time:
+        clip, moments, bias corrections, then decoupled weight decay."""
+        if cfg.grad_clip is not None:
+            norm = np.sqrt(sum(np.sum(grads[k] ** 2) for k in params))
+            if norm > cfg.grad_clip:
+                grads = {k: g * (cfg.grad_clip / norm) for k, g in grads.items()}
+        lr = cfg.lr
+        if cfg.lr_schedule == "cosine":
+            frac = min((t - 1) / max(cfg.total_steps, 1), 1.0)
+            lr = cfg.lr * 0.5 * (1.0 + np.cos(np.pi * frac))
+        for k in params:
+            m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * grads[k]
+            v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * grads[k] ** 2
+            mhat = m[k] / (1.0 - cfg.beta1**t)
+            vhat = v[k] / (1.0 - cfg.beta2**t)
+            params[k] = params[k] - lr * (
+                mhat / (np.sqrt(vhat) + 1e-8) + cfg.weight_decay * params[k])
+
+    # random unit-normal grads over TINY's ~6k parameters have a global norm
+    # near 80: a clip of 1 always fires and a clip of 1e4 never does
+    @pytest.mark.parametrize("grad_clip,fires", [(1.0, True), (1e4, False), (None, False)])
+    @pytest.mark.parametrize("lr_schedule", ["constant", "cosine"])
+    def test_matches_textbook_adamw_in_float64(self, grad_clip, fires, lr_schedule):
+        cfg = TrainConfig(lr=1e-2, weight_decay=0.1, grad_clip=grad_clip,
+                          lr_schedule=lr_schedule, total_steps=5)
+        state = init_state(cfg, TINY, DCFG, dtype=np.float64)
+        rng = np.random.default_rng(18)
+        state.params = {k: rng.standard_normal(p.shape) * 0.1 for k, p in state.params.items()}
+        params = {k: p.copy() for k, p in state.params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        for t in range(1, 6):
+            grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
+            norm = np.sqrt(sum(np.sum(g**2) for g in grads.values()))
+            assert fires == (grad_clip is not None and norm > grad_clip)
+            adamw_update(state, grads)
+            self.textbook_adamw(params, m, v, grads, t, cfg)
+        for got, want in ((state.params, params), (state.adam_m, m), (state.adam_v, v)):
+            for k in want:
+                np.testing.assert_allclose(got[k], want[k], rtol=1e-12, atol=1e-12, err_msg=k)
+
+    def test_grads_left_unchanged_when_clipping_fires(self):
+        state = init_state(TrainConfig(grad_clip=1.0), TINY, DCFG)
+        grads = {k: np.full_like(v, 100.0) for k, v in state.params.items()}
+        arrays = dict(grads)
+        before = {k: g.copy() for k, g in grads.items()}
         adamw_update(state, grads)
-        k = "in_proj.w"
-        expect = 0.9 * start[k] + 0.1 * state.params[k]
-        assert np.allclose(state.ema_params[k], expect, atol=1e-6)
+        assert grads.keys() == arrays.keys()
+        assert all(grads[k] is arrays[k] for k in arrays)
+        for k in before:
+            assert np.array_equal(grads[k], before[k]), k
 
 
 class TestTrainLoop:
@@ -172,7 +229,7 @@ class TestTrainLoop:
 class TestCheckpoint:
     def test_roundtrip_preserves_everything(self, tmp_path):
         tokens = corpus_tokens()
-        state = init_state(TrainConfig(seed=5, ema_decay=0.99), TINY, DCFG)
+        state = init_state(TrainConfig(seed=5), TINY, DCFG)
         for _ in range(3):
             train_step_nonar(state, tokens)
         path = tmp_path / "model.ckpt"
@@ -183,7 +240,7 @@ class TestCheckpoint:
         assert loaded.train_cfg == state.train_cfg
         assert loaded.sched.T == state.sched.T
         assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
-        for group in ("params", "adam_m", "adam_v", "ema_params"):
+        for group in ("params", "adam_m", "adam_v"):
             a, b = getattr(state, group), getattr(loaded, group)
             assert sorted(a) == sorted(b)
             for k in a:
@@ -248,14 +305,13 @@ class TestCheckpoint:
 
     def test_float64_state_roundtrips_bit_exact(self, tmp_path):
         tokens = corpus_tokens()
-        state = init_state(TrainConfig(seed=10, ema_decay=0.9), TINY, DCFG,
-                           dtype=np.float64)
+        state = init_state(TrainConfig(seed=10), TINY, DCFG, dtype=np.float64)
         for _ in range(3):
             train_step_nonar(state, tokens)
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), state)
         loaded = load_checkpoint(str(path))
-        for group in ("params", "adam_m", "adam_v", "ema_params"):
+        for group in ("params", "adam_m", "adam_v"):
             a, b = getattr(state, group), getattr(loaded, group)
             for k in a:
                 assert a[k].dtype == b[k].dtype == np.float64, (group, k)
@@ -348,3 +404,100 @@ class TestCheckpoint:
         save_checkpoint(str(path), state)
         assert path.exists()
         assert not (tmp_path / "model.ckpt.tmp").exists()
+
+    @pytest.mark.parametrize("ema_decay", [None, 0.99])
+    def test_file_written_with_ema_loads(self, tmp_path, ema_decay):
+        """Files written while TrainConfig had ema_decay carry that field, and
+        with it set an `ema` group after adam_v; both are dropped on load."""
+        state = init_state(TrainConfig(seed=17), TINY, DCFG)
+        train_step_nonar(state, corpus_tokens())
+        path = tmp_path / "ema.ckpt"
+        save_checkpoint(str(path), state)
+        blocks = []
+
+        def add_ema(manifest):
+            manifest["train_cfg"]["ema_decay"] = ema_decay
+            if ema_decay is None:
+                return
+            offset = sum(e["size"] for e in manifest["entries"])
+            for name in sorted(state.params):
+                arr = np.full_like(state.params[name], 0.5)
+                manifest["entries"].append({
+                    "name": f"ema/{name}", "shape": list(arr.shape), "dtype": "<f4",
+                    "offset": offset, "size": arr.nbytes})
+                blocks.append(arr.tobytes())
+                offset += arr.nbytes
+        self.rewrite_manifest(path, add_ema)
+        path.write_bytes(path.read_bytes() + b"".join(blocks))
+        loaded = load_checkpoint(str(path))
+        assert loaded.train_cfg == state.train_cfg and loaded.step == state.step
+        for group in ("params", "adam_m", "adam_v"):
+            a, b = getattr(state, group), getattr(loaded, group)
+            assert sorted(a) == sorted(b)
+            for k in a:
+                assert np.array_equal(a[k], b[k]), (group, k)
+
+    @pytest.mark.parametrize("key", MANIFEST_KEYS)
+    def test_missing_manifest_key_names_path_and_key(self, tmp_path, key):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=19), TINY, DCFG))
+        self.rewrite_manifest(path, lambda m: m.pop(key))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: manifest has no '{key}'"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("key", ENTRY_KEYS)
+    def test_missing_entry_key_names_path_and_entry(self, tmp_path, key):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=20), TINY, DCFG))
+        self.rewrite_manifest(path, lambda m: m["entries"][3].pop(key))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: entry .* has no '{key}'"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m["schedule"].pop("kind"), r"schedule \{'T': 100\} .*'kind'"),
+        (lambda m: m["rng_state"].pop("state"), r"rng_state is not a PCG64 state"),
+        (lambda m: m.update(step=2.0), r"step 2\.0 is not a non-negative integer"),
+        (lambda m: m["entries"][0].update(shape=["16", 16]),
+         r"entry param/\S+ has shape \['16', 16\], offset"),
+        (lambda m: m["entries"][0].update(offset=-4), r"entry param/\S+ .* offset -4 "),
+        (lambda m: m["entries"][0].update(name="param.in_proj.b"),
+         r"entry 0 has name 'param\.in_proj\.b'"),
+        (lambda m: m["entries"][0].update(name="moments/in_proj.b"),
+         r"entry moments/in_proj\.b is in unknown group 'moments'"),
+        (lambda m: m["model_cfg"].update(heads=0), r"model_cfg .*heads must be >= 1"),
+    ])
+    def test_bad_manifest_value_names_path(self, tmp_path, edit, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=21), TINY, DCFG))
+        self.rewrite_manifest(path, edit)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
+            load_checkpoint(str(path))
+
+    @pytest.fixture(scope="class")
+    def small_checkpoint(self, tmp_path_factory):
+        """Bytes of a saved TINY state, and where its data blocks start."""
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=22), TINY, DCFG))
+        data = path.read_bytes()
+        mlen = int.from_bytes(data[len(CKPT_MAGIC):len(CKPT_MAGIC) + 4], "little")
+        return data, len(CKPT_MAGIC) + 4 + mlen
+
+    # the format has no checksum, so a changed data block loads as other numbers
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draw=st.data())
+    def test_changed_header_byte_loads_or_names_path(self, tmp_path, small_checkpoint, draw):
+        """A one-byte change in the magic, the length field or the manifest
+        either loads or raises ValueError naming the path, never another
+        exception."""
+        data, blob_start = small_checkpoint
+        pos = draw.draw(st.integers(0, blob_start - 1), label="offset")
+        byte = draw.draw(st.one_of(
+            st.sampled_from(b'0123456789-+.eE"{}[],:/ \\ntu'), st.integers(0, 255),
+        ).filter(lambda b: b != data[pos]), label="byte")
+        path = tmp_path / "changed.ckpt"
+        path.write_bytes(data[:pos] + bytes([byte]) + data[pos + 1:])
+        try:
+            load_checkpoint(str(path))
+        except ValueError as e:
+            assert str(e).startswith(f"{path}: "), e
