@@ -40,9 +40,14 @@ def _resolve(args, defaults: dict) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as f:
             file_cfg = json.load(f)
-        for k, v in file_cfg.items():
-            if k in cfg:
-                cfg[k] = v
+        # a resolved_config.json names its own subcommand, so it can be fed back
+        if file_cfg.get("command", args.command) == args.command:
+            file_cfg.pop("command", None)
+        unknown = [k for k in file_cfg if k not in cfg]
+        if unknown:
+            raise ValueError(f"{args.config}: unknown key {', '.join(map(repr, unknown))} "
+                             f"for {args.command}")
+        cfg.update(file_cfg)
     for k in cfg:
         v = getattr(args, k, None)
         if v is not None:
@@ -147,7 +152,9 @@ def _load_mask(mask_kind, cond_data, dcfg, index=0):
     ccfg, records = D.load_canonical(cond_data)
     if ccfg.mode != "layout":
         raise ValueError("conditioning requires a layout corpus")
-    return SMP.mask_from_layout(records[index % len(records)], dcfg, mask_kind)
+    if not 0 <= index < len(records):
+        raise ValueError(f"--cond-index {index} outside [0, {len(records)}) for {cond_data}")
+    return SMP.mask_from_layout(records[index], dcfg, mask_kind)
 
 
 def _fold_categories(layout, dcfg: DatasetConfig):
@@ -197,7 +204,7 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _render_corpus(records, dcfg):
+def _render_corpus(records):
     with ThreadPoolExecutor(max_workers=_max_threads()) as ex:
         return list(ex.map(R.rasterize, records))
 
@@ -218,8 +225,8 @@ def _cmd_eval(args) -> int:
         rcfg, ref = D.load_canonical(cfg["reference"])
         if gcfg.mode != rcfg.mode:
             raise ValueError("generated and reference corpora have different modes")
-        images_g = _render_corpus(gen, gcfg)
-        images_r = _render_corpus(ref, rcfg)
+        images_g = _render_corpus(gen)
+        images_r = _render_corpus(ref)
         if gcfg.mode == "layout":
             report = MET.evaluate_layout_corpora(gen, ref, images_g, images_r)
         else:

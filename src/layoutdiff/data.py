@@ -17,6 +17,8 @@ import numpy as np
 from .core import BoundingBox, DatasetConfig, Layout, Segment, ValidationError
 
 FORMAT_VERSION = 1
+# header fields besides the version, one per DatasetConfig field
+HEADER_KEYS = ("mode", "n_max", "num_categories", "h_max", "w_max")
 
 
 class FormatError(ValueError):
@@ -123,17 +125,19 @@ def load_canonical(path: str, split: str | None = None):
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise FormatError(f"malformed header JSON: {e}", line=1) from e
+    if not isinstance(header, dict):
+        raise FormatError(f"header is a JSON {type(header).__name__}, not an object", line=1)
     if header.get("version") != FORMAT_VERSION:
         raise FormatError(
             f"format version {header.get('version')} != {FORMAT_VERSION}", line=1
         )
-    cfg = DatasetConfig(
-        n_max=header["n_max"],
-        num_categories=header["num_categories"],
-        mode=header["mode"],
-        h_max=header["h_max"],
-        w_max=header["w_max"],
-    )
+    missing = [k for k in HEADER_KEYS if k not in header]
+    if missing:
+        raise FormatError(f"header has no {', '.join(map(repr, missing))}", line=1)
+    try:
+        cfg = DatasetConfig(**{k: header[k] for k in HEADER_KEYS})
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"header: {e}", line=1) from e
     records = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -365,12 +365,12 @@ def evaluate_layout_corpora(generated, reference, images_generated=None,
     """Full layout metric suite; feature distance only when renders supplied."""
     generated, reference = list(generated), list(reference)
     report = MetricReport()
-    report.scalars["alignment"] = alignment_score(generated)
-    report.scalars["overlap"] = overlap_score(generated)
+    # max_iou rejects an empty corpus, so each mean below has a layout to average
     report.scalars["max_iou"] = max_iou(generated, reference)
     report.scalars["docsim"] = docsim(generated, reference)
-    report.per_sample["alignment"] = [alignment_score([g]) for g in generated]
-    report.per_sample["overlap"] = [overlap_score([g]) for g in generated]
+    for name, score in (("alignment", alignment_score), ("overlap", overlap_score)):
+        report.per_sample[name] = [score([g]) for g in generated]
+        report.scalars[name] = float(np.mean(report.per_sample[name]))
     return _finish_report(report, generated, reference, images_generated,
                           images_reference, extractor)
 

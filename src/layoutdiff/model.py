@@ -120,18 +120,16 @@ def param_count(cfg: ModelConfig) -> int:
     return sum(int(np.prod(s)) for s in param_shapes(cfg).values())
 
 
-# zero-initialized groups: modulations start as identity, the head starts as
-# the zero function, so an untrained model predicts exactly zero noise
-_ZERO_INIT_SUFFIXES = ("mod.w", "mod.b", "head.w", "head.b")
+# zero-initialized groups: every bias; modulations start as identity and the
+# head as the zero function, so an untrained model predicts exactly zero noise
+_ZERO_INIT_SUFFIXES = (".b", ".bqkv", ".bo", ".b1", ".b2", "mod.w", "head.w")
 
 
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict:
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in param_shapes(cfg).items():
-        if name.endswith(_ZERO_INIT_SUFFIXES) or name.endswith(".b") or name.endswith(
-            (".bqkv", ".bo", ".b1", ".b2")
-        ):
+        if name.endswith(_ZERO_INIT_SUFFIXES):
             params[name] = np.zeros(shape, dtype=dtype)
         else:
             params[name] = (rng.standard_normal(shape) * 0.02).astype(dtype)
@@ -264,9 +262,8 @@ def _forward_core(params, cfg: ModelConfig, h0, t, attn_bias=None, step=None,
             step.mods = mods
         if for_backward:
             cache = {
-                "h0": h0, "f": f, "u1": u1, "s_u1": s_u1, "a1": a1,
-                "temb": temb, "s_temb": s_temb, "c": c,
-                "attn_bias": attn_bias, "blocks": [],
+                "f": f, "u1": u1, "s_u1": s_u1, "a1": a1,
+                "temb": temb, "s_temb": s_temb, "c": c, "blocks": [],
             }
 
     x = h0
@@ -303,33 +300,31 @@ def _forward_core(params, cfg: ModelConfig, h0, t, attn_bias=None, step=None,
         um = xm2 @ params[p + "mlp.w1"] + params[p + "mlp.b1"]
         am, gelu_aux = _gelu(um, cfg.gelu)
         mlp_out = am @ params[p + "mlp.w2"] + params[p + "mlp.b2"]
-        x3 = x2 + g2[:, None, :] * mlp_out
 
         if cache is not None:
             cache["blocks"].append({
-                "x": x, "xn1": xn1, "inv1": inv1, "xm1": xm1,
+                "xn1": xn1, "inv1": inv1, "xm1": xm1,
                 "q": q, "k": k, "v": v, "probs": probs, "ctx": ctx,
-                "attn_out": attn_out, "x2": x2, "xn2": xn2, "inv2": inv2,
+                "attn_out": attn_out, "xn2": xn2, "inv2": inv2,
                 "xm2": xm2, "um": um, "gelu_aux": gelu_aux, "am": am,
                 "mlp_out": mlp_out,
                 "sc1": sc1, "g1": g1, "sc2": sc2, "g2": g2,
             })
-        x = x3
+        x = x2 + g2[:, None, :] * mlp_out
 
     sh_f, sc_f = mods[-1]
     xnf, invf = _layernorm(x)
     xmf = xnf * (1.0 + sc_f[:, None, :]) + sh_f[:, None, :]
     out = xmf @ params["head.w"] + params["head.b"]
     if cache is not None:
-        cache.update({"x_last": x, "xnf": xnf, "invf": invf, "xmf": xmf,
-                      "sc_f": sc_f})
+        cache.update({"xnf": xnf, "invf": invf, "xmf": xmf, "sc_f": sc_f})
     return out, cache
 
 
 def _backward_core(params, cfg: ModelConfig, cache, dout):
     """Backprop through _forward_core; returns (grads, dh0)."""
     nh, dh = cfg.heads, cfg.hidden // cfg.heads
-    B, S, _ = cache["h0"].shape
+    B, S, _ = dout.shape
     grads = {}
     c = cache["c"]
     dc = np.zeros_like(c)
@@ -356,7 +351,6 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         # mlp branch: x3 = x2 + g2 * mlp_out
         dg2 = (dx * bc["mlp_out"]).sum(axis=1)
         dmlp_out = dx * bc["g2"][:, None, :]
-        dx2 = dx
         grads[p + "mlp.w2"] = bc["am"].reshape(-1, 4 * cfg.hidden).T @ dmlp_out.reshape(-1, cfg.hidden)
         grads[p + "mlp.b2"] = dmlp_out.sum(axis=(0, 1))
         dam = _matmul_rows(dmlp_out, params[p + "mlp.w2"].T)
@@ -367,12 +361,11 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         dxn2 = dxm2 * (1.0 + bc["sc2"][:, None, :])
         dsc2 = (dxm2 * bc["xn2"]).sum(axis=1)
         dsh2 = dxm2.sum(axis=1)
-        dx2 = dx2 + _layernorm_grad(dxn2, bc["xn2"], bc["inv2"])
+        dx2 = dx + _layernorm_grad(dxn2, bc["xn2"], bc["inv2"])
 
         # attention branch: x2 = x + g1 * attn_out
         dg1 = (dx2 * bc["attn_out"]).sum(axis=1)
         dattn_out = dx2 * bc["g1"][:, None, :]
-        dx_res = dx2
         grads[p + "attn.wo"] = bc["ctx"].reshape(-1, cfg.hidden).T @ dattn_out.reshape(-1, cfg.hidden)
         grads[p + "attn.bo"] = dattn_out.sum(axis=(0, 1))
         dctx = _matmul_rows(dattn_out, params[p + "attn.wo"].T).reshape(B, S, nh, dh).transpose(0, 2, 1, 3)
@@ -392,7 +385,7 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         dxn1 = dxm1 * (1.0 + bc["sc1"][:, None, :])
         dsc1 = (dxm1 * bc["xn1"]).sum(axis=1)
         dsh1 = dxm1.sum(axis=1)
-        dx = dx_res + _layernorm_grad(dxn1, bc["xn1"], bc["inv1"])
+        dx = dx2 + _layernorm_grad(dxn1, bc["xn1"], bc["inv1"])
 
         dmod = np.concatenate([dsh1, dsc1, dg1, dsh2, dsc2, dg2], axis=-1)
         grads[p + "mod.w"] = c.T @ dmod
@@ -416,6 +409,8 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
 
 
 def _embed_nonar(params, cfg: ModelConfig, tokens):
+    if cfg.ar_mode:
+        raise UnsupportedModeError("model config enables ar_mode; the one-pass wiring needs it off")
     dtype = params["in_proj.w"].dtype
     tokens = np.asarray(tokens, dtype=dtype)
     return tokens @ params["in_proj.w"] + params["in_proj.b"] + params["pos"][None, : cfg.n_max, :]
@@ -443,12 +438,7 @@ def forward_nonar(params, cfg: ModelConfig, tokens, t) -> VariancePrediction:
         t = np.atleast_1d(t)
     h0 = _embed_nonar(params, cfg, tokens)
     out, _ = _forward_core(params, cfg, h0, t, for_backward=False)
-    pred = _split_output(cfg, out)
-    if squeeze:
-        pred.eps_hat = pred.eps_hat[0]
-        if pred.var_coef is not None:
-            pred.var_coef = pred.var_coef[0]
-    return pred
+    return _split_output(cfg, out[0] if squeeze else out)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +527,6 @@ def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t,
     noise_prefix = np.asarray(noise_prefix, dtype=tokens.dtype)
     if noise_prefix.ndim == 2:
         noise_prefix = np.broadcast_to(noise_prefix[None], (tokens.shape[0],) + noise_prefix.shape)
-    elif noise_prefix.ndim == 1 and noise_prefix.size == 0:
-        noise_prefix = np.zeros((tokens.shape[0], 0, cfg.token_dim), dtype=tokens.dtype)
     k = noise_prefix.shape[1]
     if not (0 <= k < cfg.n_max):
         raise ValueError(f"noise prefix length {k} outside [0, {cfg.n_max})")
@@ -605,7 +593,8 @@ def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true,
     eps_true = np.asarray(eps_true, dtype=dtype)
     h0 = _embed_nonar(params, cfg, xt)
     out, cache = _forward_core(params, cfg, h0, t)
-    eps_hat = out[..., : cfg.token_dim]
+    pred = _split_output(cfg, out)
+    eps_hat, v = pred.eps_hat, pred.var_coef
     numel = eps_hat.size
     diff = eps_hat - eps_true
     loss = float(np.mean(diff.astype(np.float64) ** 2))
@@ -615,8 +604,6 @@ def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true,
     if cfg.variance_head:
         if sched is None or x0 is None:
             raise ValueError("learned-variance loss needs sched and x0")
-        raw = out[..., cfg.token_dim :]
-        v = 1.0 / (1.0 + np.exp(-raw))
         t_arr = np.asarray(t)
         beta_t = sched.beta[t_arr].reshape(-1, 1, 1)
         alpha_t = sched.alpha[t_arr].reshape(-1, 1, 1)
@@ -652,27 +639,22 @@ def _embed_grads_ar(params, cfg, tokens, noise, dh0):
     tokens = np.asarray(tokens, dtype=dtype)
     noise = np.asarray(noise, dtype=dtype)
     B, n, td = tokens.shape
-    k = noise.shape[1]
     d_data = dh0[:, :n, :]
     d_start = dh0[:, n, :]
     d_noise = dh0[:, n + 1 :, :]
     g = {}
-    g["in_proj.w"] = tokens.reshape(-1, td).T @ d_data.reshape(-1, cfg.hidden)
-    if k:
-        g["in_proj.w"] = g["in_proj.w"] + noise.reshape(-1, td).T @ d_noise.reshape(-1, cfg.hidden)
-    g["in_proj.b"] = d_data.sum(axis=(0, 1)) + (d_noise.sum(axis=(0, 1)) if k else 0.0)
+    g["in_proj.w"] = (tokens.reshape(-1, td).T @ d_data.reshape(-1, cfg.hidden)
+                      + noise.reshape(-1, td).T @ d_noise.reshape(-1, cfg.hidden))
+    g["in_proj.b"] = d_data.sum(axis=(0, 1)) + d_noise.sum(axis=(0, 1))
+    # sequence row i sits at position i
     gpos = np.zeros_like(params["pos"])
-    gpos[:n] = d_data.sum(axis=0)
-    gpos[n] = d_start.sum(axis=0)
-    if k:
-        gpos[n + 1 : n + 1 + k] = d_noise.sum(axis=0)
+    gpos[: dh0.shape[1]] = dh0.sum(axis=0)
     g["pos"] = gpos
     g["start"] = d_start.sum(axis=0)
     gseg = np.zeros_like(params["seg"])
     gseg[0] = d_data.sum(axis=(0, 1))
-    gseg[1] = d_start.sum(axis=0)
-    if k:
-        gseg[2] = d_noise.sum(axis=(0, 1))
+    gseg[1] = g["start"]
+    gseg[2] = d_noise.sum(axis=(0, 1))
     g["seg"] = gseg
     return g
 

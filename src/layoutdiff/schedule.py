@@ -102,8 +102,6 @@ def ddim_step(xt, eps_hat, t, t_prev, eta, sched: Schedule, rng=None):
     ab_t = float(sched.alpha_bar[t])
     ab_prev = float(sched.abar(t_prev))
     x0_pred = (xt - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t)
-    if eta == 0.0:
-        return np.sqrt(ab_prev) * x0_pred + np.sqrt(1.0 - ab_prev) * eps_hat
     sigma = (
         eta
         * np.sqrt((1.0 - ab_prev) / (1.0 - ab_t))
@@ -133,6 +131,8 @@ def ddpm_step(xt, eps_hat, t, sched: Schedule, rng, var_pred=None):
         raise ValueError(f"xt shape {xt.shape} != eps_hat shape {eps_hat.shape}")
     x0_pred = predict_x0(xt, eps_hat, t, sched)
     mu, sigma = posterior_moments(x0_pred, xt, t, sched)
+    if t == 0:
+        return mu
     if var_pred is not None:
         beta_t = float(sched.beta[t])
         beta_tilde = float(sigma.flat[0] ** 2)
@@ -140,8 +140,6 @@ def ddpm_step(xt, eps_hat, t, sched: Schedule, rng, var_pred=None):
             1.0 - np.asarray(var_pred)
         ) * np.log(beta_tilde)
         sigma = np.exp(0.5 * log_var)
-    if t == 0:
-        return mu
     return mu + sigma * rng.standard_normal(mu.shape)
 
 

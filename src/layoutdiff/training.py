@@ -5,9 +5,10 @@ little-endian manifest length, a human-readable JSON manifest, then raw
 little-endian blocks (parameters and optimizer moments) in the order listed by
 the manifest. Each manifest entry records its block's dtype: `<f8` for a
 float64 array, `<f4` otherwise (version 1 files, which have no dtype field,
-are all `<f4`). Reloading restores the exact training state, so a
-resumed run reproduces the original loss trajectory bit for bit in
-single-threaded mode.
+are all `<f4`), and the zlib CRC-32 of its bytes, which the loader checks
+when present (files written before the field existed have none). Reloading
+restores the exact training state, so a resumed run reproduces the original
+loss trajectory bit for bit in single-threaded mode.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import os
 import struct
 import time
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +89,9 @@ class TrainState:
 def init_state(train_cfg: TrainConfig, model_cfg: M.ModelConfig,
                data_cfg: DatasetConfig, sched: S.Schedule | None = None,
                dtype=np.float32) -> TrainState:
+    if (train_cfg.variant == "ar") != model_cfg.ar_mode:
+        raise S.ConfigError(f"TrainConfig.variant {train_cfg.variant!r} does not match "
+                            f"ModelConfig.ar_mode {model_cfg.ar_mode}")
     if sched is None:
         sched = S.build_schedule(100)
     params = M.init_params(model_cfg, seed=train_cfg.seed, dtype=dtype)
@@ -256,10 +261,6 @@ def train_loop(train_cfg: TrainConfig, model_cfg: M.ModelConfig,
 # checkpoint container
 
 
-def _cfg_to_dict(cfg):
-    return dataclasses.asdict(cfg)
-
-
 def save_checkpoint(path: str, state: TrainState) -> None:
     """Write the whole training state to a single file, atomically."""
     blocks = []
@@ -277,13 +278,14 @@ def save_checkpoint(path: str, state: TrainState) -> None:
                 "dtype": dtype,
                 "offset": offset,
                 "size": arr.nbytes,
+                "crc32": zlib.crc32(blocks[-1]),
             })
             offset += arr.nbytes
     manifest = {
         "version": CKPT_VERSION,
-        "model_cfg": _cfg_to_dict(state.model_cfg),
-        "data_cfg": _cfg_to_dict(state.data_cfg),
-        "train_cfg": _cfg_to_dict(state.train_cfg),
+        "model_cfg": dataclasses.asdict(state.model_cfg),
+        "data_cfg": dataclasses.asdict(state.data_cfg),
+        "train_cfg": dataclasses.asdict(state.train_cfg),
         "schedule": {"T": state.sched.T, "kind": state.sched.kind},
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
@@ -344,6 +346,10 @@ def _read_entry(path, data, blob_start, i, e):
             f"{dtype} takes {size} bytes at file offset {offset}, the file "
             f"has {len(data)}"
         )
+    crc = e.get("crc32")
+    if crc is not None and crc != zlib.crc32(memoryview(data)[offset:offset + size]):
+        raise ValueError(f"{path}: entry {full} at file offset {offset} does not "
+                         f"match its crc32 {crc!r}")
     arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
     return group, name, arr.reshape(shape).copy()
 
@@ -352,8 +358,8 @@ def load_checkpoint(path: str) -> TrainState:
     """Read a checkpoint back. A file that is not one, is truncated, whose
     manifest does not parse or lacks a key, whose config groups, schedule,
     step or RNG state do not build, or whose entries do not fit the file or
-    the model config raises one ValueError naming the path and the bad key,
-    group, entry or byte offset.
+    the model config or fail their crc32 raises one ValueError naming the
+    path and the bad key, group, entry or byte offset.
 
     Older files load too: a model config with no `gelu` field loads as
     "erf", the form such files were trained with, and the `ema_decay` field

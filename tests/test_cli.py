@@ -7,7 +7,7 @@ import pytest
 
 import layoutdiff
 from layoutdiff.cli import cli
-from layoutdiff.data import load_canonical
+from layoutdiff.data import load_canonical, save_canonical
 
 
 def run(capsys, *argv):
@@ -79,6 +79,34 @@ class TestConfigPrecedence:
         assert json.loads(line.split(": ", 1)[1])["seed"] == 9  # file beats default
 
 
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"count": 3}))
+        p = tmp_path / "out.jsonl"
+        code, _, err = run(capsys, "synth", "--config", str(cfg_file), "--out", str(p))
+        assert code == 1 and not p.exists()
+        assert err.count("\n") == 1
+        assert f"{cfg_file}: unknown key 'count' for synth" in err
+
+    def test_config_for_another_command_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"command": "train", "n": 3}))
+        code, _, err = run(capsys, "synth", "--config", str(cfg_file),
+                           "--out", str(tmp_path / "out.jsonl"))
+        assert code == 1 and f"{cfg_file}: unknown key 'command'" in err
+
+    def test_resolved_config_reruns_the_command(self, tmp_path, checkpoint, capsys):
+        """A resolved_config.json names its own command and is a valid
+        --config for that command: the rerun writes the same checkpoint."""
+        resolved = os.path.join(os.path.dirname(checkpoint), "resolved_config.json")
+        data = json.load(open(resolved))["data"]  # --data is a required flag
+        again = tmp_path / "again"
+        code, _, err = run(capsys, "train", "--config", resolved, "--data", data,
+                           "--out", str(again))
+        assert code == 0, err
+        assert (again / "model.ckpt").read_bytes() == open(checkpoint, "rb").read()
+
+
 class TestTrain:
     def test_produces_checkpoint_and_log(self, tmp_path, checkpoint):
         assert os.path.exists(checkpoint)
@@ -142,6 +170,24 @@ class TestSample:
         want = [b.c for b in refs[1].boxes]
         for s in samples:
             assert [b.c for b in s.boxes] == want
+
+    @pytest.mark.parametrize("index", ["12", "1000", "-1"])
+    def test_cond_index_outside_corpus_fails(self, tmp_path, corpus, checkpoint,
+                                             capsys, index):
+        code, _, err = run(capsys, "sample", "--checkpoint", checkpoint,
+                           "--out", str(tmp_path / "x"), "--mask", "cate",
+                           "--cond-data", corpus, "--cond-index", index)
+        assert code == 1 and err.count("\n") == 1
+        assert f"--cond-index {index} outside [0, 12) for {corpus}" in err
+
+    def test_empty_cond_corpus_fails(self, tmp_path, corpus, checkpoint, capsys):
+        cfg, _ = load_canonical(corpus)
+        empty = tmp_path / "empty.jsonl"
+        save_canonical(str(empty), cfg, [])
+        code, _, err = run(capsys, "sample", "--checkpoint", checkpoint,
+                           "--out", str(tmp_path / "x"), "--mask", "cate",
+                           "--cond-data", str(empty))
+        assert code == 1 and "--cond-index 0 outside [0, 0)" in err
 
     def test_mask_without_cond_data_fails(self, tmp_path, checkpoint, capsys):
         code, _, err = run(capsys, "sample", "--checkpoint", checkpoint,

@@ -86,6 +86,22 @@ class TestCanonicalFormat:
         with pytest.raises(FormatError, match="version"):
             load_canonical(str(p))
 
+    @pytest.mark.parametrize("header,message", [
+        ('{"version":1,"n_max":4,"num_categories":5,"h_max":1.0,"w_max":1.0}',
+         "header has no 'mode'"),
+        ("[1]", "header is a JSON list, not an object"),
+        ('{"version":1,"mode":"layout","n_max":0,"num_categories":5,"h_max":1.0,'
+         '"w_max":1.0}', "header: n_max must be >= 1, got 0"),
+        ('{"version":1,"mode":"layout","n_max":"4","num_categories":5,"h_max":1.0,'
+         '"w_max":1.0}', "header: "),
+    ], ids=["no-mode", "list", "n_max-0", "n_max-string"])
+    def test_bad_header_raises_at_line_1(self, tmp_path, header, message):
+        p = tmp_path / "h.jsonl"
+        p.write_text(header + "\n")
+        with pytest.raises(FormatError, match=f"^line 1: {message}") as e:
+            load_canonical(str(p))
+        assert e.value.line == 1
+
     def test_malformed_record_line_number(self, tmp_path):
         p = tmp_path / "m.jsonl"
         text = serialize_canonical(LCFG, LAYOUTS)

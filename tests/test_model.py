@@ -139,6 +139,16 @@ class TestForwardNonAR:
         assert pred.var_coef.shape == (2, 2, 16)
         assert np.all(pred.var_coef > 0) and np.all(pred.var_coef < 1)
 
+    def test_rejects_ar_mode(self):
+        """An AR model's params also hold the first n_max positions, so the
+        one-pass wiring would otherwise run on them silently."""
+        params = random_params(TINY_AR, 19)
+        with pytest.raises(UnsupportedModeError, match="ar_mode"):
+            forward_nonar(params, TINY_AR, np.zeros((3, 16)), 0)
+        with pytest.raises(UnsupportedModeError, match="ar_mode"):
+            nonar_loss_and_grads(params, TINY_AR, np.zeros((1, 3, 16)), np.array([0]),
+                                 np.zeros((1, 3, 16)))
+
 
 class TestGradients:
     """64-bit finite-difference checks of the hand-written backward pass."""

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,23 @@ class TestModelSamplers:
         from layoutdiff.model import UnsupportedModeError
         with pytest.raises(UnsupportedModeError):
             sample_ar(params, cfg, SCHED, DCFG, 1, seed=0)
+
+    def test_nonar_rejects_ar_mode(self):
+        cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=4, ar_mode=True)
+        params = random_params(cfg, seed=0)
+        from layoutdiff.model import UnsupportedModeError
+        with pytest.raises(UnsupportedModeError, match="ar_mode"):
+            sample_nonar(params, cfg, SCHED, DCFG, 1, seed=0)
+
+    def test_variance_head_ddpm_raises_no_warning(self):
+        """The last DDPM step (t = 0) returns the posterior mean before any
+        log of beta_tilde, which is 0 there."""
+        cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=4, variance_head=True)
+        params = random_params(cfg, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, toks, _ = sample_nonar(params, cfg, SCHED, DCFG, 2, seed=4, method="ddpm")
+        assert np.isfinite(toks).all()
 
     def test_ar_seeded_determinism(self):
         cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=2, ar_mode=True)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +187,17 @@ class TestReverseSteps:
         xt = rng.standard_normal(8)
         eps_hat = rng.standard_normal(8)
         out = ddpm_step(xt, eps_hat, 0, s, rng)
+        mu, _ = posterior_moments(predict_x0(xt, eps_hat, 0, s), xt, 0, s)
+        assert np.array_equal(out, mu)
+
+    def test_ddpm_t0_with_var_pred_is_posterior_mean(self):
+        s = build_schedule(100)
+        rng = np.random.default_rng(6)
+        xt = rng.standard_normal(8)
+        eps_hat = rng.standard_normal(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ddpm_step(xt, eps_hat, 0, s, rng, var_pred=np.full(8, 0.5))
         mu, _ = posterior_moments(predict_x0(xt, eps_hat, 0, s), xt, 0, s)
         assert np.array_equal(out, mu)
 

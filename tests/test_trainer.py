@@ -56,6 +56,19 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
 
+    @pytest.mark.parametrize("variant,model_cfg", [("nonar", TINY_AR), ("ar", TINY)])
+    def test_variant_must_match_ar_mode(self, variant, model_cfg):
+        with pytest.raises(ConfigError, match=r"variant .* ModelConfig\.ar_mode"):
+            init_state(TrainConfig(variant=variant), model_cfg, DCFG)
+
+    def test_train_loop_rejects_mismatch_before_a_step(self):
+        """One-pass training of an AR config fails at once, not with a bare
+        KeyError after a full forward and backward."""
+        with pytest.raises(ConfigError, match="TrainConfig.variant 'nonar'"):
+            train_loop(TrainConfig(variant="nonar", total_steps=1), TINY_AR, DCFG,
+                       corpus_tokens())
+
+
 class TestTrainSteps:
     def test_step0_loss_near_one(self):
         """Zero-init head predicts 0, so the loss is E[eps^2] = 1 per entry."""
@@ -482,7 +495,6 @@ class TestCheckpoint:
         mlen = int.from_bytes(data[len(CKPT_MAGIC):len(CKPT_MAGIC) + 4], "little")
         return data, len(CKPT_MAGIC) + 4 + mlen
 
-    # the format has no checksum, so a changed data block loads as other numbers
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(draw=st.data())
@@ -501,3 +513,45 @@ class TestCheckpoint:
             load_checkpoint(str(path))
         except ValueError as e:
             assert str(e).startswith(f"{path}: "), e
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draw=st.data())
+    def test_changed_data_byte_loads_original_or_names_path(self, tmp_path,
+                                                            small_checkpoint, draw):
+        """A one-byte change in a data block fails its entry's crc32: never
+        other numbers, never another exception."""
+        data, blob_start = small_checkpoint
+        pos = draw.draw(st.integers(blob_start, len(data) - 1), label="offset")
+        byte = draw.draw(st.integers(0, 255).filter(lambda b: b != data[pos]),
+                         label="byte")
+        path = tmp_path / "changed.ckpt"
+        path.write_bytes(data[:pos] + bytes([byte]) + data[pos + 1:])
+        try:
+            loaded = load_checkpoint(str(path))
+        except ValueError as e:
+            assert re.match(rf"{re.escape(str(path))}: entry \S+ at file offset \d+ "
+                            r"does not match its crc32", str(e)), e
+            return
+        (tmp_path / "original.ckpt").write_bytes(data)
+        original = load_checkpoint(str(tmp_path / "original.ckpt"))
+        for group in ("params", "adam_m", "adam_v"):
+            a, b = getattr(original, group), getattr(loaded, group)
+            for k in a:
+                assert np.array_equal(a[k], b[k]), (group, k)
+
+    def test_file_without_crc_loads_as_before(self, tmp_path):
+        """Files written before entries carried a crc32 load unchecked."""
+        state = init_state(TrainConfig(seed=23), TINY, DCFG)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(str(path), state)
+
+        def drop_crc(manifest):
+            for e in manifest["entries"]:
+                del e["crc32"]
+        self.rewrite_manifest(path, drop_crc)
+        loaded = load_checkpoint(str(path))
+        for group in ("params", "adam_m", "adam_v"):
+            a, b = getattr(state, group), getattr(loaded, group)
+            for k in a:
+                assert np.array_equal(a[k], b[k]), (group, k)
