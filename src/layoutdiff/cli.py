@@ -35,7 +35,9 @@ def _max_threads() -> int:
     return max(1, min(int(v), os.cpu_count() or 1))
 
 
-def _resolve(args, defaults: dict) -> dict:
+def _resolve(args, defaults: dict, required=()) -> dict:
+    """Merge flags > config file > defaults; a required key may come from
+    the flag or the file, and without either the run stops with exit 2."""
     cfg = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as f:
@@ -52,6 +54,9 @@ def _resolve(args, defaults: dict) -> dict:
         v = getattr(args, k, None)
         if v is not None:
             cfg[k] = v
+    missing = [f"--{k.replace('_', '-')}" for k in required if cfg[k] is None]
+    if missing:
+        args.parser.error(f"the following arguments are required: {', '.join(missing)}")
     return cfg
 
 
@@ -100,7 +105,7 @@ def _cmd_convert(args) -> int:
     cfg = _resolve(args, {
         "src": None, "out": "converted.jsonl", "n_max": 16,
         "num_categories": 5, "seed": 0,
-    })
+    }, required=("src",))
     _announce("convert", {**cfg, "out": None})
     with open(cfg["src"], "r", encoding="utf-8") as f:
         annotations = json.load(f)
@@ -119,7 +124,7 @@ def _cmd_train(args) -> int:
         "steps": 100, "train_steps": 1000, "batch_size": 64, "lr": 1e-4,
         "layers": 4, "heads": 8, "hidden": 512, "checkpoint_every": 0,
         "variance_head": False,
-    })
+    }, required=("data",))
     _announce("train", cfg)
     dcfg, records = D.load_canonical(cfg["data"])
     tokens = _tokenize_all(dcfg, records)
@@ -177,7 +182,7 @@ def _cmd_sample(args) -> int:
         "checkpoint": None, "out": "samples", "seed": 0, "n": 8,
         "mask": "none", "cond_data": None, "cond_index": 0,
         "method": None, "eta": 0.0, "capture_stride": None,
-    })
+    }, required=("checkpoint",))
     _announce("sample", cfg)
     state = TR.load_checkpoint(cfg["checkpoint"])
     dcfg = state.data_cfg
@@ -261,7 +266,7 @@ def _timing_report(cfg) -> dict:
 
 
 def _cmd_render(args) -> int:
-    cfg = _resolve(args, {"data": None, "out": "renders"})
+    cfg = _resolve(args, {"data": None, "out": "renders"}, required=("data",))
     _announce("render", cfg)
     dcfg, records = D.load_canonical(cfg["data"])
     os.makedirs(cfg["out"], exist_ok=True)
@@ -289,6 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, help="JSON config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", type=str)
+        # _resolve reports a required value that neither flag nor file gives
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     common(p)
@@ -301,14 +308,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert detection-style annotations")
     common(p)
-    p.add_argument("--src", type=str, required=True)
+    p.add_argument("--src", type=str)
     p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--num-categories", dest="num_categories", type=int)
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("train", help="train a denoiser")
     common(p)
-    p.add_argument("--data", type=str, required=True)
+    p.add_argument("--data", type=str)
     p.add_argument("--variant", choices=["nonar", "ar"])
     p.add_argument("--steps", type=int, help="diffusion step count T")
     p.add_argument("--train-steps", dest="train_steps", type=int)
@@ -323,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample from a checkpoint")
     common(p)
-    p.add_argument("--checkpoint", type=str, required=True)
+    p.add_argument("--checkpoint", type=str)
     p.add_argument("--n", type=int)
     p.add_argument("--method", choices=["ddpm", "ddim"])
     p.add_argument("--eta", type=float)
@@ -348,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="render a corpus to SVG files")
     common(p)
-    p.add_argument("--data", type=str, required=True)
+    p.add_argument("--data", type=str)
     p.set_defaults(func=_cmd_render)
 
     return parser
@@ -358,10 +365,9 @@ def cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as e:  # argparse's usage errors, exit 2
+        return int(e.code or 0)
     except Exception as e:  # one-line machine-parsable error
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

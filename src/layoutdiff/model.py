@@ -225,81 +225,105 @@ def timestep_features(t, dim) -> np.ndarray:
 # backbone forward/backward
 
 
-def _forward_core(params, cfg: ModelConfig, h0, t, attn_bias=None, step=None,
+def timestep_modulations(params, cfg: ModelConfig, t, for_backward=False):
+    """The adaptive layer norms' modulations for a 1-D array of timesteps t.
+
+    Runs the timestep MLP and every modulation GEMM once over all of t and
+    returns (mods, cache). mods is (len(t), 6 * layers + 2, hidden): for each
+    block its (shift, 1 + scale, gate) rows for attention and then for the
+    MLP, and last the final layer's (shift, 1 + scale). cache holds what
+    _backward_core's timestep path reads, or is None unless for_backward.
+    The modulations depend only on (params, t), so a sampler builds the
+    table of its whole schedule once and hands each step its row (see
+    modulation_row).
+    """
+    dtype = params["in_proj.w"].dtype
+    h = cfg.hidden
+    f = timestep_features(t, h).astype(dtype)
+    u1 = f @ params["t_mlp.w1"] + params["t_mlp.b1"]
+    a1, s_u1 = _silu(u1)
+    temb = a1 @ params["t_mlp.w2"] + params["t_mlp.b2"]
+    c, s_temb = _silu(temb)
+    mods = np.empty((len(c), 6 * cfg.layers + 2, h), dtype=dtype)
+    for i in range(cfg.layers):
+        mods[:, 6 * i : 6 * i + 6] = (
+            c @ params[f"blocks.{i}.mod.w"] + params[f"blocks.{i}.mod.b"]).reshape(-1, 6, h)
+    mods[:, -2:] = (c @ params["final.mod.w"] + params["final.mod.b"]).reshape(-1, 2, h)
+    # every third row, from row 1 on, is a scale
+    mods[:, 1::3] += 1.0
+    cache = None
+    if for_backward:
+        cache = {"f": f, "u1": u1, "s_u1": s_u1, "a1": a1,
+                 "temb": temb, "s_temb": s_temb, "c": c}
+    return mods, cache
+
+
+def modulation_row(table, t):
+    """Row t of a timestep_modulations table over arange(T), as one call's mods."""
+    if not 0 <= t < len(table):
+        raise ValueError(f"timestep {t} outside the modulation table's [0, {len(table)})")
+    return table[t : t + 1]
+
+
+def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
                   for_backward=True):
     """Run the block stack on pre-assembled hidden states h0 (B, S, hidden).
 
-    Returns (out, cache); out is (B, S, out_dim). cache holds the
-    intermediates _backward_core needs, or is None when for_backward is
-    False, so that inference frees each block's activations as it goes.
+    mods are the timestep_modulations rows of the batch: one per sample, or
+    one row shared by all. Returns (out, cache); out is (B, S, out_dim).
+    cache holds the intermediates _backward_core needs, less the timestep
+    path's, or is None when for_backward is False, so that inference frees
+    each block's activations as it goes.
 
     With step, an ARStepCache, the call is one of a diffusion step's cached
-    AR calls: the first one computes the timestep modulations and stores them
-    along with each layer's K/V; later ones skip the timestep path, and their
-    rows attend to every stored position as well as to their own.
+    AR calls: it stores each layer's K/V, and the rows of later calls attend
+    to every stored position as well as to their own.
     """
-    dtype = h0.dtype
     nh, dh = cfg.heads, cfg.hidden // cfg.heads
     B, S, _ = h0.shape
-
-    cache = None
-    if step is not None and step.mods is not None:
-        mods = step.mods
-    else:
-        f = timestep_features(t, cfg.hidden).astype(dtype)
-        u1 = f @ params["t_mlp.w1"] + params["t_mlp.b1"]
-        a1, s_u1 = _silu(u1)
-        temb = a1 @ params["t_mlp.w2"] + params["t_mlp.b2"]
-        c, s_temb = _silu(temb)
-        # (shift, scale, gate) for attention and MLP per block, then the
-        # final layer's (shift, scale)
-        mods = [
-            np.split(c @ params[f"blocks.{i}.mod.w"] + params[f"blocks.{i}.mod.b"], 6, axis=-1)
-            for i in range(cfg.layers)
-        ]
-        mods.append(np.split(c @ params["final.mod.w"] + params["final.mod.b"], 2, axis=-1))
-        if step is not None:
-            step.mods = mods
-        if for_backward:
-            cache = {
-                "f": f, "u1": u1, "s_u1": s_u1, "a1": a1,
-                "temb": temb, "s_temb": s_temb, "c": c, "blocks": [],
-            }
+    # (6 * layers + 2, rows, 1, hidden): each modulation broadcasts over positions
+    mods = mods.transpose(1, 0, 2)[:, :, None, :]
+    cache = {"blocks": []} if for_backward else None
 
     x = h0
     scale = 1.0 / math.sqrt(dh)
     for i in range(cfg.layers):
         p = f"blocks.{i}."
-        sh1, sc1, g1, sh2, sc2, g2 = mods[i]
+        sh1, sc1, g1, sh2, sc2, g2 = mods[6 * i : 6 * i + 6]
 
         xn1, inv1 = _layernorm(x)
-        xm1 = xn1 * (1.0 + sc1[:, None, :]) + sh1[:, None, :]
+        xm1 = xn1 * sc1
+        xm1 += sh1
 
-        qkv = xm1 @ params[p + "attn.wqkv"] + params[p + "attn.bqkv"]
-        q, k, v = [
-            a.reshape(B, S, nh, dh).transpose(0, 2, 1, 3)
-            for a in np.split(qkv, 3, axis=-1)
-        ]
+        qkv = _matmul_rows(xm1, params[p + "attn.wqkv"])
+        qkv += params[p + "attn.bqkv"]
+        q, k, v = qkv.reshape(B, S, 3, nh, dh).transpose(2, 0, 3, 1, 4)
         if step is not None:
             if i in step.kv:
                 k = np.concatenate([step.kv[i][0], k], axis=2)
                 v = np.concatenate([step.kv[i][1], v], axis=2)
             step.kv[i] = (k, v)
-        logits = (q @ k.transpose(0, 1, 3, 2)) * scale
+        probs = q @ k.transpose(0, 1, 3, 2)
+        probs *= scale
         if attn_bias is not None:
-            logits = logits + attn_bias
-        logits = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(logits)
-        probs = e / e.sum(axis=-1, keepdims=True)
+            probs += attn_bias
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
         ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, S, cfg.hidden)
-        attn_out = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
-        x2 = x + g1[:, None, :] * attn_out
+        attn_out = _matmul_rows(ctx, params[p + "attn.wo"])
+        attn_out += params[p + "attn.bo"]
+        x2 = g1 * attn_out
+        x2 += x
 
         xn2, inv2 = _layernorm(x2)
-        xm2 = xn2 * (1.0 + sc2[:, None, :]) + sh2[:, None, :]
-        um = xm2 @ params[p + "mlp.w1"] + params[p + "mlp.b1"]
+        xm2 = xn2 * sc2
+        xm2 += sh2
+        um = _matmul_rows(xm2, params[p + "mlp.w1"])
+        um += params[p + "mlp.b1"]
         am, gelu_aux = _gelu(um, cfg.gelu)
-        mlp_out = am @ params[p + "mlp.w2"] + params[p + "mlp.b2"]
+        mlp_out = _matmul_rows(am, params[p + "mlp.w2"])
+        mlp_out += params[p + "mlp.b2"]
 
         if cache is not None:
             cache["blocks"].append({
@@ -310,31 +334,35 @@ def _forward_core(params, cfg: ModelConfig, h0, t, attn_bias=None, step=None,
                 "mlp_out": mlp_out,
                 "sc1": sc1, "g1": g1, "sc2": sc2, "g2": g2,
             })
-        x = x2 + g2[:, None, :] * mlp_out
+        x = g2 * mlp_out
+        x += x2
 
-    sh_f, sc_f = mods[-1]
+    sh_f, sc_f = mods[-2:]
     xnf, invf = _layernorm(x)
-    xmf = xnf * (1.0 + sc_f[:, None, :]) + sh_f[:, None, :]
-    out = xmf @ params["head.w"] + params["head.b"]
+    xmf = xnf * sc_f
+    xmf += sh_f
+    out = _matmul_rows(xmf, params["head.w"])
+    out += params["head.b"]
     if cache is not None:
         cache.update({"xnf": xnf, "invf": invf, "xmf": xmf, "sc_f": sc_f})
     return out, cache
 
 
 def _backward_core(params, cfg: ModelConfig, cache, dout):
-    """Backprop through _forward_core; returns (grads, dh0)."""
+    """Backprop through _forward_core and, from cache["timestep"], through
+    timestep_modulations; returns (grads, dh0)."""
     nh, dh = cfg.heads, cfg.hidden // cfg.heads
     B, S, _ = dout.shape
     grads = {}
-    c = cache["c"]
+    tc = cache["timestep"]
+    c = tc["c"]
     dc = np.zeros_like(c)
 
     # final layer
     grads["head.w"] = cache["xmf"].reshape(-1, cfg.hidden).T @ dout.reshape(-1, cfg.out_dim)
     grads["head.b"] = dout.sum(axis=(0, 1))
     dxmf = _matmul_rows(dout, params["head.w"].T)
-    sc_f = cache["sc_f"]
-    dxnf = dxmf * (1.0 + sc_f[:, None, :])
+    dxnf = dxmf * cache["sc_f"]
     dsc_f = (dxmf * cache["xnf"]).sum(axis=1)
     dsh_f = dxmf.sum(axis=1)
     dmod_f = np.concatenate([dsh_f, dsc_f], axis=-1)
@@ -350,7 +378,7 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
 
         # mlp branch: x3 = x2 + g2 * mlp_out
         dg2 = (dx * bc["mlp_out"]).sum(axis=1)
-        dmlp_out = dx * bc["g2"][:, None, :]
+        dmlp_out = dx * bc["g2"]
         grads[p + "mlp.w2"] = bc["am"].reshape(-1, 4 * cfg.hidden).T @ dmlp_out.reshape(-1, cfg.hidden)
         grads[p + "mlp.b2"] = dmlp_out.sum(axis=(0, 1))
         dam = _matmul_rows(dmlp_out, params[p + "mlp.w2"].T)
@@ -358,14 +386,14 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         grads[p + "mlp.w1"] = bc["xm2"].reshape(-1, cfg.hidden).T @ dum.reshape(-1, 4 * cfg.hidden)
         grads[p + "mlp.b1"] = dum.sum(axis=(0, 1))
         dxm2 = _matmul_rows(dum, params[p + "mlp.w1"].T)
-        dxn2 = dxm2 * (1.0 + bc["sc2"][:, None, :])
+        dxn2 = dxm2 * bc["sc2"]
         dsc2 = (dxm2 * bc["xn2"]).sum(axis=1)
         dsh2 = dxm2.sum(axis=1)
         dx2 = dx + _layernorm_grad(dxn2, bc["xn2"], bc["inv2"])
 
         # attention branch: x2 = x + g1 * attn_out
         dg1 = (dx2 * bc["attn_out"]).sum(axis=1)
-        dattn_out = dx2 * bc["g1"][:, None, :]
+        dattn_out = dx2 * bc["g1"]
         grads[p + "attn.wo"] = bc["ctx"].reshape(-1, cfg.hidden).T @ dattn_out.reshape(-1, cfg.hidden)
         grads[p + "attn.bo"] = dattn_out.sum(axis=(0, 1))
         dctx = _matmul_rows(dattn_out, params[p + "attn.wo"].T).reshape(B, S, nh, dh).transpose(0, 2, 1, 3)
@@ -382,7 +410,7 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         grads[p + "attn.wqkv"] = bc["xm1"].reshape(-1, cfg.hidden).T @ dqkv.reshape(-1, 3 * cfg.hidden)
         grads[p + "attn.bqkv"] = dqkv.sum(axis=(0, 1))
         dxm1 = _matmul_rows(dqkv, params[p + "attn.wqkv"].T)
-        dxn1 = dxm1 * (1.0 + bc["sc1"][:, None, :])
+        dxn1 = dxm1 * bc["sc1"]
         dsc1 = (dxm1 * bc["xn1"]).sum(axis=1)
         dsh1 = dxm1.sum(axis=1)
         dx = dx2 + _layernorm_grad(dxn1, bc["xn1"], bc["inv1"])
@@ -393,12 +421,12 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         dc += dmod @ params[p + "mod.w"].T
 
     # timestep embedding path
-    dtemb = dc * _silu_grad(cache["temb"], cache["s_temb"])
-    grads["t_mlp.w2"] = cache["a1"].T @ dtemb
+    dtemb = dc * _silu_grad(tc["temb"], tc["s_temb"])
+    grads["t_mlp.w2"] = tc["a1"].T @ dtemb
     grads["t_mlp.b2"] = dtemb.sum(axis=0)
     da1 = dtemb @ params["t_mlp.w2"].T
-    du1 = da1 * _silu_grad(cache["u1"], cache["s_u1"])
-    grads["t_mlp.w1"] = cache["f"].T @ du1
+    du1 = da1 * _silu_grad(tc["u1"], tc["s_u1"])
+    grads["t_mlp.w1"] = tc["f"].T @ du1
     grads["t_mlp.b1"] = du1.sum(axis=0)
 
     return grads, dx
@@ -424,8 +452,12 @@ def _split_output(cfg: ModelConfig, out) -> VariancePrediction:
     return VariancePrediction(eps_hat=out)
 
 
-def forward_nonar(params, cfg: ModelConfig, tokens, t) -> VariancePrediction:
-    """Predict per-token noise for a (B, n_max, token_dim) batch."""
+def forward_nonar(params, cfg: ModelConfig, tokens, t, mods=None) -> VariancePrediction:
+    """Predict per-token noise for a (B, n_max, token_dim) batch.
+
+    mods, when given, are t's timestep_modulations rows (a sampler passes
+    modulation_row(table, t)); t itself is then not read.
+    """
     tokens = np.asarray(tokens)
     if tokens.shape[-2:] != (cfg.n_max, cfg.token_dim):
         raise ValueError(
@@ -435,9 +467,10 @@ def forward_nonar(params, cfg: ModelConfig, tokens, t) -> VariancePrediction:
     squeeze = tokens.ndim == 2
     if squeeze:
         tokens = tokens[None]
-        t = np.atleast_1d(t)
     h0 = _embed_nonar(params, cfg, tokens)
-    out, _ = _forward_core(params, cfg, h0, t, for_backward=False)
+    if mods is None:
+        mods, _ = timestep_modulations(params, cfg, t)
+    out, _ = _forward_core(params, cfg, h0, mods, for_backward=False)
     return _split_output(cfg, out[0] if squeeze else out)
 
 
@@ -487,16 +520,14 @@ def _embed_noise(params, noise, first_pos):
 class ARStepCache:
     """What the token-by-token forward_ar calls of one diffusion step share.
 
-    The step's first call runs the data+START prefix and stores the timestep
-    modulations, which are the same for every token, and each layer's K/V.
-    Every later call embeds and runs only the newest noise row, which
+    The step's first call runs the data+START prefix and stores each layer's
+    K/V. Every later call embeds and runs only the newest noise row, which
     attends to all stored positions and adds its own K/V. Under _ar_bias the
     prefix never attends to noise rows, so its stored K/V stay valid for the
     whole step. One cache serves one (tokens, t) pair: make a new one for
     each diffusion step.
     """
 
-    mods: list | None = None
     # layer index -> (K, V), each (B, heads, positions, head_dim)
     kv: dict = field(default_factory=dict)
 
@@ -506,7 +537,7 @@ class ARStepCache:
 
 
 def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t,
-               cache: ARStepCache | None = None) -> np.ndarray:
+               cache: ARStepCache | None = None, mods=None) -> np.ndarray:
     """Predict the noise for token i = len(noise_prefix), read at the last position.
 
     Accepts a single sample (n_max, token_dim) or a batch (B, n_max, token_dim);
@@ -515,7 +546,8 @@ def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t,
     With a cache, the calls of one diffusion step must come in order,
     i = 0, 1, ..., with the same tokens and t; call i runs only the data+START
     prefix (i = 0) or noise row i - 1, and its result equals the uncached
-    call's to float rounding.
+    call's to float rounding. mods are as in forward_nonar; passing the same
+    rows to every call of a step computes them once.
     """
     if not cfg.ar_mode:
         raise UnsupportedModeError("model config does not enable ar_mode")
@@ -523,7 +555,6 @@ def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t,
     squeeze = tokens.ndim == 2
     if squeeze:
         tokens = tokens[None]
-        t = np.atleast_1d(t)
     noise_prefix = np.asarray(noise_prefix, dtype=tokens.dtype)
     if noise_prefix.ndim == 2:
         noise_prefix = np.broadcast_to(noise_prefix[None], (tokens.shape[0],) + noise_prefix.shape)
@@ -545,7 +576,9 @@ def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t,
         dtype = params["in_proj.w"].dtype
         h0 = _embed_noise(params, noise_prefix[:, -1:].astype(dtype), n + k)
         bias = None
-    out, _ = _forward_core(params, cfg, h0, t, attn_bias=bias, step=cache,
+    if mods is None:
+        mods, _ = timestep_modulations(params, cfg, t)
+    out, _ = _forward_core(params, cfg, h0, mods, attn_bias=bias, step=cache,
                            for_backward=False)
     pred = out[:, -1, : cfg.token_dim]
     return pred[0] if squeeze else pred
@@ -563,7 +596,9 @@ def forward_ar_all(params, cfg: ModelConfig, tokens, noise, t):
     B, n, _ = tokens.shape
     h0 = _embed_ar(params, cfg, tokens, np.asarray(noise)[:, : n - 1, :])
     bias = _ar_bias(n, n - 1, h0.dtype)
-    out, cache = _forward_core(params, cfg, h0, t, attn_bias=bias)
+    mods, tcache = timestep_modulations(params, cfg, t, for_backward=True)
+    out, cache = _forward_core(params, cfg, h0, mods, attn_bias=bias)
+    cache["timestep"] = tcache
     return out[:, n : 2 * n, : cfg.token_dim], cache
 
 
@@ -592,7 +627,9 @@ def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true,
     xt = np.asarray(xt, dtype=dtype)
     eps_true = np.asarray(eps_true, dtype=dtype)
     h0 = _embed_nonar(params, cfg, xt)
-    out, cache = _forward_core(params, cfg, h0, t)
+    mods, tcache = timestep_modulations(params, cfg, t, for_backward=True)
+    out, cache = _forward_core(params, cfg, h0, mods)
+    cache["timestep"] = tcache
     pred = _split_output(cfg, out)
     eps_hat, v = pred.eps_hat, pred.var_coef
     numel = eps_hat.size

@@ -167,13 +167,19 @@ def _check_compat(params, cfg: M.ModelConfig, data_cfg: DatasetConfig):
         raise ValueError("parameters do not match the model config")
 
 
-def _sample(predictor, params, cfg: M.ModelConfig, sched: S.Schedule,
+def _sample(make_predictor, params, cfg: M.ModelConfig, sched: S.Schedule,
             data_cfg: DatasetConfig, n_samples: int, seed: int, mask, method,
             eta, capture_stride):
-    """Run all n_samples through one batched reverse process."""
+    """Run all n_samples through one batched reverse process.
+
+    The timestep modulations depend only on (params, t), so they are built
+    once for the whole schedule; make_predictor(table) gives the predictor
+    that reads one row of the table per step.
+    """
     _check_compat(params, cfg, data_cfg)
+    table, _ = M.timestep_modulations(params, cfg, np.arange(sched.T))
     tokens, traj = sample_tokens(
-        predictor, sched, (n_samples, cfg.n_max, cfg.token_dim),
+        make_predictor(table), sched, (n_samples, cfg.n_max, cfg.token_dim),
         SampleStreams(seed, n_samples), method=method, eta=eta, cond=mask,
         capture_stride=capture_stride,
     )
@@ -193,26 +199,36 @@ def sample_nonar(params, cfg: M.ModelConfig, sched: S.Schedule,
     All samples step as one batch; each owns its own rng stream (see
     SampleStreams). Returns (items, token matrices, trajectories-or-None).
     """
-    return _sample(lambda x, t: M.forward_nonar(params, cfg, x, t), params,
-                   cfg, sched, data_cfg, n_samples, seed, mask, method, eta,
-                   capture_stride)
+    def make_predictor(table):
+        return lambda x, t: M.forward_nonar(params, cfg, x, t,
+                                            mods=M.modulation_row(table, t))
+
+    return _sample(make_predictor, params, cfg, sched, data_cfg, n_samples,
+                   seed, mask, method, eta, capture_stride)
 
 
-def ar_predictor(params, cfg: M.ModelConfig):
+def ar_predictor(params, cfg: M.ModelConfig, table=None):
     """Assemble eps_hat token by token, per the autoregressive sampling loop.
 
     Takes x as (n_max, token_dim) or (B, n_max, token_dim). Each call is one
     diffusion step with its own ARStepCache: the data+START prefix runs once,
-    then one noise row per token.
+    then one noise row per token. The step's timestep modulations are row t
+    of table (M.timestep_modulations over arange(T)), or are computed once
+    per step without one.
     """
 
     def predictor(x, t):
         x = np.asarray(x)
         batch = x if x.ndim == 3 else x[None]
         cache = M.ARStepCache()
+        if table is None:
+            mods, _ = M.timestep_modulations(params, cfg, t)
+        else:
+            mods = M.modulation_row(table, t)
         eps = np.zeros(batch.shape, dtype=np.float64)
         for i in range(cfg.n_max):
-            eps[:, i] = M.forward_ar(params, cfg, batch, eps[:, :i], t, cache=cache)
+            eps[:, i] = M.forward_ar(params, cfg, batch, eps[:, :i], t,
+                                     cache=cache, mods=mods)
         return eps if x.ndim == 3 else eps[0]
 
     return predictor
@@ -227,5 +243,6 @@ def sample_ar(params, cfg: M.ModelConfig, sched: S.Schedule,
     one (DDIM by default) reverse step. All samples step as one batch."""
     if not cfg.ar_mode:
         raise M.UnsupportedModeError("sample_ar requires an ar_mode model")
-    return _sample(ar_predictor(params, cfg), params, cfg, sched, data_cfg,
-                   n_samples, seed, mask, method, eta, capture_stride)
+    return _sample(lambda table: ar_predictor(params, cfg, table), params, cfg,
+                   sched, data_cfg, n_samples, seed, mask, method, eta,
+                   capture_stride)

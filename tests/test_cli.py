@@ -107,6 +107,50 @@ class TestConfigPrecedence:
         assert (again / "model.ckpt").read_bytes() == open(checkpoint, "rb").read()
 
 
+REQUIRED = [("train", "data"), ("sample", "checkpoint"), ("convert", "src"), ("render", "data")]
+
+
+class TestRequiredValues:
+    """A required value may come from the flag or from --config."""
+
+    @pytest.mark.parametrize("command, key", REQUIRED)
+    def test_value_from_config_file(self, tmp_path, corpus, checkpoint, capsys,
+                                    command, key):
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(json.dumps({
+            "images": [{"id": 0, "height": 10.0, "width": 10.0}], "annotations": []}))
+        resolved = json.load(open(os.path.join(os.path.dirname(checkpoint),
+                                               "resolved_config.json")))
+        cfg = {
+            "train": {**resolved, "train_steps": 1},  # the fixture's small model
+            "sample": {"checkpoint": checkpoint, "n": 1},
+            "convert": {"src": str(annotations)},
+            "render": {"data": corpus},
+        }[command]
+        assert key in cfg
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, "--config", str(cfg_file), "--out", str(out))
+        assert code == 0, err
+        assert out.exists()
+
+    @pytest.mark.parametrize("with_config", [False, True], ids=["no_config", "config_without_key"])
+    @pytest.mark.parametrize("command, key", REQUIRED)
+    def test_value_from_neither_exits_2(self, tmp_path, capsys, command, key, with_config):
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out)]
+        if with_config:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps({"out": str(out)}))
+            argv += ["--config", str(cfg_file)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            f"layoutdiff {command}: error: the following arguments are required: --{key}")
+        assert not out.exists()
+
+
 class TestTrain:
     def test_produces_checkpoint_and_log(self, tmp_path, checkpoint):
         assert os.path.exists(checkpoint)

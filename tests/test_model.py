@@ -6,8 +6,11 @@ import pytest
 
 from layoutdiff.model import (
     GELU_FORMS,
+    ARStepCache,
     ModelConfig,
     UnsupportedModeError,
+    _backward_core,
+    _forward_core,
     _gelu,
     _gelu_grad,
     adapter_decode,
@@ -18,9 +21,11 @@ from layoutdiff.model import (
     forward_nonar,
     init_adapter,
     init_params,
+    modulation_row,
     nonar_loss_and_grads,
     param_count,
     param_shapes,
+    timestep_modulations,
     train_adapter,
 )
 from layoutdiff.schedule import ConfigError, build_schedule
@@ -302,6 +307,82 @@ class TestForwardAR:
             assert np.array_equal(pred[:, : j + 1], base[:, : j + 1])
             if j < 2:
                 assert not np.allclose(pred[:, j + 1], base[:, j + 1])
+
+
+class TestModulationTable:
+    """A sampler's table of timestep modulations stands in for the per-call path."""
+
+    T = 100
+    TS = (0, T // 2, T - 1)
+    TOL = [(np.float32, 1e-6), (np.float64, 1e-12)]
+
+    @pytest.mark.parametrize("dtype, tol", TOL)
+    @pytest.mark.parametrize("variance_head", [False, True], ids=["plain", "variance_head"])
+    def test_forward_nonar_with_row_matches_without(self, variance_head, dtype, tol):
+        cfg = dataclasses.replace(TINY, variance_head=variance_head)
+        params = random_params(cfg, 40, dtype=dtype)
+        table, cache = timestep_modulations(params, cfg, np.arange(self.T))
+        assert table.shape == (self.T, 6 * cfg.layers + 2, cfg.hidden)
+        assert table.dtype == dtype and cache is None
+        x = np.random.default_rng(41).standard_normal((2, 3, 16))
+        for t in self.TS:
+            want = forward_nonar(params, cfg, x, t)
+            got = forward_nonar(params, cfg, x, t, mods=modulation_row(table, t))
+            np.testing.assert_allclose(got.eps_hat, want.eps_hat, rtol=0, atol=tol)
+            if variance_head:
+                np.testing.assert_allclose(got.var_coef, want.var_coef, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("dtype, tol", TOL)
+    def test_cached_forward_ar_with_row_matches_without(self, dtype, tol):
+        params = random_params(TINY_AR, 42, dtype=dtype)
+        table, _ = timestep_modulations(params, TINY_AR, np.arange(self.T))
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((2, 3, 16))
+        noise = rng.standard_normal((2, 3, 16))
+        for t in self.TS:
+            plain, with_row = ARStepCache(), ARStepCache()
+            for i in range(TINY_AR.n_max):
+                want = forward_ar(params, TINY_AR, x, noise[:, :i], t, cache=plain)
+                got = forward_ar(params, TINY_AR, x, noise[:, :i], t, cache=with_row,
+                                 mods=modulation_row(table, t))
+                np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("t", [-1, T, T + 7])
+    def test_row_outside_table_rejected(self, t):
+        """numpy would wrap t = -1 around to row T - 1 without a word."""
+        params = random_params(TINY, 44)
+        table, _ = timestep_modulations(params, TINY, np.arange(self.T))
+        with pytest.raises(ValueError, match=rf"timestep {t} outside .*\[0, {self.T}\)"):
+            modulation_row(table, t)
+
+    @pytest.mark.parametrize("cfg", [TINY, TINY_AR], ids=["nonar", "ar"])
+    def test_forward_and_backward_leave_inputs_unchanged(self, cfg):
+        """The block stack works in place on its own buffers only."""
+        params = random_params(cfg, 45, dtype=np.float32)
+        before = {k: v.tobytes() for k, v in params.items()}
+        rng = np.random.default_rng(46)
+        xt = rng.standard_normal((2, 3, 16)).astype(np.float32)
+        eps = rng.standard_normal((2, 3, 16)).astype(np.float32)
+        t = np.array([3, 70])
+        inputs = (xt.tobytes(), eps.tobytes())
+        if cfg.ar_mode:
+            ar_loss_and_grads(params, cfg, xt, t, eps)
+            step = ARStepCache()
+            for i in range(cfg.n_max):
+                forward_ar(params, cfg, xt, eps[:, :i], t, cache=step)
+        else:
+            nonar_loss_and_grads(params, cfg, xt, t, eps)
+            forward_nonar(params, cfg, xt, t)
+        h0 = rng.standard_normal((2, cfg.n_positions, cfg.hidden)).astype(np.float32)
+        h0_bytes = h0.tobytes()
+        mods, tcache = timestep_modulations(params, cfg, t, for_backward=True)
+        mods_bytes = mods.tobytes()
+        out, cache = _forward_core(params, cfg, h0, mods)
+        cache["timestep"] = tcache
+        _backward_core(params, cfg, cache, np.ones_like(out))
+        assert (xt.tobytes(), eps.tobytes()) == inputs
+        assert h0.tobytes() == h0_bytes and mods.tobytes() == mods_bytes
+        assert all(params[k].tobytes() == b for k, b in before.items())
 
 
 class TestAdapter:
