@@ -1,10 +1,11 @@
 """Command-line entry points: train / sample / eval / render / convert / synth.
 
-Every run prints its resolved configuration (flags > config file > defaults)
-and seed, and mirrors them into `resolved_config.json` inside the output
-directory, so any run is reproducible from its printed output. All file
-outputs are written atomically. The environment variable DOLFIN_THREADS caps
-worker threads for per-item rendering.
+Each option is declared once, in `_build_parser`; a `--config` JSON file
+sets options as their flags would, and flags win over the file. Every run
+prints its resolved configuration and mirrors it into `resolved_config.json`
+inside the output directory, so any run is reproducible from its printed
+output. All file outputs are written atomically. The environment variable
+DOLFIN_THREADS caps worker threads for per-item rendering.
 """
 
 from __future__ import annotations
@@ -35,36 +36,42 @@ def _max_threads() -> int:
     return max(1, min(int(v), os.cpu_count() or 1))
 
 
-def _resolve(args, defaults: dict, required=()) -> dict:
-    """Merge flags > config file > defaults; a required key may come from
-    the flag or the file, and without either the run stops with exit 2."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as f:
-            file_cfg = json.load(f)
-        # a resolved_config.json names its own subcommand, so it can be fed back
-        if file_cfg.get("command", args.command) == args.command:
-            file_cfg.pop("command", None)
-        unknown = [k for k in file_cfg if k not in cfg]
-        if unknown:
-            raise ValueError(f"{args.config}: unknown key {', '.join(map(repr, unknown))} "
-                             f"for {args.command}")
-        cfg.update(file_cfg)
-    for k in cfg:
-        v = getattr(args, k, None)
-        if v is not None:
-            cfg[k] = v
-    missing = [f"--{k.replace('_', '-')}" for k in required if cfg[k] is None]
-    if missing:
-        args.parser.error(f"the following arguments are required: {', '.join(missing)}")
-    return cfg
+def _checked(path, key, action, value):
+    """A config-file value, checked as argparse checks its flag; null only
+    where the declared default is None."""
+    if value is None and action.default is None:
+        return None
+    kind = bool if action.nargs == 0 else action.type or str
+    # the JSON values each kind takes; a JSON bool is never a number
+    takes = {bool: bool, str: str, int: int, float: (int, float)}[kind]
+    if isinstance(value, takes) and isinstance(value, bool) == (kind is bool):
+        value = kind(value)
+        if action.choices is None or value in action.choices:
+            return value
+    want = f"one of {', '.join(action.choices)}" if action.choices else kind.__name__
+    raise ValueError(f"{path}: key {key!r} takes {want}, not {json.dumps(value)}")
 
 
-def _announce(command: str, cfg: dict) -> None:
+def _read_config(path, command, options) -> dict:
+    with open(path, "r", encoding="utf-8") as f:
+        values = json.load(f)
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: holds a JSON {type(values).__name__}, not an object")
+    # a resolved_config.json names its own subcommand, so it can be fed back
+    if values.get("command", command) == command:
+        values.pop("command", None)
+    unknown = [k for k in values if k not in options]
+    if unknown:
+        raise ValueError(f"{path}: unknown key {', '.join(map(repr, unknown))} "
+                         f"for {command}")
+    return {k: _checked(path, k, options[k], v) for k, v in values.items()}
+
+
+def _announce(command: str, cfg: dict, out_is_dir=True) -> None:
     resolved = {"command": command, **cfg}
     print("resolved config: " + json.dumps(resolved, sort_keys=True))
-    out = cfg.get("out")
-    if out:
+    out = cfg["out"]
+    if out and out_is_dir:
         os.makedirs(out, exist_ok=True)
         D.atomic_write_text(
             os.path.join(out, "resolved_config.json"),
@@ -82,12 +89,8 @@ def _tokenize_all(cfg: DatasetConfig, records) -> np.ndarray:
 # subcommands
 
 
-def _cmd_synth(args) -> int:
-    cfg = _resolve(args, {
-        "seed": 0, "n": 32, "style": "columns", "mode": "layout",
-        "n_max": 8, "k_segments": 8, "out": "synth.jsonl",
-    })
-    _announce("synth", {**cfg, "out": None})
+def _cmd_synth(cfg) -> int:
+    _announce("synth", cfg, out_is_dir=False)
     if cfg["mode"] == "segment":
         dcfg, records = D.synth_segment_corpus(
             cfg["seed"], cfg["n"], k_segments=cfg["k_segments"], n_max=cfg["n_max"]
@@ -101,12 +104,8 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_convert(args) -> int:
-    cfg = _resolve(args, {
-        "src": None, "out": "converted.jsonl", "n_max": 16,
-        "num_categories": 5, "seed": 0,
-    }, required=("src",))
-    _announce("convert", {**cfg, "out": None})
+def _cmd_convert(cfg) -> int:
+    _announce("convert", cfg, out_is_dir=False)
     with open(cfg["src"], "r", encoding="utf-8") as f:
         annotations = json.load(f)
     dcfg, layouts, tags, dropped = D.convert_publaynet_like(
@@ -118,13 +117,7 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = _resolve(args, {
-        "data": None, "out": "run", "seed": 0, "variant": "nonar",
-        "steps": 100, "train_steps": 1000, "batch_size": 64, "lr": 1e-4,
-        "layers": 4, "heads": 8, "hidden": 512, "checkpoint_every": 0,
-        "variance_head": False,
-    }, required=("data",))
+def _cmd_train(cfg) -> int:
     _announce("train", cfg)
     dcfg, records = D.load_canonical(cfg["data"])
     tokens = _tokenize_all(dcfg, records)
@@ -177,12 +170,7 @@ def _fold_categories(layout, dcfg: DatasetConfig):
     return Layout(H=layout.H, W=layout.W, boxes=boxes)
 
 
-def _cmd_sample(args) -> int:
-    cfg = _resolve(args, {
-        "checkpoint": None, "out": "samples", "seed": 0, "n": 8,
-        "mask": "none", "cond_data": None, "cond_index": 0,
-        "method": None, "eta": 0.0, "capture_stride": None,
-    }, required=("checkpoint",))
+def _cmd_sample(cfg) -> int:
     _announce("sample", cfg)
     state = TR.load_checkpoint(cfg["checkpoint"])
     dcfg = state.data_cfg
@@ -214,12 +202,7 @@ def _render_corpus(records):
         return list(ex.map(R.rasterize, records))
 
 
-def _cmd_eval(args) -> int:
-    cfg = _resolve(args, {
-        "generated": None, "reference": None, "out": None, "timing": False,
-        "seed": 0, "n": 4, "steps": 100, "layers": 2, "heads": 2,
-        "hidden": 32, "n_max": 8,
-    })
+def _cmd_eval(cfg) -> int:
     _announce("eval", cfg)
     result = {}
     if cfg["timing"]:
@@ -265,8 +248,7 @@ def _timing_report(cfg) -> dict:
     return out
 
 
-def _cmd_render(args) -> int:
-    cfg = _resolve(args, {"data": None, "out": "renders"}, required=("data",))
+def _cmd_render(cfg) -> int:
     _announce("render", cfg)
     dcfg, records = D.load_canonical(cfg["data"])
     os.makedirs(cfg["out"], exist_ok=True)
@@ -286,86 +268,98 @@ def _cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(prog="layoutdiff")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", type=str, help="JSON config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", type=str)
-        # _resolve reports a required value that neither flag nor file gives
-        p.set_defaults(parser=p)
+    def command(name, run, help, out, seed=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--config", help="JSON file of option values; flags win over it")
+        p.add_argument("--out", default=out)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--style", choices=["grid", "columns"])
-    p.add_argument("--mode", choices=["layout", "segment"])
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--k-segments", dest="k_segments", type=int)
-    p.set_defaults(func=_cmd_synth)
+    p = command("synth", _cmd_synth, "generate a synthetic corpus", "synth.jsonl")
+    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--style", choices=["grid", "columns"], default="columns")
+    p.add_argument("--mode", choices=["layout", "segment"], default="layout")
+    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--k-segments", type=int, default=8)
 
-    p = sub.add_parser("convert", help="convert detection-style annotations")
-    common(p)
-    p.add_argument("--src", type=str)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--num-categories", dest="num_categories", type=int)
-    p.set_defaults(func=_cmd_convert)
+    p = command("convert", _cmd_convert, "convert detection-style annotations",
+                "converted.jsonl")
+    p.add_argument("--src", required=True)
+    p.add_argument("--n-max", type=int, default=16)
+    p.add_argument("--num-categories", type=int, default=5)
 
-    p = sub.add_parser("train", help="train a denoiser")
-    common(p)
-    p.add_argument("--data", type=str)
-    p.add_argument("--variant", choices=["nonar", "ar"])
-    p.add_argument("--steps", type=int, help="diffusion step count T")
-    p.add_argument("--train-steps", dest="train_steps", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--variance-head", dest="variance_head", action="store_const", const=True)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    p.set_defaults(func=_cmd_train)
+    p = command("train", _cmd_train, "train a denoiser", "run")
+    p.add_argument("--data", required=True)
+    p.add_argument("--variant", choices=["nonar", "ar"], default="nonar")
+    p.add_argument("--steps", type=int, default=100, help="diffusion step count T")
+    p.add_argument("--train-steps", type=int, default=1000)
+    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--layers", type=int, default=4)
+    p.add_argument("--heads", type=int, default=8)
+    p.add_argument("--hidden", type=int, default=512)
+    p.add_argument("--variance-head", action="store_true")
+    p.add_argument("--checkpoint-every", type=int, default=0)
 
-    p = sub.add_parser("sample", help="sample from a checkpoint")
-    common(p)
-    p.add_argument("--checkpoint", type=str)
-    p.add_argument("--n", type=int)
+    p = command("sample", _cmd_sample, "sample from a checkpoint", "samples")
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--n", type=int, default=8)
     p.add_argument("--method", choices=["ddpm", "ddim"])
-    p.add_argument("--eta", type=float)
-    p.add_argument("--mask", choices=["none", "cate", "cate_size"])
-    p.add_argument("--cond-data", dest="cond_data", type=str)
-    p.add_argument("--cond-index", dest="cond_index", type=int)
-    p.add_argument("--capture-stride", dest="capture_stride", type=int)
-    p.set_defaults(func=_cmd_sample)
+    p.add_argument("--eta", type=float, default=0.0)
+    p.add_argument("--mask", choices=["none", "cate", "cate_size"], default="none")
+    p.add_argument("--cond-data")
+    p.add_argument("--cond-index", type=int, default=0)
+    p.add_argument("--capture-stride", type=int)
 
-    p = sub.add_parser("eval", help="evaluate corpora and/or report timing")
-    common(p)
-    p.add_argument("--generated", type=str)
-    p.add_argument("--reference", type=str)
-    p.add_argument("--timing", action="store_const", const=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.set_defaults(func=_cmd_eval)
+    p = command("eval", _cmd_eval, "evaluate corpora and/or report timing", None)
+    p.add_argument("--generated")
+    p.add_argument("--reference")
+    p.add_argument("--timing", action="store_true")
+    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--layers", type=int, default=2)
+    p.add_argument("--heads", type=int, default=2)
+    p.add_argument("--hidden", type=int, default=32)
+    p.add_argument("--n-max", type=int, default=8)
 
-    p = sub.add_parser("render", help="render a corpus to SVG files")
-    common(p)
-    p.add_argument("--data", type=str)
-    p.set_defaults(func=_cmd_render)
+    p = command("render", _cmd_render, "render a corpus to SVG files", "renders",
+                seed=False)
+    p.add_argument("--data", required=True)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv):
+    """A subcommand's handler and its resolved options. The --config file's
+    values become the subcommand's defaults, so argparse ranks flags over the
+    file over the declared defaults. A required option may come from either,
+    so the first pass, which finds the file, leaves that check to the second."""
+    parser, commands = _build_parser()
+    required = [a for p in commands.values() for a in p._actions if a.required]
+    for a in required:
+        a.required = False
+    args = parser.parse_args(argv)
+    p = commands[args.command]
+    options = {a.dest: a for a in p._actions if a.dest not in ("help", "config")}
+    values = _read_config(args.config, args.command, options) if args.config else {}
+    for a in required:
+        a.required = values.get(a.dest) is None
+    p.set_defaults(**values)
+    args = parser.parse_args(argv)
+    return args.run, {dest: getattr(args, dest) for dest in options}
 
 
 def cli(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        run, cfg = _parse(argv)
+        return run(cfg)
     except SystemExit as e:  # argparse's usage errors, exit 2
         return int(e.code or 0)
     except Exception as e:  # one-line machine-parsable error

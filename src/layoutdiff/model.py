@@ -197,18 +197,26 @@ def _matmul_rows(x, w):
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
 
 
+def _mean_last(x):
+    """x.mean(axis=-1, keepdims=True): the same sum and divide, without
+    ndarray.mean's Python-level wrapper (layer norm runs twice per block)."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= x.shape[-1]
+    return m
+
+
 def _layernorm(x, eps=1e-6):
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = _mean_last(x)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
     return y, inv
 
 
 def _layernorm_grad(dy, y, inv):
-    m1 = dy.mean(axis=-1, keepdims=True)
-    m2 = (dy * y).mean(axis=-1, keepdims=True)
+    m1 = _mean_last(dy)
+    m2 = _mean_last(dy * y)
     return inv * (dy - m1 - y * m2)
 
 

@@ -88,12 +88,38 @@ class TestConfigPrecedence:
         assert err.count("\n") == 1
         assert f"{cfg_file}: unknown key 'count' for synth" in err
 
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps([3]))
+        code, _, err = run(capsys, "synth", "--config", str(cfg_file),
+                           "--out", str(tmp_path / "out.jsonl"))
+        assert code == 1 and err.count("\n") == 1
+        assert f"{cfg_file}: holds a JSON list, not an object" in err
+
     def test_config_for_another_command_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"command": "train", "n": 3}))
         code, _, err = run(capsys, "synth", "--config", str(cfg_file),
                            "--out", str(tmp_path / "out.jsonl"))
         assert code == 1 and f"{cfg_file}: unknown key 'command'" in err
+
+    @pytest.mark.parametrize("command, values, key", [
+        ("synth", {"n": 2.5}, "n"),
+        ("synth", {"style": "spiral"}, "style"),
+        ("train", {"lr": "fast"}, "lr"),
+    ])
+    def test_bad_config_value_rejected(self, tmp_path, capsys, command, values, key):
+        """A file's value gets its flag's type and choices check, before
+        anything is written."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg_file), "--out", str(out)]
+        if command == "train":
+            argv += ["--data", str(tmp_path / "corpus.jsonl")]  # required, never read
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and not out.exists()
+        assert err.count("\n") == 1 and f"{cfg_file}: key {key!r} takes " in err
 
     def test_resolved_config_reruns_the_command(self, tmp_path, checkpoint, capsys):
         """A resolved_config.json names its own command and is a valid
@@ -105,6 +131,44 @@ class TestConfigPrecedence:
                            "--out", str(again))
         assert code == 0, err
         assert (again / "model.ckpt").read_bytes() == open(checkpoint, "rb").read()
+
+
+def printed_config(out: str) -> dict:
+    line = next(l for l in out.splitlines() if l.startswith("resolved config: "))
+    return json.loads(line.split(": ", 1)[1])
+
+
+class TestSingleDeclaration:
+    @pytest.mark.parametrize("command", ["synth", "convert", "train", "sample", "eval", "render"])
+    def test_printed_config_feeds_back(self, tmp_path, corpus, checkpoint, capsys, command):
+        """The resolved config a run prints, given back as --config, resolves
+        to the same values: every option is declared, checked and defaulted
+        in one place."""
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(json.dumps({
+            "images": [{"id": 0, "height": 10.0, "width": 10.0}], "annotations": []}))
+        small = ["--layers", "1", "--heads", "2", "--hidden", "8", "--steps", "5"]
+        argv = {
+            "synth": ["--n", "3", "--n-max", "4", "--style", "grid"],
+            "convert": ["--src", str(annotations), "--num-categories", "3"],
+            "train": ["--data", corpus, "--train-steps", "1", "--batch-size", "4",
+                      "--variance-head", "--lr", "1e-3", *small],
+            "sample": ["--checkpoint", checkpoint, "--n", "1", "--method", "ddim"],
+            "eval": ["--timing", "--n", "1", "--n-max", "4", *small],
+            "render": ["--data", corpus],
+        }[command]
+        code, out, err = run(capsys, command, *argv, "--out", str(tmp_path / "first"))
+        assert code == 0, err
+        first = printed_config(out)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(first))
+        code, out, err = run(capsys, command, "--config", str(cfg_file),
+                             "--out", str(tmp_path / "again"))
+        assert code == 0, err
+        again = printed_config(out)
+        assert again.pop("out") == str(tmp_path / "again")
+        first.pop("out")
+        assert again == first
 
 
 REQUIRED = [("train", "data"), ("sample", "checkpoint"), ("convert", "src"), ("render", "data")]
@@ -314,3 +378,8 @@ class TestParsing:
 
     def test_bad_choice_exit_2(self, capsys):
         assert run(capsys, "synth", "--style", "spiral")[0] == 2
+
+    def test_render_takes_no_seed(self, tmp_path, corpus, capsys):
+        out = tmp_path / "renders"
+        assert run(capsys, "render", "--seed", "1", "--data", corpus, "--out", str(out))[0] == 2
+        assert not out.exists()
