@@ -20,8 +20,6 @@ from .schedule import (
     build_schedule,
     ddim_step,
     ddpm_step,
-    kl_loss,
-    mse_loss,
     q_sample,
 )
 from .model import ModelConfig, VariancePrediction, forward_ar, forward_nonar, init_params

@@ -2,10 +2,12 @@
 
 Each option is declared once, in `_build_parser`; a `--config` JSON file
 sets options as their flags would, and flags win over the file. Every run
-prints its resolved configuration and mirrors it into `resolved_config.json`
-inside the output directory, so any run is reproducible from its printed
-output. All file outputs are written atomically. The environment variable
-DOLFIN_THREADS caps worker threads for per-item rendering.
+prints its resolved configuration first and, once its inputs have loaded,
+mirrors it into `resolved_config.json` inside the output directory, so any
+run is reproducible from its printed output and a run that fails on its
+inputs leaves no record. All file outputs are written atomically. The
+environment variable DOLFIN_THREADS caps worker threads for per-item
+rendering.
 """
 
 from __future__ import annotations
@@ -67,11 +69,18 @@ def _read_config(path, command, options) -> dict:
     return {k: _checked(path, k, options[k], v) for k, v in values.items()}
 
 
-def _announce(command: str, cfg: dict, out_is_dir=True) -> None:
+def _announce(command: str, cfg: dict) -> dict:
+    """Print the resolved configuration and return it, for _record."""
     resolved = {"command": command, **cfg}
     print("resolved config: " + json.dumps(resolved, sort_keys=True))
-    out = cfg["out"]
-    if out and out_is_dir:
+    return resolved
+
+
+def _record(resolved: dict) -> None:
+    """Write the resolved configuration into the --out directory; commands
+    call this once their inputs have loaded."""
+    out = resolved["out"]
+    if out:
         os.makedirs(out, exist_ok=True)
         D.atomic_write_text(
             os.path.join(out, "resolved_config.json"),
@@ -90,7 +99,7 @@ def _tokenize_all(cfg: DatasetConfig, records) -> np.ndarray:
 
 
 def _cmd_synth(cfg) -> int:
-    _announce("synth", cfg, out_is_dir=False)
+    _announce("synth", cfg)
     if cfg["mode"] == "segment":
         dcfg, records = D.synth_segment_corpus(
             cfg["seed"], cfg["n"], k_segments=cfg["k_segments"], n_max=cfg["n_max"]
@@ -105,7 +114,7 @@ def _cmd_synth(cfg) -> int:
 
 
 def _cmd_convert(cfg) -> int:
-    _announce("convert", cfg, out_is_dir=False)
+    _announce("convert", cfg)
     with open(cfg["src"], "r", encoding="utf-8") as f:
         annotations = json.load(f)
     dcfg, layouts, tags, dropped = D.convert_publaynet_like(
@@ -118,8 +127,9 @@ def _cmd_convert(cfg) -> int:
 
 
 def _cmd_train(cfg) -> int:
-    _announce("train", cfg)
+    resolved = _announce("train", cfg)
     dcfg, records = D.load_canonical(cfg["data"])
+    _record(resolved)
     tokens = _tokenize_all(dcfg, records)
     model_cfg = M.ModelConfig(
         layers=cfg["layers"], heads=cfg["heads"], hidden=cfg["hidden"],
@@ -171,10 +181,11 @@ def _fold_categories(layout, dcfg: DatasetConfig):
 
 
 def _cmd_sample(cfg) -> int:
-    _announce("sample", cfg)
+    resolved = _announce("sample", cfg)
     state = TR.load_checkpoint(cfg["checkpoint"])
     dcfg = state.data_cfg
     mask = _load_mask(cfg["mask"], cfg["cond_data"], dcfg, cfg["cond_index"])
+    _record(resolved)
     is_ar = state.model_cfg.ar_mode
     method = cfg["method"] or ("ddim" if is_ar else "ddpm")
     sampler = SMP.sample_ar if is_ar else SMP.sample_nonar
@@ -203,16 +214,19 @@ def _render_corpus(records):
 
 
 def _cmd_eval(cfg) -> int:
-    _announce("eval", cfg)
-    result = {}
-    if cfg["timing"]:
-        result["timing"] = _timing_report(cfg)
-        print(json.dumps(result["timing"], indent=2, sort_keys=True))
-    if cfg["generated"] and cfg["reference"]:
+    resolved = _announce("eval", cfg)
+    corpora = cfg["generated"] and cfg["reference"]
+    if corpora:
         gcfg, gen = D.load_canonical(cfg["generated"])
         rcfg, ref = D.load_canonical(cfg["reference"])
         if gcfg.mode != rcfg.mode:
             raise ValueError("generated and reference corpora have different modes")
+    _record(resolved)
+    result = {}
+    if cfg["timing"]:
+        result["timing"] = _timing_report(cfg)
+        print(json.dumps(result["timing"], indent=2, sort_keys=True))
+    if corpora:
         images_g = _render_corpus(gen)
         images_r = _render_corpus(ref)
         if gcfg.mode == "layout":
@@ -249,9 +263,9 @@ def _timing_report(cfg) -> dict:
 
 
 def _cmd_render(cfg) -> int:
-    _announce("render", cfg)
+    resolved = _announce("render", cfg)
     dcfg, records = D.load_canonical(cfg["data"])
-    os.makedirs(cfg["out"], exist_ok=True)
+    _record(resolved)
     width = max(4, len(str(len(records))))
 
     def render_one(i):

@@ -149,8 +149,9 @@ def _silu_grad(x, s):
     return s * (1.0 + x * (1.0 - s))
 
 
-def _gelu(x, form):
-    """GELU of x in the given form; returns (y, aux) for _gelu_grad.
+def _gelu(x, form, out=None, aux=None):
+    """GELU of x in the given form; returns (y, aux) for _gelu_grad, written
+    into out and aux when given.
 
     aux is Phi(x) for "erf" and tanh(GELU_C (x + GELU_A x^3)) for "tanh".
     """
@@ -158,28 +159,40 @@ def _gelu(x, form):
         # imported here: scipy.special adds about 0.3 s to `import layoutdiff`
         from scipy.special import erf
 
-        phi = 0.5 * (1.0 + erf(x / SQRT2))
-        return x * phi, phi
-    th = x * x
+        phi = np.divide(x, SQRT2, out=aux)
+        erf(phi, out=phi)
+        phi += 1.0
+        phi *= 0.5
+        return np.multiply(x, phi, out=out), phi
+    th = np.multiply(x, x, out=aux)
     th *= GELU_C * GELU_A
     th += GELU_C
     th *= x
     np.tanh(th, out=th)
-    y = th + 1.0
+    y = np.add(th, 1.0, out=out)
     y *= x
     y *= 0.5
     return y, th
 
 
-def _gelu_grad(x, aux, form):
+def _gelu_grad(x, aux, form, out=None, tmp=None):
+    """GELU'(x) from _gelu's aux, written into out when given; tmp, when
+    given, holds the one other x-sized intermediate."""
     if form == "erf":
-        return aux + x * INV_SQRT_2PI * np.exp(-0.5 * x * x)
+        # Phi(x) + x exp(-x^2 / 2) / sqrt(2 pi)
+        e = np.multiply(-0.5, x, out=tmp)
+        e *= x
+        np.exp(e, out=e)
+        d = np.multiply(x, INV_SQRT_2PI, out=out)
+        d *= e
+        d += aux
+        return d
     # 0.5 (1 + th) + 0.5 x (1 - th^2) GELU_C (1 + 3 GELU_A x^2)
-    d = x * x
+    d = np.multiply(x, x, out=out)
     d *= 3.0 * GELU_C * GELU_A
     d += GELU_C
     d *= x
-    sech2 = aux * aux
+    sech2 = np.multiply(aux, aux, out=tmp)
     np.subtract(1.0, sech2, out=sech2)
     d *= sech2
     d += aux
@@ -188,13 +201,46 @@ def _gelu_grad(x, aux, form):
     return d
 
 
-def _matmul_rows(x, w):
-    """x (..., k) @ w (k, n) as one 2-D GEMM over the flattened rows of x.
+def _buf(ws, key, shape, dtype):
+    """The workspace's (shape, dtype) array for key, remade when its shape or
+    dtype differs; its contents are whatever the last user left there.
+
+    A workspace is a dict that a caller keeps across repeated training steps
+    (TrainState.workspace), so that each step writes its activations and
+    grads into the same memory. Without one (ws None) this returns None, and
+    numpy's out=None allocates a fresh array: the same statements serve both.
+    """
+    if ws is None:
+        return None
+    a = ws.get(key)
+    if a is None or a.shape != shape or a.dtype != dtype:
+        a = ws[key] = np.empty(shape, dtype)
+    return a
+
+
+def _zeros(ws, key, shape, dtype):
+    """_buf's array filled with zeros, or a fresh zero array without ws."""
+    a = _buf(ws, key, shape, dtype)
+    if a is None:
+        return np.zeros(shape, dtype)
+    a.fill(0)
+    return a
+
+
+def _grad_buf(ws, params, name):
+    """The workspace's array for the grad of params[name], or None."""
+    return _buf(ws, "grad." + name, params[name].shape, params[name].dtype)
+
+
+def _matmul_rows(x, w, out=None):
+    """x (..., k) @ w (k, n) as one 2-D GEMM over the flattened rows of x,
+    written into out, a (rows, n) array, when given.
 
     numpy runs a 3-D activation times a transposed 2-D weight as a stacked
     product; flattening sends it through a single BLAS call instead.
     """
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+    y = np.matmul(x.reshape(-1, x.shape[-1]), w, out=out)
+    return y.reshape(*x.shape[:-1], w.shape[-1])
 
 
 def _mean_last(x):
@@ -205,13 +251,16 @@ def _mean_last(x):
     return m
 
 
-def _layernorm(x, eps=1e-6):
+def _layernorm(x, eps=1e-6, y=None, inv=None):
+    """Layer norm of x over its last axis; returns (y, inv) for
+    _layernorm_grad, written into y and inv when given."""
     mu = _mean_last(x)
-    xc = x - mu
+    xc = np.subtract(x, mu, out=y)
     var = _mean_last(xc * xc)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
-    return y, inv
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=inv)
+    xc *= inv
+    return xc, inv
 
 
 def _layernorm_grad(dy, y, inv):
@@ -233,7 +282,7 @@ def timestep_features(t, dim) -> np.ndarray:
 # backbone forward/backward
 
 
-def timestep_modulations(params, cfg: ModelConfig, t, for_backward=False):
+def timestep_modulations(params, cfg: ModelConfig, t, for_backward=False, ws=None):
     """The adaptive layer norms' modulations for a 1-D array of timesteps t.
 
     Runs the timestep MLP and every modulation GEMM once over all of t and
@@ -243,7 +292,8 @@ def timestep_modulations(params, cfg: ModelConfig, t, for_backward=False):
     _backward_core's timestep path reads, or is None unless for_backward.
     The modulations depend only on (params, t), so a sampler builds the
     table of its whole schedule once and hands each step its row (see
-    modulation_row).
+    modulation_row). With ws, a training step's workspace (see _buf), mods
+    is written into it.
     """
     dtype = params["in_proj.w"].dtype
     h = cfg.hidden
@@ -252,7 +302,7 @@ def timestep_modulations(params, cfg: ModelConfig, t, for_backward=False):
     a1, s_u1 = _silu(u1)
     temb = a1 @ params["t_mlp.w2"] + params["t_mlp.b2"]
     c, s_temb = _silu(temb)
-    mods = np.empty((len(c), 6 * cfg.layers + 2, h), dtype=dtype)
+    mods = _zeros(ws, "mods", (len(c), 6 * cfg.layers + 2, h), dtype)
     for i in range(cfg.layers):
         mods[:, 6 * i : 6 * i + 6] = (
             c @ params[f"blocks.{i}.mod.w"] + params[f"blocks.{i}.mod.b"]).reshape(-1, 6, h)
@@ -274,7 +324,7 @@ def modulation_row(table, t):
 
 
 def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
-                  for_backward=True):
+                  for_backward=True, ws=None):
     """Run the block stack on pre-assembled hidden states h0 (B, S, hidden).
 
     mods are the timestep_modulations rows of the batch: one per sample, or
@@ -286,9 +336,19 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
     With step, an ARStepCache, the call is one of a diffusion step's cached
     AR calls: it stores each layer's K/V, and the rows of later calls attend
     to every stored position as well as to their own.
+
+    With ws, a training step's workspace (see _buf), every array the cache
+    holds is written into it, each block's into its own. The activations
+    that backward does not read (the attention context before its heads are
+    merged, the residual stream and the attention branch's sum) share one
+    array each across blocks.
     """
     nh, dh = cfg.heads, cfg.hidden // cfg.heads
-    B, S, _ = h0.shape
+    B, S, H = h0.shape
+
+    def buf(key, shape):
+        return _buf(ws, key, shape, h0.dtype)
+
     # (6 * layers + 2, rows, 1, hidden): each modulation broadcasts over positions
     mods = mods.transpose(1, 0, 2)[:, :, None, :]
     cache = {"blocks": []} if for_backward else None
@@ -299,11 +359,11 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
         p = f"blocks.{i}."
         sh1, sc1, g1, sh2, sc2, g2 = mods[6 * i : 6 * i + 6]
 
-        xn1, inv1 = _layernorm(x)
-        xm1 = xn1 * sc1
+        xn1, inv1 = _layernorm(x, y=buf(p + "xn1", x.shape), inv=buf(p + "inv1", (B, S, 1)))
+        xm1 = np.multiply(xn1, sc1, out=buf(p + "xm1", x.shape))
         xm1 += sh1
 
-        qkv = _matmul_rows(xm1, params[p + "attn.wqkv"])
+        qkv = _matmul_rows(xm1, params[p + "attn.wqkv"], out=buf(p + "qkv", (B * S, 3 * H)))
         qkv += params[p + "attn.bqkv"]
         q, k, v = qkv.reshape(B, S, 3, nh, dh).transpose(2, 0, 3, 1, 4)
         if step is not None:
@@ -311,26 +371,32 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
                 k = np.concatenate([step.kv[i][0], k], axis=2)
                 v = np.concatenate([step.kv[i][1], v], axis=2)
             step.kv[i] = (k, v)
-        probs = q @ k.transpose(0, 1, 3, 2)
+        probs = np.matmul(q, k.transpose(0, 1, 3, 2),
+                          out=buf(p + "probs", (B, nh, S, k.shape[2])))
         probs *= scale
         if attn_bias is not None:
             probs += attn_bias
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, S, cfg.hidden)
-        attn_out = _matmul_rows(ctx, params[p + "attn.wo"])
+        heads = np.matmul(probs, v, out=buf("heads", (B, nh, S, dh)))
+        # merge the heads: np.positive is an exact copy that takes out=, and
+        # order="C" makes the array it allocates without ws one reshape can view
+        ctx = np.positive(heads.transpose(0, 2, 1, 3), order="C",
+                          out=buf(p + "ctx", (B, S, nh, dh))).reshape(B, S, H)
+        attn_out = _matmul_rows(ctx, params[p + "attn.wo"], out=buf(p + "attn_out", (B * S, H)))
         attn_out += params[p + "attn.bo"]
-        x2 = g1 * attn_out
+        x2 = np.multiply(g1, attn_out, out=buf("x2", x.shape))
         x2 += x
 
-        xn2, inv2 = _layernorm(x2)
-        xm2 = xn2 * sc2
+        xn2, inv2 = _layernorm(x2, y=buf(p + "xn2", x.shape), inv=buf(p + "inv2", (B, S, 1)))
+        xm2 = np.multiply(xn2, sc2, out=buf(p + "xm2", x.shape))
         xm2 += sh2
-        um = _matmul_rows(xm2, params[p + "mlp.w1"])
+        um = _matmul_rows(xm2, params[p + "mlp.w1"], out=buf(p + "um", (B * S, 4 * H)))
         um += params[p + "mlp.b1"]
-        am, gelu_aux = _gelu(um, cfg.gelu)
-        mlp_out = _matmul_rows(am, params[p + "mlp.w2"])
+        am, gelu_aux = _gelu(um, cfg.gelu, out=buf(p + "am", um.shape),
+                             aux=buf(p + "gelu_aux", um.shape))
+        mlp_out = _matmul_rows(am, params[p + "mlp.w2"], out=buf(p + "mlp_out", (B * S, H)))
         mlp_out += params[p + "mlp.b2"]
 
         if cache is not None:
@@ -342,12 +408,13 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
                 "mlp_out": mlp_out,
                 "sc1": sc1, "g1": g1, "sc2": sc2, "g2": g2,
             })
-        x = g2 * mlp_out
+        # x is dead once x2 holds it, so one residual array serves every block
+        x = np.multiply(g2, mlp_out, out=buf("x", x.shape))
         x += x2
 
     sh_f, sc_f = mods[-2:]
-    xnf, invf = _layernorm(x)
-    xmf = xnf * sc_f
+    xnf, invf = _layernorm(x, y=buf("xnf", x.shape), inv=buf("invf", (B, S, 1)))
+    xmf = np.multiply(xnf, sc_f, out=buf("xmf", x.shape))
     xmf += sh_f
     out = _matmul_rows(xmf, params["head.w"])
     out += params["head.b"]
@@ -356,26 +423,36 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
     return out, cache
 
 
-def _backward_core(params, cfg: ModelConfig, cache, dout):
+def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
     """Backprop through _forward_core and, from cache["timestep"], through
-    timestep_modulations; returns (grads, dh0)."""
+    timestep_modulations; returns (grads, dh0). With ws, a training step's
+    workspace (see _buf), the grads and the MLP branch's 4 * hidden wide
+    temporaries are written into it."""
     nh, dh = cfg.heads, cfg.hidden // cfg.heads
-    B, S, _ = dout.shape
+    B, S, H = dout.shape[0], dout.shape[1], cfg.hidden
+    dtype = dout.dtype
+
     grads = {}
+
+    def linear(w, b, x, dy):
+        """The grads of weight w and bias b from the layer's input x and
+        output grad dy, summed over every row."""
+        x, dy = x.reshape(-1, x.shape[-1]), dy.reshape(-1, dy.shape[-1])
+        grads[w] = np.matmul(x.T, dy, out=_grad_buf(ws, params, w))
+        grads[b] = dy.sum(axis=0, out=_grad_buf(ws, params, b))
+
     tc = cache["timestep"]
     c = tc["c"]
     dc = np.zeros_like(c)
 
     # final layer
-    grads["head.w"] = cache["xmf"].reshape(-1, cfg.hidden).T @ dout.reshape(-1, cfg.out_dim)
-    grads["head.b"] = dout.sum(axis=(0, 1))
+    linear("head.w", "head.b", cache["xmf"], dout)
     dxmf = _matmul_rows(dout, params["head.w"].T)
     dxnf = dxmf * cache["sc_f"]
     dsc_f = (dxmf * cache["xnf"]).sum(axis=1)
     dsh_f = dxmf.sum(axis=1)
     dmod_f = np.concatenate([dsh_f, dsc_f], axis=-1)
-    grads["final.mod.w"] = c.T @ dmod_f
-    grads["final.mod.b"] = dmod_f.sum(axis=0)
+    linear("final.mod.w", "final.mod.b", c, dmod_f)
     dc += dmod_f @ params["final.mod.w"].T
     dx = _layernorm_grad(dxnf, cache["xnf"], cache["invf"])
 
@@ -387,12 +464,14 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         # mlp branch: x3 = x2 + g2 * mlp_out
         dg2 = (dx * bc["mlp_out"]).sum(axis=1)
         dmlp_out = dx * bc["g2"]
-        grads[p + "mlp.w2"] = bc["am"].reshape(-1, 4 * cfg.hidden).T @ dmlp_out.reshape(-1, cfg.hidden)
-        grads[p + "mlp.b2"] = dmlp_out.sum(axis=(0, 1))
-        dam = _matmul_rows(dmlp_out, params[p + "mlp.w2"].T)
-        dum = dam * _gelu_grad(bc["um"], bc["gelu_aux"], cfg.gelu)
-        grads[p + "mlp.w1"] = bc["xm2"].reshape(-1, cfg.hidden).T @ dum.reshape(-1, 4 * cfg.hidden)
-        grads[p + "mlp.b1"] = dum.sum(axis=(0, 1))
+        linear(p + "mlp.w2", p + "mlp.b2", bc["am"], dmlp_out)
+        um = bc["um"]
+        dum = _matmul_rows(dmlp_out, params[p + "mlp.w2"].T,
+                           out=_buf(ws, "dam", (B * S, 4 * H), dtype))
+        dum *= _gelu_grad(um, bc["gelu_aux"], cfg.gelu,
+                          out=_buf(ws, "gelu_grad", um.shape, dtype),
+                          tmp=_buf(ws, "gelu_grad_tmp", um.shape, dtype))
+        linear(p + "mlp.w1", p + "mlp.b1", bc["xm2"], dum)
         dxm2 = _matmul_rows(dum, params[p + "mlp.w1"].T)
         dxn2 = dxm2 * bc["sc2"]
         dsc2 = (dxm2 * bc["xn2"]).sum(axis=1)
@@ -402,8 +481,7 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         # attention branch: x2 = x + g1 * attn_out
         dg1 = (dx2 * bc["attn_out"]).sum(axis=1)
         dattn_out = dx2 * bc["g1"]
-        grads[p + "attn.wo"] = bc["ctx"].reshape(-1, cfg.hidden).T @ dattn_out.reshape(-1, cfg.hidden)
-        grads[p + "attn.bo"] = dattn_out.sum(axis=(0, 1))
+        linear(p + "attn.wo", p + "attn.bo", bc["ctx"], dattn_out)
         dctx = _matmul_rows(dattn_out, params[p + "attn.wo"].T).reshape(B, S, nh, dh).transpose(0, 2, 1, 3)
         probs = bc["probs"]
         dprobs = dctx @ bc["v"].transpose(0, 1, 3, 2)
@@ -412,11 +490,10 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         dq = (dlogits @ bc["k"]) * scale
         dk = (dlogits.transpose(0, 1, 3, 2) @ bc["q"]) * scale
         dqkv = np.concatenate(
-            [a.transpose(0, 2, 1, 3).reshape(B, S, cfg.hidden) for a in (dq, dk, dv)],
+            [a.transpose(0, 2, 1, 3).reshape(B, S, H) for a in (dq, dk, dv)],
             axis=-1,
         )
-        grads[p + "attn.wqkv"] = bc["xm1"].reshape(-1, cfg.hidden).T @ dqkv.reshape(-1, 3 * cfg.hidden)
-        grads[p + "attn.bqkv"] = dqkv.sum(axis=(0, 1))
+        linear(p + "attn.wqkv", p + "attn.bqkv", bc["xm1"], dqkv)
         dxm1 = _matmul_rows(dqkv, params[p + "attn.wqkv"].T)
         dxn1 = dxm1 * bc["sc1"]
         dsc1 = (dxm1 * bc["xn1"]).sum(axis=1)
@@ -424,18 +501,15 @@ def _backward_core(params, cfg: ModelConfig, cache, dout):
         dx = dx2 + _layernorm_grad(dxn1, bc["xn1"], bc["inv1"])
 
         dmod = np.concatenate([dsh1, dsc1, dg1, dsh2, dsc2, dg2], axis=-1)
-        grads[p + "mod.w"] = c.T @ dmod
-        grads[p + "mod.b"] = dmod.sum(axis=0)
+        linear(p + "mod.w", p + "mod.b", c, dmod)
         dc += dmod @ params[p + "mod.w"].T
 
     # timestep embedding path
     dtemb = dc * _silu_grad(tc["temb"], tc["s_temb"])
-    grads["t_mlp.w2"] = tc["a1"].T @ dtemb
-    grads["t_mlp.b2"] = dtemb.sum(axis=0)
+    linear("t_mlp.w2", "t_mlp.b2", tc["a1"], dtemb)
     da1 = dtemb @ params["t_mlp.w2"].T
     du1 = da1 * _silu_grad(tc["u1"], tc["s_u1"])
-    grads["t_mlp.w1"] = tc["f"].T @ du1
-    grads["t_mlp.b1"] = du1.sum(axis=0)
+    linear("t_mlp.w1", "t_mlp.b1", tc["f"], du1)
 
     return grads, dx
 
@@ -592,11 +666,11 @@ def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t,
     return pred[0] if squeeze else pred
 
 
-def forward_ar_all(params, cfg: ModelConfig, tokens, noise, t):
+def forward_ar_all(params, cfg: ModelConfig, tokens, noise, t, ws=None):
     """Teacher-forced predictions for every token in one masked pass.
 
     Returns (eps_hat, cache); eps_hat[:, i] is the prediction for token i and
-    depends only on (tokens, t, noise[:, :i]).
+    depends only on (tokens, t, noise[:, :i]). ws is as in _forward_core.
     """
     if not cfg.ar_mode:
         raise UnsupportedModeError("model config does not enable ar_mode")
@@ -604,8 +678,8 @@ def forward_ar_all(params, cfg: ModelConfig, tokens, noise, t):
     B, n, _ = tokens.shape
     h0 = _embed_ar(params, cfg, tokens, np.asarray(noise)[:, : n - 1, :])
     bias = _ar_bias(n, n - 1, h0.dtype)
-    mods, tcache = timestep_modulations(params, cfg, t, for_backward=True)
-    out, cache = _forward_core(params, cfg, h0, mods, attn_bias=bias)
+    mods, tcache = timestep_modulations(params, cfg, t, for_backward=True, ws=ws)
+    out, cache = _forward_core(params, cfg, h0, mods, attn_bias=bias, ws=ws)
     cache["timestep"] = tcache
     return out[:, n : 2 * n, : cfg.token_dim], cache
 
@@ -614,29 +688,36 @@ def forward_ar_all(params, cfg: ModelConfig, tokens, noise, t):
 # losses with gradients
 
 
-def _embed_grads_nonar(params, cfg, tokens, dh0):
+def _embed_grads_nonar(params, cfg, tokens, dh0, ws=None):
     dtype = params["in_proj.w"].dtype
     tokens = np.asarray(tokens, dtype=dtype)
     td = cfg.token_dim
     g = {
-        "in_proj.w": tokens.reshape(-1, td).T @ dh0.reshape(-1, cfg.hidden),
-        "in_proj.b": dh0.sum(axis=(0, 1)),
+        "in_proj.w": np.matmul(tokens.reshape(-1, td).T, dh0.reshape(-1, cfg.hidden),
+                               out=_grad_buf(ws, params, "in_proj.w")),
+        "in_proj.b": dh0.sum(axis=(0, 1), out=_grad_buf(ws, params, "in_proj.b")),
     }
-    gpos = np.zeros_like(params["pos"])
+    gpos = _zeros(ws, "grad.pos", params["pos"].shape, dtype)
     gpos[: cfg.n_max] = dh0.sum(axis=0)
     g["pos"] = gpos
     return g
 
 
 def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true,
-                         sched=None, x0=None, kl_weight=1e-3):
-    """MSE (plus KL in learned-variance mode) and its parameter gradients."""
+                         sched=None, x0=None, kl_weight=1e-3, ws=None):
+    """MSE (plus KL in learned-variance mode) and its parameter gradients.
+
+    Without ws every returned grad is a fresh array. With ws, a workspace
+    dict that the caller keeps across steps (see _buf), the forward cache,
+    the modulation table and the grads are written into it, so the grads
+    alias ws and hold only until its next use.
+    """
     dtype = params["in_proj.w"].dtype
     xt = np.asarray(xt, dtype=dtype)
     eps_true = np.asarray(eps_true, dtype=dtype)
     h0 = _embed_nonar(params, cfg, xt)
-    mods, tcache = timestep_modulations(params, cfg, t, for_backward=True)
-    out, cache = _forward_core(params, cfg, h0, mods)
+    mods, tcache = timestep_modulations(params, cfg, t, for_backward=True, ws=ws)
+    out, cache = _forward_core(params, cfg, h0, mods, ws=ws)
     cache["timestep"] = tcache
     pred = _split_output(cfg, out)
     eps_hat, v = pred.eps_hat, pred.var_coef
@@ -645,7 +726,7 @@ def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true,
     loss = float(np.mean(diff.astype(np.float64) ** 2))
     deps = (2.0 / numel) * diff
 
-    dout = np.zeros_like(out)
+    dout = _zeros(ws, "dout", out.shape, dtype)
     if cfg.variance_head:
         if sched is None or x0 is None:
             raise ValueError("learned-variance loss needs sched and x0")
@@ -674,12 +755,12 @@ def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true,
     dout[..., : cfg.token_dim] = deps.astype(dtype)
 
     # the core and embedding grads cover disjoint parameters
-    grads, dh0 = _backward_core(params, cfg, cache, dout)
-    grads.update(_embed_grads_nonar(params, cfg, xt, dh0))
+    grads, dh0 = _backward_core(params, cfg, cache, dout, ws=ws)
+    grads.update(_embed_grads_nonar(params, cfg, xt, dh0, ws=ws))
     return loss, grads
 
 
-def _embed_grads_ar(params, cfg, tokens, noise, dh0):
+def _embed_grads_ar(params, cfg, tokens, noise, dh0, ws=None):
     dtype = params["in_proj.w"].dtype
     tokens = np.asarray(tokens, dtype=dtype)
     noise = np.asarray(noise, dtype=dtype)
@@ -688,15 +769,17 @@ def _embed_grads_ar(params, cfg, tokens, noise, dh0):
     d_start = dh0[:, n, :]
     d_noise = dh0[:, n + 1 :, :]
     g = {}
-    g["in_proj.w"] = (tokens.reshape(-1, td).T @ d_data.reshape(-1, cfg.hidden)
-                      + noise.reshape(-1, td).T @ d_noise.reshape(-1, cfg.hidden))
-    g["in_proj.b"] = d_data.sum(axis=(0, 1)) + d_noise.sum(axis=(0, 1))
+    g["in_proj.w"] = np.add(tokens.reshape(-1, td).T @ d_data.reshape(-1, cfg.hidden),
+                            noise.reshape(-1, td).T @ d_noise.reshape(-1, cfg.hidden),
+                            out=_grad_buf(ws, params, "in_proj.w"))
+    g["in_proj.b"] = np.add(d_data.sum(axis=(0, 1)), d_noise.sum(axis=(0, 1)),
+                            out=_grad_buf(ws, params, "in_proj.b"))
     # sequence row i sits at position i
-    gpos = np.zeros_like(params["pos"])
+    gpos = _zeros(ws, "grad.pos", params["pos"].shape, dtype)
     gpos[: dh0.shape[1]] = dh0.sum(axis=0)
     g["pos"] = gpos
-    g["start"] = d_start.sum(axis=0)
-    gseg = np.zeros_like(params["seg"])
+    g["start"] = d_start.sum(axis=0, out=_grad_buf(ws, params, "start"))
+    gseg = _zeros(ws, "grad.seg", params["seg"].shape, dtype)
     gseg[0] = d_data.sum(axis=(0, 1))
     gseg[1] = g["start"]
     gseg[2] = d_noise.sum(axis=(0, 1))
@@ -704,23 +787,24 @@ def _embed_grads_ar(params, cfg, tokens, noise, dh0):
     return g
 
 
-def ar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true):
-    """Sum over tokens of per-token MSE, teacher-forced on the true noise."""
+def ar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true, ws=None):
+    """Sum over tokens of per-token MSE, teacher-forced on the true noise.
+    ws is as in nonar_loss_and_grads."""
     dtype = params["in_proj.w"].dtype
     xt = np.asarray(xt, dtype=dtype)
     eps_true = np.asarray(eps_true, dtype=dtype)
     B, n, td = xt.shape
-    preds, cache = forward_ar_all(params, cfg, xt, eps_true, t)
+    preds, cache = forward_ar_all(params, cfg, xt, eps_true, t, ws=ws)
     diff = preds - eps_true
     # per-token mean squared error, summed over token index
     per_token = np.mean(diff.astype(np.float64) ** 2, axis=(0, 2))
     loss = float(per_token.sum())
     dpred = (2.0 / (B * td)) * diff
     # the sequence is n data rows, START and n - 1 noise rows
-    dout = np.zeros((B, 2 * n, cfg.out_dim), dtype=dtype)
+    dout = _zeros(ws, "dout", (B, 2 * n, cfg.out_dim), dtype)
     dout[:, n : 2 * n, : cfg.token_dim] = dpred.astype(dtype)
-    grads, dh0 = _backward_core(params, cfg, cache, dout)
-    grads.update(_embed_grads_ar(params, cfg, xt, eps_true[:, : n - 1, :], dh0))
+    grads, dh0 = _backward_core(params, cfg, cache, dout, ws=ws)
+    grads.update(_embed_grads_ar(params, cfg, xt, eps_true[:, : n - 1, :], dh0, ws=ws))
     return loss, grads
 
 

@@ -1,4 +1,4 @@
-"""Noise schedules, the closed-form forward process, reverse steps, losses.
+"""Noise schedules, the closed-form forward process and the reverse steps.
 
 All schedule math is done in float64 regardless of the dtype the model uses.
 """
@@ -142,27 +142,3 @@ def ddpm_step(xt, eps_hat, t, sched: Schedule, rng, var_pred=None):
         sigma = np.exp(0.5 * log_var)
     return mu + sigma * rng.standard_normal(mu.shape)
 
-
-def mse_loss(eps_true, eps_pred) -> float:
-    """Mean squared error over every entry of the batch."""
-    a = np.asarray(eps_true, dtype=np.float64)
-    b = np.asarray(eps_pred, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
-
-
-def kl_loss(mu_q, sigma_q, mu_p, sigma_p) -> float:
-    """Mean per-entry KL between matched diagonal Gaussians q and p."""
-    mu_q = np.asarray(mu_q, dtype=np.float64)
-    mu_p = np.asarray(mu_p, dtype=np.float64)
-    sigma_q = np.asarray(sigma_q, dtype=np.float64)
-    sigma_p = np.asarray(sigma_p, dtype=np.float64)
-    if np.any(sigma_q <= 0) or np.any(sigma_p <= 0):
-        raise ValueError("standard deviations must be positive")
-    kl = (
-        np.log(sigma_p / sigma_q)
-        + (sigma_q**2 + (mu_q - mu_p) ** 2) / (2.0 * sigma_p**2)
-        - 0.5
-    )
-    return float(np.mean(kl))

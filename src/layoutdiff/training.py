@@ -20,7 +20,7 @@ import os
 import struct
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,6 +84,10 @@ class TrainState:
     data_cfg: DatasetConfig
     train_cfg: TrainConfig
     sched: S.Schedule
+    # the train steps' workspace: the forward cache, the grads and the
+    # backward's widest temporaries, kept across steps so that each step
+    # reuses the last one's memory (see model._buf); not checkpointed
+    workspace: dict = field(default_factory=dict, repr=False)
 
 
 def init_state(train_cfg: TrainConfig, model_cfg: M.ModelConfig,
@@ -198,13 +202,14 @@ def _check_finite(loss, state: TrainState, snapshot_dir=None):
 
 
 def train_step_nonar(state: TrainState, batch, snapshot_dir=None) -> float:
-    """One noising draw, one forward/backward, one AdamW update."""
+    """One noising draw, one forward/backward, one AdamW update. The grads
+    handed to AdamW alias state.workspace, which the next step overwrites."""
     xt, t, eps = _draw_noising(state, batch)
     loss, grads = M.nonar_loss_and_grads(
         state.params, state.model_cfg, xt, t, eps,
         sched=state.sched if state.model_cfg.variance_head else None,
         x0=np.asarray(batch, dtype=np.float64) if state.model_cfg.variance_head else None,
-        kl_weight=state.train_cfg.kl_weight,
+        kl_weight=state.train_cfg.kl_weight, ws=state.workspace,
     )
     _check_finite(loss, state, snapshot_dir)
     adamw_update(state, grads)
@@ -212,9 +217,11 @@ def train_step_nonar(state: TrainState, batch, snapshot_dir=None) -> float:
 
 
 def train_step_ar(state: TrainState, batch, snapshot_dir=None) -> float:
-    """Teacher-forced AR step; all token passes share one (t, eps) draw."""
+    """Teacher-forced AR step; all token passes share one (t, eps) draw. The
+    grads alias state.workspace, as in train_step_nonar."""
     xt, t, eps = _draw_noising(state, batch)
-    loss, grads = M.ar_loss_and_grads(state.params, state.model_cfg, xt, t, eps)
+    loss, grads = M.ar_loss_and_grads(state.params, state.model_cfg, xt, t, eps,
+                                      ws=state.workspace)
     _check_finite(loss, state, snapshot_dir)
     adamw_update(state, grads)
     return loss

@@ -215,6 +215,19 @@ class TestRequiredValues:
         assert not out.exists()
 
 
+class TestRecord:
+    @pytest.mark.parametrize("command,key", [("train", "--data"), ("sample", "--checkpoint")])
+    def test_run_failing_on_its_input_leaves_no_record(self, tmp_path, capsys, command, key):
+        """resolved_config.json marks a run whose inputs loaded; a run that
+        cannot read its input still prints its config first."""
+        out = tmp_path / "s"
+        code, printed, err = run(capsys, command, key, str(tmp_path / "nope"),
+                                 "--out", str(out))
+        assert code == 1 and err.startswith("error: FileNotFoundError")
+        assert printed_config(printed)["command"] == command
+        assert not (out / "resolved_config.json").exists()
+
+
 class TestTrain:
     def test_produces_checkpoint_and_log(self, tmp_path, checkpoint):
         assert os.path.exists(checkpoint)

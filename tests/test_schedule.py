@@ -9,8 +9,6 @@ from layoutdiff.schedule import (
     build_schedule,
     ddim_step,
     ddpm_step,
-    kl_loss,
-    mse_loss,
     posterior_moments,
     predict_x0,
     q_sample,
@@ -227,27 +225,3 @@ class TestReverseSteps:
         with pytest.raises(ValueError):
             ddpm_step(np.zeros(2), np.zeros(2), 100, s, np.random.default_rng(0))
 
-
-class TestLosses:
-    def test_mse_frozen(self):
-        assert mse_loss([0.0, 0.0], [1.0, 3.0]) == 5.0
-
-    def test_mse_zero_on_equal(self):
-        x = np.random.default_rng(0).standard_normal((3, 16))
-        assert mse_loss(x, x) == 0.0
-
-    def test_kl_zero_on_matched(self):
-        assert kl_loss([0.5], [2.0], [0.5], [2.0]) == 0.0
-
-    def test_kl_frozen_value(self):
-        # KL(N(0,1) || N(1,1)) = 0.5
-        assert kl_loss([0.0], [1.0], [1.0], [1.0]) == pytest.approx(0.5)
-
-    def test_kl_positive_and_asymmetric(self):
-        a = kl_loss([0.0], [1.0], [0.0], [2.0])
-        b = kl_loss([0.0], [2.0], [0.0], [1.0])
-        assert a > 0 and b > 0 and a != b
-
-    def test_kl_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            kl_loss([0.0], [0.0], [0.0], [1.0])

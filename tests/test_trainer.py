@@ -1,12 +1,14 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from layoutdiff import model as M
 from layoutdiff.core import DatasetConfig, tokenize_layout
 from layoutdiff.data import synth_layout_corpus
-from layoutdiff.model import ModelConfig, forward_nonar
+from layoutdiff.model import ModelConfig, forward_nonar, nonar_loss_and_grads
 from layoutdiff.schedule import ConfigError, build_schedule
 from layoutdiff.training import (
     CKPT_MAGIC,
@@ -237,6 +239,95 @@ class TestTrainLoop:
             finals.append(state.params)
         for k in finals[0]:
             assert np.array_equal(finals[0][k], finals[1][k])
+
+
+class TestWorkspace:
+    """Train steps write their forward cache and grads into the state's
+    workspace, reused from step to step; the bytes must be those of steps
+    whose loss calls get no workspace and allocate every array."""
+
+    KINDS = {
+        "onepass": TINY,
+        "variance": ModelConfig(layers=2, heads=2, hidden=16, n_max=4, variance_head=True),
+        "ar": TINY_AR,
+    }
+
+    @staticmethod
+    def without_workspace(monkeypatch):
+        for name in ("nonar_loss_and_grads", "ar_loss_and_grads"):
+            fn = getattr(M, name)
+            monkeypatch.setattr(M, name, lambda *a, _fn=fn, ws=None, **kw: _fn(*a, **kw))
+
+    def train(self, kind, dtype, batch_sizes):
+        cfg = self.KINDS[kind]
+        state = init_state(TrainConfig(seed=31, lr=1e-3, variant="ar" if cfg.ar_mode else "nonar"),
+                           cfg, DCFG, build_schedule(20), dtype=dtype)
+        step = train_step_ar if cfg.ar_mode else train_step_nonar
+        tokens = corpus_tokens()
+        losses = [step(state, tokens[:b]) for b in batch_sizes]
+        return state, losses
+
+    def assert_same_state(self, a, b):
+        for group in ("params", "adam_m", "adam_v"):
+            x, y = getattr(a, group), getattr(b, group)
+            for k in x:
+                assert x[k].tobytes() == y[k].tobytes(), (group, k)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_same_bytes_as_fresh_arrays(self, monkeypatch, kind, dtype):
+        state, losses = self.train(kind, dtype, [8] * 4)
+        assert state.workspace
+        with monkeypatch.context() as mp:
+            self.without_workspace(mp)
+            fresh, fresh_losses = self.train(kind, dtype, [8] * 4)
+        assert fresh.workspace == {}
+        assert losses == fresh_losses
+        self.assert_same_state(state, fresh)
+
+    def test_batch_size_change_remakes_buffers(self, monkeypatch):
+        state, losses = self.train("onepass", np.float32, [8, 5, 8, 5])
+        assert state.workspace["blocks.0.xn1"].shape[0] == 5
+        with monkeypatch.context() as mp:
+            self.without_workspace(mp)
+            fresh, fresh_losses = self.train("onepass", np.float32, [8, 5, 8, 5])
+        assert losses == fresh_losses
+        self.assert_same_state(state, fresh)
+
+    def test_calls_without_workspace_return_fresh_grads(self):
+        params = M.init_params(TINY, seed=0)
+        rng = np.random.default_rng(0)
+        xt, eps = rng.standard_normal((2, 3, 4, 16))
+        t = np.array([1, 7, 13])
+        _, first = nonar_loss_and_grads(params, TINY, xt, t, eps)
+        _, second = nonar_loss_and_grads(params, TINY, xt, t, eps)
+        for k in first:
+            assert not np.shares_memory(first[k], second[k]), k
+
+    def test_warm_step_allocates_a_third_of_the_first(self):
+        """Once the workspace holds the cache and grads, a step's traced
+        peak above its start is the temporaries alone."""
+        cfg = ModelConfig(layers=2, heads=2, hidden=64, n_max=8)
+        dcfg = DatasetConfig(n_max=8, num_categories=5, h_max=256.0, w_max=256.0)
+        state = init_state(TrainConfig(seed=32), cfg, dcfg)
+        tokens = corpus_tokens(n_max=8)
+        rises = []
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                train_step_nonar(state, tokens)
+                rises.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert rises[2] <= rises[0] / 3, rises
+
+    def test_checkpoint_holds_no_workspace(self, tmp_path):
+        state, _ = self.train("onepass", np.float32, [8])
+        path = str(tmp_path / "ws.ckpt")
+        save_checkpoint(path, state)
+        assert load_checkpoint(path).workspace == {}
 
 
 class TestCheckpoint:
