@@ -35,7 +35,11 @@ def _max_threads() -> int:
     v = os.environ.get("DOLFIN_THREADS")
     if not v:
         return 1
-    return max(1, min(int(v), os.cpu_count() or 1))
+    try:
+        n = int(v)
+    except ValueError:
+        raise ValueError(f"DOLFIN_THREADS must be an integer, got {v!r}") from None
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 def _checked(path, key, action, value):

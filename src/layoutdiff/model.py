@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schedule import ConfigError
+from .schedule import ConfigError, learned_log_variance, posterior_moments
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -730,18 +730,13 @@ def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true,
     if cfg.variance_head:
         if sched is None or x0 is None:
             raise ValueError("learned-variance loss needs sched and x0")
-        t_arr = np.asarray(t)
-        beta_t = sched.beta[t_arr].reshape(-1, 1, 1)
-        alpha_t = sched.alpha[t_arr].reshape(-1, 1, 1)
-        ab_t = sched.alpha_bar[t_arr].reshape(-1, 1, 1)
-        ab_prev = np.asarray(sched.abar(t_arr - 1)).reshape(-1, 1, 1)
-        denom = 1.0 - ab_t
-        mu_q = (np.sqrt(ab_prev) * beta_t / denom) * np.asarray(x0, dtype=np.float64) + (
-            np.sqrt(alpha_t) * (1.0 - ab_prev) / denom
-        ) * xt.astype(np.float64)
-        beta_tilde = np.maximum((1.0 - ab_prev) / denom * beta_t, 1e-20)
-        mu_p = (xt.astype(np.float64) - beta_t / np.sqrt(denom) * eps_hat) / np.sqrt(alpha_t)
-        log_var_p = v * np.log(beta_t) + (1.0 - v) * np.log(beta_tilde)
+        xt64 = xt.astype(np.float64)
+        mu_q, beta_tilde = posterior_moments(x0, xt64, t, sched)
+        log_var_p, beta_tilde = learned_log_variance(v, beta_tilde, t, sched)
+        beta_t = sched.beta[t].reshape(-1, 1, 1)
+        alpha_t = sched.alpha[t].reshape(-1, 1, 1)
+        denom = 1.0 - sched.alpha_bar[t].reshape(-1, 1, 1)
+        mu_p = (xt64 - beta_t / np.sqrt(denom) * eps_hat) / np.sqrt(alpha_t)
         var_p = np.exp(log_var_p)
         delta2 = (mu_q - mu_p) ** 2
         kl = 0.5 * log_var_p - 0.5 * np.log(beta_tilde) + (beta_tilde + delta2) / (2.0 * var_p) - 0.5

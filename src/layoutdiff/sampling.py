@@ -101,10 +101,17 @@ def sample_tokens(predictor, sched: S.Schedule, shape, rng, method="ddpm",
     shape is (n_max, token_dim) for one sample or (B, n_max, token_dim) for a
     batch. predictor(x, t) must return the predicted noise for the whole
     batch; it may also return a VariancePrediction to supply a learned
-    variance to the DDPM step. Raises FloatingPointError naming the sample
-    and t as soon as a reverse step yields a non-finite entry. Returns
+    variance to the DDPM step. Raises ValueError on a bad method, eta or
+    capture_stride before x_T is drawn, and FloatingPointError naming the
+    sample and t as soon as a reverse step yields a non-finite entry. Returns
     (x0, trajectory-or-None).
     """
+    if method not in ("ddpm", "ddim"):
+        raise ValueError(f"method must be 'ddpm' or 'ddim', got {method!r}")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    if capture_stride is not None and capture_stride < 1:
+        raise ValueError(f"capture_stride must be >= 1, got {capture_stride}")
     T = sched.T
     x = rng.standard_normal(shape)
     x = apply_condition(x, cond, T - 1, sched, rng)
@@ -120,10 +127,8 @@ def sample_tokens(predictor, sched: S.Schedule, shape, rng, method="ddpm",
             eps_hat, var_coef = pred, None
         if method == "ddpm":
             x = S.ddpm_step(x, eps_hat, t, sched, rng, var_pred=var_coef)
-        elif method == "ddim":
-            x = S.ddim_step(x, eps_hat, t, t - 1, eta, sched, rng)
         else:
-            raise ValueError(f"unknown sampling method {method!r}")
+            x = S.ddim_step(x, eps_hat, t, t - 1, eta, sched, rng)
         finite = np.isfinite(x).reshape(-1, *shape[-2:]).all(axis=(1, 2))
         if not finite.all():
             raise FloatingPointError(
@@ -176,6 +181,8 @@ def _sample(make_predictor, params, cfg: M.ModelConfig, sched: S.Schedule,
     once for the whole schedule; make_predictor(table) gives the predictor
     that reads one row of the table per step.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     _check_compat(params, cfg, data_cfg)
     table, _ = M.timestep_modulations(params, cfg, np.arange(sched.T))
     tokens, traj = sample_tokens(

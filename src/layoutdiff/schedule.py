@@ -73,12 +73,12 @@ def predict_x0(xt, eps_hat, t, sched: Schedule):
 
 
 def posterior_moments(x0, xt, t, sched: Schedule):
-    """Mean and std of q(x_{t-1} | x_t, x_0) for a diagonal Gaussian."""
+    """Mean and variance beta_tilde_t of q(x_{t-1} | x_t, x_0), a diagonal
+    Gaussian. The variance is one value per step, broadcastable to the mean."""
     x0 = np.asarray(x0, dtype=np.float64)
     xt = np.asarray(xt, dtype=np.float64)
-    t_arr = np.asarray(t)
     ab_t = _gather(sched.alpha_bar, t, x0.ndim)
-    ab_prev = np.asarray(sched.abar(t_arr - 1))
+    ab_prev = np.asarray(sched.abar(np.asarray(t) - 1))
     ab_prev = ab_prev.reshape(ab_prev.shape + (1,) * (x0.ndim - ab_prev.ndim))
     beta_t = _gather(sched.beta, t, x0.ndim)
     alpha_t = _gather(sched.alpha, t, x0.ndim)
@@ -86,9 +86,16 @@ def posterior_moments(x0, xt, t, sched: Schedule):
     mu = (np.sqrt(ab_prev) * beta_t / denom) * x0 + (
         np.sqrt(alpha_t) * (1.0 - ab_prev) / denom
     ) * xt
-    beta_tilde = (1.0 - ab_prev) / denom * beta_t
-    sigma = np.sqrt(beta_tilde) * np.ones_like(mu)
-    return mu, sigma
+    return mu, (1.0 - ab_prev) / denom * beta_t
+
+
+def learned_log_variance(v, beta_tilde, t, sched: Schedule):
+    """v log(beta_t) + (1 - v) log(beta_tilde_t) per entry of v (Nichol &
+    Dhariwal, arXiv:2102.09672, eq. 15), and its lower end. Where beta_tilde_t
+    = 0, at t = 0, the range collapses to beta_t: both ends are log(beta_t)."""
+    beta_t = _gather(sched.beta, t, np.ndim(beta_tilde))
+    lower = np.where(beta_tilde > 0, beta_tilde, beta_t)
+    return v * np.log(beta_t) + (1.0 - v) * np.log(lower), lower
 
 
 def ddim_step(xt, eps_hat, t, t_prev, eta, sched: Schedule, rng=None):
@@ -101,7 +108,7 @@ def ddim_step(xt, eps_hat, t, t_prev, eta, sched: Schedule, rng=None):
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     ab_t = float(sched.alpha_bar[t])
     ab_prev = float(sched.abar(t_prev))
-    x0_pred = (xt - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t)
+    x0_pred = predict_x0(xt, eps_hat, t, sched)
     sigma = (
         eta
         * np.sqrt((1.0 - ab_prev) / (1.0 - ab_t))
@@ -130,15 +137,10 @@ def ddpm_step(xt, eps_hat, t, sched: Schedule, rng, var_pred=None):
     if xt.shape != eps_hat.shape:
         raise ValueError(f"xt shape {xt.shape} != eps_hat shape {eps_hat.shape}")
     x0_pred = predict_x0(xt, eps_hat, t, sched)
-    mu, sigma = posterior_moments(x0_pred, xt, t, sched)
+    mu, var = posterior_moments(x0_pred, xt, t, sched)
     if t == 0:
         return mu
-    if var_pred is not None:
-        beta_t = float(sched.beta[t])
-        beta_tilde = float(sigma.flat[0] ** 2)
-        log_var = np.asarray(var_pred) * np.log(beta_t) + (
-            1.0 - np.asarray(var_pred)
-        ) * np.log(beta_tilde)
-        sigma = np.exp(0.5 * log_var)
-    return mu + sigma * rng.standard_normal(mu.shape)
-
+    if var_pred is None:
+        return mu + np.sqrt(var) * rng.standard_normal(mu.shape)
+    log_var, _ = learned_log_variance(var_pred, var, t, sched)
+    return mu + np.exp(0.5 * log_var) * rng.standard_normal(mu.shape)

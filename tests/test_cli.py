@@ -315,6 +315,19 @@ class TestSample:
                            "--out", str(tmp_path / "x"), "--mask", "cate")
         assert code == 1 and "cond-data" in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "0"], "n_samples must be >= 1, got 0"),
+        (["--n", "-1"], "n_samples must be >= 1, got -1"),
+        (["--capture-stride", "-3"], "capture_stride must be >= 1, got -3"),
+        (["--capture-stride", "0"], "capture_stride must be >= 1, got 0"),
+        (["--eta", "1.5", "--method", "ddim"], "eta must be in [0, 1], got 1.5"),
+    ], ids=["n-0", "n-neg", "stride-neg", "stride-0", "eta"])
+    def test_bad_sampler_argument_fails(self, tmp_path, checkpoint, capsys, args, message):
+        code, _, err = run(capsys, "sample", "--checkpoint", checkpoint,
+                           "--out", str(tmp_path / "x"), *args)
+        assert code == 1 and err.count("\n") == 1
+        assert err == f"error: ValueError: {message}\n"
+
 
 class TestEval:
     def test_metric_report(self, tmp_path, corpus, capsys):
@@ -357,6 +370,13 @@ class TestRender:
         code, _, _ = run(capsys, "render", "--data", corpus, "--out", str(out))
         assert code == 0
         assert len([f for f in os.listdir(out) if f.endswith(".svg")]) == 12
+
+    def test_bad_thread_env_var_named(self, tmp_path, corpus, capsys, monkeypatch):
+        monkeypatch.setenv("DOLFIN_THREADS", "abc")
+        code, _, err = run(capsys, "render", "--data", corpus,
+                           "--out", str(tmp_path / "renders3"))
+        assert code == 1
+        assert err == "error: ValueError: DOLFIN_THREADS must be an integer, got 'abc'\n"
 
     def test_byte_identical_across_runs(self, tmp_path, corpus, capsys):
         blobs = []

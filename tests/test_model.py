@@ -28,7 +28,7 @@ from layoutdiff.model import (
     timestep_modulations,
     train_adapter,
 )
-from layoutdiff.schedule import ConfigError, build_schedule
+from layoutdiff.schedule import ConfigError, build_schedule, q_sample
 
 TINY = ModelConfig(layers=2, heads=2, hidden=8, n_max=3)
 TINY_AR = ModelConfig(layers=2, heads=2, hidden=8, n_max=3, ar_mode=True)
@@ -196,21 +196,41 @@ class TestGradients:
         rng = np.random.default_rng(17)
         x0 = rng.uniform(-1, 1, (2, 3, 16))
         eps = rng.standard_normal((2, 3, 16))
-        t = np.array([5, 60])
-        from layoutdiff.schedule import q_sample
-        xt = q_sample(x0, t, eps, sched)
         kw = dict(sched=sched, x0=x0, kl_weight=1e-3)
-        _, grads = nonar_loss_and_grads(params, cfg, xt, t, eps, **kw)
-        errs = relative_errors(
-            lambda p: nonar_loss_and_grads(p, cfg, xt, t, eps, **kw)[0],
-            params, grads, seed=18, n_coords=300)
-        # the KL term's gradients can sit near the finite-difference noise
-        # floor (~1e-8); the 1e-6 denominator floor absorbs that
-        assert errs.max() < 2e-3
+        # t = 0, where beta_tilde_0 = 0, takes the collapsed variance range
+        for t in (np.array([5, 60]), np.array([0, 60])):
+            xt = q_sample(x0, t, eps, sched)
+            _, grads = nonar_loss_and_grads(params, cfg, xt, t, eps, **kw)
+            errs = relative_errors(
+                lambda p: nonar_loss_and_grads(p, cfg, xt, t, eps, **kw)[0],
+                params, grads, seed=18, n_coords=300)
+            # the KL term's gradients can sit near the finite-difference noise
+            # floor (~1e-8); the 1e-6 denominator floor absorbs that
+            assert errs.max() < 2e-3, t
 
 
 class TestGradientsErf(TestGradients):
     GELU = "erf"
+
+
+def test_variance_loss_at_t0_on_the_scale_of_t1():
+    """beta_tilde_0 = 0 collapses the learned variance's range to beta_0, so a
+    batch at t = 0 scores like the same batch at t = 1 instead of dividing by
+    a floored zero variance."""
+    cfg = ModelConfig(layers=2, heads=2, hidden=8, n_max=3, variance_head=True)
+    sched = build_schedule(100)
+    params = random_params(cfg, 16)
+    rng = np.random.default_rng(17)
+    x0 = rng.uniform(-1, 1, (2, 3, 16))
+    eps = rng.standard_normal((2, 3, 16))
+
+    def loss_at(t):
+        t = np.array([t, t])
+        xt = q_sample(x0, t, eps, sched)
+        return nonar_loss_and_grads(params, cfg, xt, t, eps, sched=sched, x0=x0)[0]
+
+    at0, at1 = loss_at(0), loss_at(1)
+    assert at1 / 10 < at0 < 10 * at1
 
 
 class TestGradDict:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -127,6 +128,34 @@ class TestSampleTokens:
         with pytest.raises(ValueError):
             sample_tokens(zero_predictor, SCHED, (1, 16),
                           np.random.default_rng(0), method="euler")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(method="euler"), "method must be 'ddpm' or 'ddim', got 'euler'"),
+        (dict(method="ddim", eta=1.5), "eta must be in [0, 1], got 1.5"),
+        (dict(eta=-0.5), "eta must be in [0, 1], got -0.5"),
+        (dict(eta=float("nan")), "eta must be in [0, 1], got nan"),
+        (dict(capture_stride=0), "capture_stride must be >= 1, got 0"),
+        (dict(capture_stride=-3), "capture_stride must be >= 1, got -3"),
+        (dict(n_samples=0), "n_samples must be >= 1, got 0"),
+        (dict(n_samples=-1), "n_samples must be >= 1, got -1"),
+    ], ids=["method", "eta-1.5", "eta-neg", "eta-nan", "stride-0", "stride-neg",
+            "n-0", "n-neg"])
+    def test_bad_argument_fails_before_x_T(self, kwargs, message):
+        """One ValueError naming the argument, before any draw or model call."""
+        class NoDraws:
+            def standard_normal(self, shape):
+                raise AssertionError("x_T was drawn")
+
+        def no_model(x, t):
+            raise AssertionError("the model was called")
+
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if "n_samples" in kwargs:
+                cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=4)
+                sample_nonar(init_params(cfg, seed=0), cfg, SCHED, DCFG,
+                             kwargs["n_samples"], seed=0)
+            else:
+                sample_tokens(no_model, SCHED, (1, 16), NoDraws(), **kwargs)
 
     def test_trajectory_capture_counts(self):
         for stride in (1, 7, 25, 100):

@@ -109,26 +109,26 @@ class TestQSample:
 
 class TestPosterior:
     def test_t0_collapses_to_x0(self):
-        # abar(-1) = 1 makes the posterior mean equal x0 with tiny variance
+        # abar(-1) = 1 makes the posterior mean equal x0 with zero variance
         s = build_schedule(100)
         x0 = np.array([0.3, -0.7])
         xt = np.array([1.0, 2.0])
-        mu, sigma = posterior_moments(x0, xt, 0, s)
+        mu, var = posterior_moments(x0, xt, 0, s)
         assert np.allclose(mu, x0)
-        assert np.allclose(sigma, 0.0)
+        assert var == 0.0
 
     def test_matches_scalar_formula(self):
         s = build_schedule(100)
         rng = np.random.default_rng(1)
         x0, xt = rng.standard_normal((2, 5))
         for t in [1, 17, 99]:
-            mu, sigma = posterior_moments(x0, xt, t, s)
+            mu, var = posterior_moments(x0, xt, t, s)
             ab_t, ab_p = s.alpha_bar[t], s.alpha_bar[t - 1]
             mu_ref = (np.sqrt(ab_p) * s.beta[t] * x0
                       + np.sqrt(s.alpha[t]) * (1 - ab_p) * xt) / (1 - ab_t)
             var_ref = (1 - ab_p) / (1 - ab_t) * s.beta[t]
             assert np.allclose(mu, mu_ref)
-            assert np.allclose(sigma**2, var_ref)
+            assert np.allclose(var, var_ref)
 
 
 class TestReverseSteps:
@@ -164,12 +164,13 @@ class TestReverseSteps:
         eps_hat = rng.standard_normal(6)
         t = 40
         x0_pred = predict_x0(xt, eps_hat, t, s)
-        mu, sigma = posterior_moments(x0_pred, xt, t, s)
+        mu, var = posterior_moments(x0_pred, xt, t, s)
+        sigma = np.sqrt(var)
         draws_ddim = np.stack([
             ddim_step(xt, eps_hat, t, t - 1, 1.0, s, np.random.default_rng(i))
             for i in range(4000)
         ])
-        assert np.allclose(draws_ddim.mean(axis=0), mu, atol=6 * sigma.max() / np.sqrt(4000))
+        assert np.allclose(draws_ddim.mean(axis=0), mu, atol=6 * sigma / np.sqrt(4000))
         assert np.allclose(draws_ddim.std(axis=0), sigma, rtol=0.1)
 
     def test_ddim_bad_args(self):
@@ -212,8 +213,8 @@ class TestReverseSteps:
         xt = np.zeros(4)
         eps_hat = np.zeros(4)
         t = 30
-        mu, sigma_tilde = posterior_moments(predict_x0(xt, eps_hat, t, s), xt, t, s)
-        for v, expect_var in [(0.0, sigma_tilde.flat[0] ** 2), (1.0, s.beta[t])]:
+        _, var_tilde = posterior_moments(predict_x0(xt, eps_hat, t, s), xt, t, s)
+        for v, expect_var in [(0.0, var_tilde), (1.0, s.beta[t])]:
             draws = np.stack([
                 ddpm_step(xt, eps_hat, t, s, np.random.default_rng(i), var_pred=v)
                 for i in range(4000)
