@@ -34,8 +34,8 @@ for sigma in (0.0, 2.0, 8.0):
     generated = jitter(reference, sigma, seed=1)
     report = evaluate_layout_corpora(
         generated, reference,
-        images_generated=[rasterize(l, size=64) for l in generated],
-        images_reference=[rasterize(l, size=64) for l in reference],
+        images_generated=[rasterize(l) for l in generated],
+        images_reference=[rasterize(l) for l in reference],
     )
     s = report.scalars
     print(f"{sigma:6.1f} {s['alignment']:8.3f} {s['overlap']:8.3f} "

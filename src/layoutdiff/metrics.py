@@ -340,23 +340,29 @@ class MetricReport:
 def _finish_report(report, generated, reference, images_generated, images_reference,
                    extractor) -> MetricReport:
     """Add the feature distance when renders are supplied, then the meta: the
-    corpus sizes and a hash of the canonical records of both corpora plus the
-    feature extractor's parameters."""
+    corpus sizes, the render shape, and a hash of the canonical records of
+    both corpora plus the render shape and the feature extractor's
+    parameters. Renders for one side only raise ValueError naming the
+    missing one."""
     inputs = {"generated": [_record_dict(r) for r in generated],
               "reference": [_record_dict(r) for r in reference]}
-    if images_generated is not None and images_reference is not None:
+    meta = {"n_generated": len(generated), "n_reference": len(reference)}
+    if (images_generated is None) != (images_reference is None):
+        missing = "images_generated" if images_generated is None else "images_reference"
+        raise ValueError(f"renders were given for one side only: {missing} is missing")
+    if images_generated is not None:
         if extractor is None:
             extractor = RandomProjectionExtractor()
+        images_generated = list(images_generated)
         report.scalars["feature_distance"] = feature_distance(
             images_generated, images_reference, extractor
         )
+        # feature_distance has checked that every render has image 0's size
+        meta["render_shape"] = inputs["render_shape"] = list(np.shape(images_generated[0]))
         inputs["extractor"] = {"dim": getattr(extractor, "dim", None),
                                "seed": getattr(extractor, "seed", None)}
-    report.meta = {
-        "n_generated": len(generated),
-        "n_reference": len(reference),
-        "config_hash": hashlib.sha256(_dump(inputs).encode()).hexdigest()[:12],
-    }
+    meta["config_hash"] = hashlib.sha256(_dump(inputs).encode()).hexdigest()[:12]
+    report.meta = meta
     return report
 
 

@@ -1,5 +1,5 @@
 """Deterministic SVG rendering for layouts, segment sets, and trajectories,
-plus a minimal fixed-resolution rasterizer feeding the feature-distance proxy.
+plus a minimal rasterizer (64 px by default) feeding the feature-distance proxy.
 
 SVG output is plain text with fixed number formatting, so identical inputs
 produce byte-identical documents.
@@ -107,23 +107,27 @@ def render_trajectory(trajectory, data_cfg: DatasetConfig, outdir: str,
 
 
 # ---------------------------------------------------------------------------
-# minimal rasterizer (fixed 256x256, for the feature-distance proxy)
+# minimal rasterizer for the feature-distance proxy, 64x64 by default: the
+# projection of a 64 px render is 12288 x 32 (3 MiB, one block) where a
+# 256 px render's is 48 MiB, and a 96 KiB render stays below glibc's mmap
+# threshold, so it is not mapped and faulted in on every call. The price is
+# resolution: a shift below one pixel (W / 64 scene units) may not show.
 
 _HEX = {c: tuple(int(c[i : i + 2], 16) / 255.0 for i in (1, 3, 5)) for c in PALETTE}
 
 
-def rasterize(item, size: int = 256, style: RenderStyle = RenderStyle()) -> np.ndarray:
+def rasterize(item, size: int = 64, style: RenderStyle = RenderStyle()) -> np.ndarray:
     """Rasterize a Layout or segment sequence to a (size, size, 3) float image
     in [0, 1], white background, row 0 at the top (matching the SVG)."""
     img = np.ones((size, size, 3))
     if isinstance(item, Layout):
+        a = style.opacity
         for b in item.boxes:
-            x0 = int(np.clip(round(b.x / item.W * size), 0, size))
-            x1 = int(np.clip(round((b.x + b.w) / item.W * size), 0, size))
-            y1 = int(np.clip(round((1.0 - b.y / item.H) * size), 0, size))
-            y0 = int(np.clip(round((1.0 - (b.y + b.h) / item.H) * size), 0, size))
+            x0 = int(min(max(round(b.x / item.W * size), 0), size))
+            x1 = int(min(max(round((b.x + b.w) / item.W * size), 0), size))
+            y1 = int(min(max(round((1.0 - b.y / item.H) * size), 0), size))
+            y0 = int(min(max(round((1.0 - (b.y + b.h) / item.H) * size), 0), size))
             color = np.array(_HEX[style.fill(b.c)])
-            a = style.opacity
             img[y0:y1, x0:x1] = (1 - a) * img[y0:y1, x0:x1] + a * color
     else:
         for seg in item:

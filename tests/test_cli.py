@@ -341,6 +341,7 @@ class TestEval:
         assert scalars["overlap"] == 0.0
         assert scalars["max_iou"] == pytest.approx(1.0)
         assert scalars["feature_distance"] == pytest.approx(0.0, abs=1e-6)
+        assert report["report"]["meta"]["render_shape"] == [64, 64, 3]
         assert "alignment" in printed
 
     def test_timing_reports_both_variants(self, tmp_path, capsys):

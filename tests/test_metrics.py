@@ -558,6 +558,34 @@ class TestReports:
         assert len({plain, default, h(RandomProjectionExtractor(dim=16)),
                     h(RandomProjectionExtractor(seed=1))}) == 4
 
+    @pytest.mark.parametrize("suite", ["layout", "segment"])
+    @pytest.mark.parametrize("missing", ["images_generated", "images_reference"])
+    def test_renders_for_one_side_rejected(self, suite, missing):
+        from layoutdiff.render import rasterize
+        if suite == "layout":
+            evaluate, (_, items) = evaluate_layout_corpora, synth_layout_corpus(9, 3, style="grid")
+        else:
+            evaluate, (_, items) = evaluate_segment_corpora, synth_segment_corpus(9, 3, k_segments=3)
+        images = {"images_generated": [rasterize(x) for x in items],
+                  "images_reference": [rasterize(x) for x in items]}
+        del images[missing]
+        with pytest.raises(ValueError, match=rf"one side only: {missing} is missing"):
+            evaluate(items, items, **images)
+
+    def test_render_shape_in_meta_and_hash(self):
+        from layoutdiff.render import rasterize
+        _, layouts = synth_layout_corpus(10, 4, style="grid")
+
+        def meta(images):
+            return evaluate_layout_corpora(layouts, layouts, images, images).meta
+
+        default = meta([rasterize(l) for l in layouts])
+        small = meta([rasterize(l, size=32) for l in layouts])
+        assert default["render_shape"] == [64, 64, 3]
+        assert small["render_shape"] == [32, 32, 3]
+        assert small["config_hash"] != meta([rasterize(l, size=64) for l in layouts])["config_hash"]
+        assert "render_shape" not in evaluate_layout_corpora(layouts, layouts).meta
+
     def test_report_json_roundtrip(self):
         import json
         rep = MetricReport(scalars={"a": 1.0}, meta={"n": 2})

@@ -99,3 +99,45 @@ class TestRasterize:
 
     def test_deterministic(self):
         assert np.array_equal(rasterize(layout(), 32), rasterize(layout(), 32))
+
+    def test_default_size_is_64(self):
+        assert rasterize(layout()).shape == (64, 64, 3)
+
+
+PALETTE_RGB = {c: tuple(int(c[i:i + 2], 16) / 255.0 for i in (1, 3, 5)) for c in PALETTE}
+
+
+def _rasterize_layout_oracle(item, size, style=RenderStyle()):
+    """The layout branch, clamping each edge with np.clip."""
+    img = np.ones((size, size, 3))
+    for b in item.boxes:
+        x0 = int(np.clip(round(b.x / item.W * size), 0, size))
+        x1 = int(np.clip(round((b.x + b.w) / item.W * size), 0, size))
+        y1 = int(np.clip(round((1.0 - b.y / item.H) * size), 0, size))
+        y0 = int(np.clip(round((1.0 - (b.y + b.h) / item.H) * size), 0, size))
+        color = np.array(PALETTE_RGB[style.fill(b.c)])
+        a = style.opacity
+        img[y0:y1, x0:x1] = (1 - a) * img[y0:y1, x0:x1] + a * color
+    return img
+
+
+@pytest.mark.parametrize("size", [16, 64, 256])
+def test_rasterize_clamps_like_np_clip(size):
+    """Boxes past every edge of the scene (negative x and y, x + w > W,
+    y + h > H), wholly outside it, and random ones give the oracle's bytes."""
+    rng = np.random.default_rng(size)
+    edges = (
+        BoundingBox(-30.0, 40.0, 50.0, 60.0, 1),   # past the left edge
+        BoundingBox(20.0, -25.0, 70.0, 30.0, 2),   # past the bottom edge
+        BoundingBox(80.0, 90.0, 40.0, 55.0, 3),    # past the right edge
+        BoundingBox(35.0, 170.0, 60.0, 20.0, 4),   # past the top edge
+        BoundingBox(-10.0, -10.0, 230.0, 130.0, 5),  # past all four
+        BoundingBox(-50.0, -60.0, 20.0, 30.0, 6),  # wholly outside
+        BoundingBox(150.0, 250.0, 10.0, 10.0, 7),  # wholly outside
+    )
+    random = tuple(BoundingBox(*rng.uniform(-80.0, 260.0, 2), *rng.uniform(0.0, 150.0, 2),
+                               int(rng.integers(1, 12))) for _ in range(40))
+    for boxes in (edges, random):
+        item = Layout(H=200.0, W=100.0, boxes=boxes)
+        got = rasterize(item, size)
+        assert got.tobytes() == _rasterize_layout_oracle(item, size).tobytes()
