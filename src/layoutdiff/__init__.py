@@ -26,7 +26,6 @@ from .model import ModelConfig, VariancePrediction, forward_ar, forward_nonar, i
 from .training import TrainConfig, TrainState, load_checkpoint, save_checkpoint, train_loop
 from .sampling import (
     ConditionMask,
-    Trajectory,
     mask_from_layout,
     sample_ar,
     sample_nonar,
@@ -46,6 +45,6 @@ from .metrics import (
     overlap_score,
 )
 from .data import load_canonical, save_canonical, synth_layout_corpus, synth_segment_corpus
-from .render import RenderStyle, rasterize, render_svg, render_trajectory
+from .render import rasterize, render_svg, render_trajectory
 
 __version__ = "0.1.0"

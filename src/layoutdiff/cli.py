@@ -2,12 +2,11 @@
 
 Each option is declared once, in `_build_parser`; a `--config` JSON file
 sets options as their flags would, and flags win over the file. Every run
-prints its resolved configuration first and, once its inputs have loaded,
-mirrors it into `resolved_config.json` inside the output directory, so any
-run is reproducible from its printed output and a run that fails on its
-inputs leaves no record. All file outputs are written atomically. The
-environment variable DOLFIN_THREADS caps worker threads for per-item
-rendering.
+prints its resolved configuration first and, once its inputs have loaded and
+its arguments have been accepted, mirrors it into `resolved_config.json`
+inside the output directory, so any run is reproducible from its printed
+output and a run that fails on its inputs or arguments leaves no record. All
+file outputs are written atomically.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,17 +27,6 @@ from . import sampling as SMP
 from . import schedule as S
 from . import training as TR
 from .core import DatasetConfig, tokenize_layout, tokenize_segments
-
-
-def _max_threads() -> int:
-    v = os.environ.get("DOLFIN_THREADS")
-    if not v:
-        return 1
-    try:
-        n = int(v)
-    except ValueError:
-        raise ValueError(f"DOLFIN_THREADS must be an integer, got {v!r}") from None
-    return max(1, min(n, os.cpu_count() or 1))
 
 
 def _checked(path, key, action, value):
@@ -82,7 +69,8 @@ def _announce(command: str, cfg: dict) -> dict:
 
 def _record(resolved: dict) -> None:
     """Write the resolved configuration into the --out directory; commands
-    call this once their inputs have loaded."""
+    call this once their inputs have loaded and their arguments have been
+    accepted."""
     out = resolved["out"]
     if out:
         os.makedirs(out, exist_ok=True)
@@ -133,7 +121,6 @@ def _cmd_convert(cfg) -> int:
 def _cmd_train(cfg) -> int:
     resolved = _announce("train", cfg)
     dcfg, records = D.load_canonical(cfg["data"])
-    _record(resolved)
     tokens = _tokenize_all(dcfg, records)
     model_cfg = M.ModelConfig(
         layers=cfg["layers"], heads=cfg["heads"], hidden=cfg["hidden"],
@@ -146,6 +133,7 @@ def _cmd_train(cfg) -> int:
         checkpoint_every=cfg["checkpoint_every"],
     )
     sched = S.build_schedule(cfg["steps"])
+    _record(resolved)
     ckpt = os.path.join(cfg["out"], "model.ckpt")
     log = os.path.join(cfg["out"], "loss.log")
     state = TR.train_loop(
@@ -189,7 +177,6 @@ def _cmd_sample(cfg) -> int:
     state = TR.load_checkpoint(cfg["checkpoint"])
     dcfg = state.data_cfg
     mask = _load_mask(cfg["mask"], cfg["cond_data"], dcfg, cfg["cond_index"])
-    _record(resolved)
     is_ar = state.model_cfg.ar_mode
     method = cfg["method"] or ("ddim" if is_ar else "ddpm")
     sampler = SMP.sample_ar if is_ar else SMP.sample_nonar
@@ -198,23 +185,18 @@ def _cmd_sample(cfg) -> int:
         n_samples=cfg["n"], seed=cfg["seed"], mask=mask, method=method,
         eta=cfg["eta"], capture_stride=cfg["capture_stride"],
     )
+    # the sampler checks its own arguments
+    _record(resolved)
     if dcfg.mode == "layout":
         items = [_fold_categories(lay, dcfg) for lay in items]
     out_file = os.path.join(cfg["out"], "samples.jsonl")
     D.save_canonical(out_file, dcfg, items)
     if trajs:
         for i, traj in enumerate(trajs):
-            R.render_trajectory(
-                traj, dcfg, os.path.join(cfg["out"], f"trajectory_{i:03d}"),
-                total_steps=state.sched.T,
-            )
+            R.render_trajectory(traj, dcfg,
+                                os.path.join(cfg["out"], f"trajectory_{i:03d}"))
     print(f"wrote {len(items)} samples to {out_file}")
     return 0
-
-
-def _render_corpus(records):
-    with ThreadPoolExecutor(max_workers=_max_threads()) as ex:
-        return list(ex.map(R.rasterize, records))
 
 
 def _cmd_eval(cfg) -> int:
@@ -225,20 +207,21 @@ def _cmd_eval(cfg) -> int:
         rcfg, ref = D.load_canonical(cfg["reference"])
         if gcfg.mode != rcfg.mode:
             raise ValueError("generated and reference corpora have different modes")
-    _record(resolved)
     result = {}
     if cfg["timing"]:
         result["timing"] = _timing_report(cfg)
         print(json.dumps(result["timing"], indent=2, sort_keys=True))
     if corpora:
-        images_g = _render_corpus(gen)
-        images_r = _render_corpus(ref)
+        images_g = [R.rasterize(item) for item in gen]
+        images_r = [R.rasterize(item) for item in ref]
         if gcfg.mode == "layout":
             report = MET.evaluate_layout_corpora(gen, ref, images_g, images_r)
         else:
             report = MET.evaluate_segment_corpora(gen, ref, images_g, images_r)
         print(report.to_text())
         result["report"] = json.loads(report.to_json())
+    # the samplers and the metrics check their own arguments and inputs
+    _record(resolved)
     if cfg["out"]:
         D.atomic_write_text(
             os.path.join(cfg["out"], "report.json"),
@@ -271,15 +254,10 @@ def _cmd_render(cfg) -> int:
     dcfg, records = D.load_canonical(cfg["data"])
     _record(resolved)
     width = max(4, len(str(len(records))))
-
-    def render_one(i):
-        path = os.path.join(cfg["out"], f"item_{i:0{width}d}.svg")
-        D.atomic_write_text(path, R.render_svg(records[i]))
-        return path
-
-    with ThreadPoolExecutor(max_workers=_max_threads()) as ex:
-        paths = list(ex.map(render_one, range(len(records))))
-    print(f"wrote {len(paths)} SVG files to {cfg['out']}")
+    for i, item in enumerate(records):
+        D.atomic_write_text(os.path.join(cfg["out"], f"item_{i:0{width}d}.svg"),
+                            R.render_svg(item))
+    print(f"wrote {len(records)} SVG files to {cfg['out']}")
     return 0
 
 

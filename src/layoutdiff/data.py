@@ -275,6 +275,10 @@ def synth_segment_corpus(seed: int, n: int, k_segments: int = 8, n_max: int = 8)
     """Deterministic room-like segment sets: an axis-aligned rectangle plus
     rectilinear partitions and a few diagonals; k segments per image, all
     coordinates in [0, 1] on a 1/1024 grid."""
+    if n < 1:
+        raise ValueError(f"corpus size must be >= 1, got {n}")
+    if k_segments < 1:
+        raise ValueError(f"k_segments must be >= 1, got {k_segments}")
     if k_segments > n_max:
         raise ValueError(f"k_segments {k_segments} exceeds n_max {n_max}")
     rng = np.random.default_rng(seed)

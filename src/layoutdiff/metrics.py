@@ -271,9 +271,6 @@ class RandomProjectionExtractor:
             raise ValueError(f"image {bad[0]} has non-finite features")
         return out
 
-    def __call__(self, image) -> np.ndarray:
-        return self.features([image])[0]
-
 
 def frechet_gaussian_distance(feats_a, feats_b) -> float:
     """||mu1 - mu2||^2 + tr(S1 + S2 - 2 (S1 S2)^{1/2}) of Gaussian fits."""

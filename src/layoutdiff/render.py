@@ -8,7 +8,6 @@ produce byte-identical documents.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,26 +20,25 @@ PALETTE = (
     "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac",
 )
 
+STROKE_WIDTH = 1.0
+OPACITY = 0.6
+CANVAS = 256  # canvas size for segment sets (unit-square coordinates)
 
-@dataclass(frozen=True)
-class RenderStyle:
-    stroke_width: float = 1.0
-    opacity: float = 0.6
-    canvas: int = 256  # canvas size for segment sets (unit-square coordinates)
 
-    def fill(self, category: int) -> str:
-        return PALETTE[(category - 1) % len(PALETTE)]
+def fill(category: int) -> str:
+    """The palette colour of a category code; codes past the palette wrap."""
+    return PALETTE[(category - 1) % len(PALETTE)]
 
 
 def _fmt(v: float) -> str:
     return f"{v:.4f}".rstrip("0").rstrip(".")
 
 
-def render_svg(item, style: RenderStyle = RenderStyle()) -> str:
+def render_svg(item) -> str:
     """Render a Layout or a sequence of Segments as an SVG 1.1 document."""
     if isinstance(item, Layout):
-        return _render_layout(item, style)
-    return _render_segments(item, style)
+        return _render_layout(item)
+    return _render_segments(item)
 
 
 def _svg_open(w, h):
@@ -52,56 +50,56 @@ def _svg_open(w, h):
     )
 
 
-def _render_layout(layout: Layout, style: RenderStyle) -> str:
+def _render_layout(layout: Layout) -> str:
     # scene origin is bottom-left; SVG's is top-left, so flip y
     parts = [_svg_open(layout.W, layout.H)]
     for b in layout.boxes:
         y_svg = layout.H - (b.y + b.h)
         parts.append(
             f'<rect x="{_fmt(b.x)}" y="{_fmt(y_svg)}" width="{_fmt(b.w)}" '
-            f'height="{_fmt(b.h)}" fill="{style.fill(b.c)}" '
-            f'fill-opacity="{_fmt(style.opacity)}" stroke="{style.fill(b.c)}" '
-            f'stroke-width="{_fmt(style.stroke_width)}"/>\n'
+            f'height="{_fmt(b.h)}" fill="{fill(b.c)}" '
+            f'fill-opacity="{_fmt(OPACITY)}" stroke="{fill(b.c)}" '
+            f'stroke-width="{_fmt(STROKE_WIDTH)}"/>\n'
         )
     parts.append("</svg>\n")
     return "".join(parts)
 
 
-def _render_segments(segments, style: RenderStyle) -> str:
-    s = float(style.canvas)
+def _render_segments(segments) -> str:
+    s = float(CANVAS)
     parts = [_svg_open(s, s)]
     for seg in segments:
         parts.append(
             f'<line x1="{_fmt(seg.x1 * s)}" y1="{_fmt((1.0 - seg.y1) * s)}" '
             f'x2="{_fmt(seg.x2 * s)}" y2="{_fmt((1.0 - seg.y2) * s)}" '
-            f'stroke="#222222" stroke-width="{_fmt(style.stroke_width)}"/>\n'
+            f'stroke="#222222" stroke-width="{_fmt(STROKE_WIDTH)}"/>\n'
         )
     parts.append("</svg>\n")
     return "".join(parts)
 
 
-def render_trajectory(trajectory, data_cfg: DatasetConfig, outdir: str,
-                      style: RenderStyle = RenderStyle(), total_steps=None) -> list:
-    """Write one SVG per snapshot, named by diffusion steps completed.
+def render_trajectory(trajectory, data_cfg: DatasetConfig, outdir: str) -> list:
+    """Write one SVG per (t, token matrix) snapshot of a trajectory from
+    sampling.sample_tokens, named by diffusion steps completed.
 
+    A trajectory starts at t = T - 1, so T is its first t plus one.
     Filenames zero-pad the step count so lexicographic order equals step
     order. Returns the written paths.
     """
-    if not trajectory.snapshots:
+    if not trajectory:
         raise ValueError("trajectory is empty")
     os.makedirs(outdir, exist_ok=True)
-    if total_steps is None:
-        total_steps = trajectory.snapshots[0][0] + 1
-    width = max(4, len(str(total_steps)))
+    T = trajectory[0][0] + 1
+    width = max(4, len(str(T)))
     paths = []
-    for t, matrix in trajectory.snapshots:
-        steps_done = total_steps - 1 - t
+    for t, matrix in trajectory:
+        steps_done = T - 1 - t
         if data_cfg.mode == "segment":
             item = detokenize_segments(matrix, data_cfg)
         else:
             item = detokenize_layout(matrix, data_cfg)
         path = os.path.join(outdir, f"step_{steps_done:0{width}d}.svg")
-        atomic_write_text(path, render_svg(item, style))
+        atomic_write_text(path, render_svg(item))
         paths.append(path)
     return paths
 
@@ -116,19 +114,18 @@ def render_trajectory(trajectory, data_cfg: DatasetConfig, outdir: str,
 _HEX = {c: tuple(int(c[i : i + 2], 16) / 255.0 for i in (1, 3, 5)) for c in PALETTE}
 
 
-def rasterize(item, size: int = 64, style: RenderStyle = RenderStyle()) -> np.ndarray:
+def rasterize(item, size: int = 64) -> np.ndarray:
     """Rasterize a Layout or segment sequence to a (size, size, 3) float image
     in [0, 1], white background, row 0 at the top (matching the SVG)."""
     img = np.ones((size, size, 3))
     if isinstance(item, Layout):
-        a = style.opacity
         for b in item.boxes:
             x0 = int(min(max(round(b.x / item.W * size), 0), size))
             x1 = int(min(max(round((b.x + b.w) / item.W * size), 0), size))
             y1 = int(min(max(round((1.0 - b.y / item.H) * size), 0), size))
             y0 = int(min(max(round((1.0 - (b.y + b.h) / item.H) * size), 0), size))
-            color = np.array(_HEX[style.fill(b.c)])
-            img[y0:y1, x0:x1] = (1 - a) * img[y0:y1, x0:x1] + a * color
+            color = np.array(_HEX[fill(b.c)])
+            img[y0:y1, x0:x1] = (1 - OPACITY) * img[y0:y1, x0:x1] + OPACITY * color
     else:
         for seg in item:
             n = 2 * size

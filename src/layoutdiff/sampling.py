@@ -8,7 +8,7 @@ the knowns exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,16 +45,6 @@ class ConditionMask:
     @property
     def empty(self) -> bool:
         return not self.mask.any()
-
-
-@dataclass
-class Trajectory:
-    """(t, token matrix) snapshots, strictly decreasing t; last one is the sample."""
-
-    snapshots: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.snapshots)
 
 
 def mask_from_layout(layout, cfg: DatasetConfig, kind: str) -> ConditionMask:
@@ -103,8 +93,12 @@ def sample_tokens(predictor, sched: S.Schedule, shape, rng, method="ddpm",
     batch; it may also return a VariancePrediction to supply a learned
     variance to the DDPM step. Raises ValueError on a bad method, eta or
     capture_stride before x_T is drawn, and FloatingPointError naming the
-    sample and t as soon as a reverse step yields a non-finite entry. Returns
-    (x0, trajectory-or-None).
+    sample and t as soon as a reverse step yields a non-finite entry.
+
+    Returns (x0, trajectory), where trajectory is None without a
+    capture_stride and otherwise a list of (t, x) pairs: x as it enters the
+    step at t, every capture_stride steps from t = T - 1, then (-1, x0). The
+    t are strictly decreasing.
     """
     if method not in ("ddpm", "ddim"):
         raise ValueError(f"method must be 'ddpm' or 'ddim', got {method!r}")
@@ -115,11 +109,11 @@ def sample_tokens(predictor, sched: S.Schedule, shape, rng, method="ddpm",
     T = sched.T
     x = rng.standard_normal(shape)
     x = apply_condition(x, cond, T - 1, sched, rng)
-    traj = Trajectory() if capture_stride else None
+    traj = [] if capture_stride else None
     for t in range(T - 1, -1, -1):
         steps_done = T - 1 - t
         if traj is not None and steps_done % capture_stride == 0:
-            traj.snapshots.append((t, x.copy()))
+            traj.append((t, x.copy()))
         pred = predictor(x, t)
         if isinstance(pred, M.VariancePrediction):
             eps_hat, var_coef = pred.eps_hat, pred.var_coef
@@ -137,7 +131,7 @@ def sample_tokens(predictor, sched: S.Schedule, shape, rng, method="ddpm",
             )
         x = apply_condition(x, cond, t - 1, sched, rng)
     if traj is not None:
-        traj.snapshots.append((-1, x.copy()))
+        traj.append((-1, x.copy()))
     return x, traj
 
 
@@ -192,8 +186,7 @@ def _sample(make_predictor, params, cfg: M.ModelConfig, sched: S.Schedule,
     )
     trajs = None
     if traj is not None:
-        trajs = [Trajectory([(t, x[i]) for t, x in traj.snapshots])
-                 for i in range(n_samples)]
+        trajs = [[(t, x[i]) for t, x in traj] for i in range(n_samples)]
     return _detok(tokens, data_cfg), tokens, trajs
 
 

@@ -58,6 +58,9 @@ class TrainConfig:
             raise S.ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise S.ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("total_steps", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise S.ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.variant not in ("nonar", "ar"):
             raise S.ConfigError(f"unknown variant {self.variant!r}")
         if self.lr_schedule not in ("constant", "cosine"):

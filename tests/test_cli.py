@@ -227,6 +227,28 @@ class TestRecord:
         assert printed_config(printed)["command"] == command
         assert not (out / "resolved_config.json").exists()
 
+    @pytest.mark.parametrize("command,args", [
+        ("sample", ["--n", "0"]),
+        ("sample", ["--n", "-1"]),
+        ("sample", ["--capture-stride", "0"]),
+        ("sample", ["--eta", "1.5", "--method", "ddim"]),
+        ("train", ["--train-steps", "-3"]),
+        ("train", ["--train-steps", "2", "--checkpoint-every", "-1"]),
+        ("eval", ["--timing", "--n", "0"]),
+    ], ids=["n-0", "n-neg", "stride-0", "eta", "train-steps-neg", "checkpoint-every-neg",
+            "timing-n-0"])
+    def test_rejected_argument_leaves_no_record(self, tmp_path, corpus, checkpoint,
+                                                capsys, command, args):
+        """The input loads, but the run is refused before any output."""
+        out = tmp_path / "x"
+        small = ["--steps", "10", "--layers", "1", "--heads", "2", "--hidden", "8"]
+        source = {"sample": ["--checkpoint", checkpoint],
+                  "train": ["--data", corpus, "--batch-size", "4", *small],
+                  "eval": ["--n-max", "4", *small]}[command]
+        code, _, err = run(capsys, command, *source, "--out", str(out), *args)
+        assert code == 1 and err.count("\n") == 1
+        assert not (out / "resolved_config.json").exists()
+
 
 class TestTrain:
     def test_produces_checkpoint_and_log(self, tmp_path, checkpoint):
@@ -365,20 +387,6 @@ class TestRender:
         assert len(files) == 12
         assert files[0] == "item_0000.svg"
 
-    def test_thread_env_var_respected(self, tmp_path, corpus, capsys, monkeypatch):
-        monkeypatch.setenv("DOLFIN_THREADS", "2")
-        out = tmp_path / "renders2"
-        code, _, _ = run(capsys, "render", "--data", corpus, "--out", str(out))
-        assert code == 0
-        assert len([f for f in os.listdir(out) if f.endswith(".svg")]) == 12
-
-    def test_bad_thread_env_var_named(self, tmp_path, corpus, capsys, monkeypatch):
-        monkeypatch.setenv("DOLFIN_THREADS", "abc")
-        code, _, err = run(capsys, "render", "--data", corpus,
-                           "--out", str(tmp_path / "renders3"))
-        assert code == 1
-        assert err == "error: ValueError: DOLFIN_THREADS must be an integer, got 'abc'\n"
-
     def test_byte_identical_across_runs(self, tmp_path, corpus, capsys):
         blobs = []
         for name in ("r1", "r2"):
@@ -393,10 +401,11 @@ class TestRender:
 class TestStartup:
     def test_import_loads_no_scipy(self):
         """Every command pays the package import; scipy (about 0.3 s for
-        scipy.special alone) is imported only where a function needs it."""
+        scipy.special alone) is imported only where a function needs it, and
+        nothing loads concurrent.futures."""
         src = os.path.dirname(os.path.dirname(layoutdiff.__file__))
-        code = ("import sys, layoutdiff, layoutdiff.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        code = ("import sys, layoutdiff, layoutdiff.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('scipy', 'concurrent')))")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout

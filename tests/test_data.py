@@ -251,3 +251,11 @@ class TestSynthSegments:
     def test_k_over_capacity(self):
         with pytest.raises(ValueError):
             synth_segment_corpus(0, 2, k_segments=9, n_max=8)
+
+    @pytest.mark.parametrize("n,k,message", [
+        (0, 4, "corpus size must be >= 1, got 0"),
+        (2, 0, "k_segments must be >= 1, got 0"),
+    ])
+    def test_empty_corpus_or_set_rejected(self, n, k, message):
+        with pytest.raises(ValueError, match=message):
+            synth_segment_corpus(0, n, k_segments=k)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from layoutdiff.core import BoundingBox, DatasetConfig, Layout, Segment
-from layoutdiff.render import PALETTE, RenderStyle, render_svg, render_trajectory, rasterize
-from layoutdiff.sampling import Trajectory
+from layoutdiff.render import OPACITY, PALETTE, fill, render_svg, render_trajectory, rasterize
 
 DCFG = DatasetConfig(n_max=4, num_categories=5, h_max=256.0, w_max=256.0)
 
@@ -35,9 +34,9 @@ class TestRenderSvg:
         assert '<rect x="10" y="150"' in svg
 
     def test_palette_wraps(self):
-        assert RenderStyle().fill(1) == PALETTE[0]
-        assert RenderStyle().fill(11) == PALETTE[0]
-        assert RenderStyle().fill(7) == PALETTE[6]
+        assert fill(1) == PALETTE[0]
+        assert fill(11) == PALETTE[0]
+        assert fill(7) == PALETTE[6]
 
     def test_segments_render_lines(self):
         segs = [Segment(0.0, 0.0, 1.0, 1.0), Segment(0.5, 0.0, 0.5, 1.0)]
@@ -54,23 +53,21 @@ class TestRenderSvg:
 class TestRenderTrajectory:
     def make_traj(self):
         rng = np.random.default_rng(0)
-        snaps = [(t, rng.uniform(-1, 1, (4, 16))) for t in (99, 49, -1)]
-        return Trajectory(snapshots=snaps)
+        return [(t, rng.uniform(-1, 1, (4, 16))) for t in (99, 49, -1)]
 
     def test_filenames_sorted_by_steps_done(self, tmp_path):
-        paths = render_trajectory(self.make_traj(), DCFG, str(tmp_path),
-                                  total_steps=100)
+        """T = 100 is the first t plus one."""
+        paths = render_trajectory(self.make_traj(), DCFG, str(tmp_path))
         names = [p.split("/")[-1] for p in paths]
         assert names == ["step_0000.svg", "step_0050.svg", "step_0100.svg"]
         assert names == sorted(names)
 
     def test_empty_trajectory_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            render_trajectory(Trajectory(), DCFG, str(tmp_path))
+            render_trajectory([], DCFG, str(tmp_path))
 
     def test_files_are_valid_svg(self, tmp_path):
-        for p in render_trajectory(self.make_traj(), DCFG, str(tmp_path),
-                                   total_steps=100):
+        for p in render_trajectory(self.make_traj(), DCFG, str(tmp_path)):
             text = open(p).read()
             assert text.startswith('<?xml') and text.rstrip().endswith("</svg>")
 
@@ -107,7 +104,7 @@ class TestRasterize:
 PALETTE_RGB = {c: tuple(int(c[i:i + 2], 16) / 255.0 for i in (1, 3, 5)) for c in PALETTE}
 
 
-def _rasterize_layout_oracle(item, size, style=RenderStyle()):
+def _rasterize_layout_oracle(item, size):
     """The layout branch, clamping each edge with np.clip."""
     img = np.ones((size, size, 3))
     for b in item.boxes:
@@ -115,8 +112,8 @@ def _rasterize_layout_oracle(item, size, style=RenderStyle()):
         x1 = int(np.clip(round((b.x + b.w) / item.W * size), 0, size))
         y1 = int(np.clip(round((1.0 - b.y / item.H) * size), 0, size))
         y0 = int(np.clip(round((1.0 - (b.y + b.h) / item.H) * size), 0, size))
-        color = np.array(PALETTE_RGB[style.fill(b.c)])
-        a = style.opacity
+        color = np.array(PALETTE_RGB[fill(b.c)])
+        a = OPACITY
         img[y0:y1, x0:x1] = (1 - a) * img[y0:y1, x0:x1] + a * color
     return img
 

@@ -163,7 +163,7 @@ class TestSampleTokens:
                                     np.random.default_rng(5), method="ddim",
                                     capture_stride=stride)
             assert len(traj) == int(np.ceil(SCHED.T / stride)) + 1
-            ts = [t for t, _ in traj.snapshots]
+            ts = [t for t, _ in traj]
             assert ts[0] == SCHED.T - 1 and ts[-1] == -1
             assert all(a > b for a, b in zip(ts, ts[1:]))
 
@@ -315,10 +315,10 @@ class TestModelSamplers:
                                    capture_stride=25)
         assert len(trajs) == 3
         for i, traj in enumerate(trajs):
-            assert [t for t, _ in traj.snapshots] == [99, 74, 49, 24, -1]
-            assert all(m.shape == (2, 16) for _, m in traj.snapshots)
-            assert np.array_equal(traj.snapshots[-1][1], toks[i])
-        assert not np.array_equal(trajs[0].snapshots[0][1], trajs[1].snapshots[0][1])
+            assert [t for t, _ in traj] == [99, 74, 49, 24, -1]
+            assert all(m.shape == (2, 16) for _, m in traj)
+            assert np.array_equal(traj[-1][1], toks[i])
+        assert not np.array_equal(trajs[0][0][1], trajs[1][0][1])
 
 
 class TestARCache:

@@ -52,6 +52,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("weight_decay", -0.01),
         ("grad_clip", 0.0), ("grad_clip", -1.0), ("beta2", float("nan")),
+        ("total_steps", -3), ("checkpoint_every", -1),
     ])
     def test_optimizer_fields_validated(self, field, value):
         with pytest.raises(ConfigError, match=field):
