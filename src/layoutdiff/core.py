@@ -211,6 +211,16 @@ def tokenize_layout(layout: Layout, cfg: DatasetConfig) -> np.ndarray:
     return m
 
 
+def _median(col) -> float:
+    """np.median of a nonempty 1-D array, NaN if any value is NaN. Written
+    out because numpy's first np.median in a process imports numpy.ma."""
+    s = np.sort(col)
+    mid = s.size // 2
+    if np.isnan(s[-1]):  # sorting puts NaN last
+        return float(s[-1])
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2)
+
+
 def detokenize_layout(m, cfg: DatasetConfig) -> Layout:
     """Decode an (n_max, 16) matrix back to a layout.
 
@@ -229,8 +239,8 @@ def detokenize_layout(m, cfg: DatasetConfig) -> Layout:
     geo = np.clip(m[:, :6], -1.0, 1.0)
     # the scene dims are replicated on every row; the median is exact on clean
     # data and robust on generated data
-    H = (float(np.median(geo[:, SCENE_H_IDX])) + 1.0) * cfg.h_max / 2.0
-    W = (float(np.median(geo[:, SCENE_W_IDX])) + 1.0) * cfg.w_max / 2.0
+    H = (_median(geo[:, SCENE_H_IDX]) + 1.0) * cfg.h_max / 2.0
+    W = (_median(geo[:, SCENE_W_IDX]) + 1.0) * cfg.w_max / 2.0
     H = max(H, 1e-6 * cfg.h_max)
     W = max(W, 1e-6 * cfg.w_max)
     boxes = []

@@ -29,7 +29,7 @@ def hungarian(cost) -> tuple[list[tuple[int, int]], float]:
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
     n, m = cost.shape
     if n > m:
@@ -54,23 +54,35 @@ def max_weight_matching(weights) -> tuple[list[tuple[int, int]], float]:
     return pairs, -total
 
 
+def _best_matching(weights, na: int, nb: int) -> float:
+    """Best max-weight matching total over max(na, nb) among the (na, nb)
+    matrices of a (k, na, nb) stack: one assignment per matrix."""
+    return max(max_weight_matching(w)[1] / max(na, nb) for w in weights)
+
+
 # ---------------------------------------------------------------------------
 # box geometry
 
 
 def _intersections(a, b) -> np.ndarray:
-    """(na, nb) intersection areas of two (n, 4) arrays of (x, y, h, w) boxes."""
-    a, b = a[:, None, :], b[None, :, :]
+    """(..., na, nb) intersection areas of (..., na, 4) and (..., nb, 4)
+    arrays of (x, y, h, w) boxes; leading axes broadcast."""
+    a, b = a[..., :, None, :], b[..., None, :, :]
     # columns 2:4 are (h, w), so the far corner is (x + w, y + h)
     lo = np.maximum(a[..., :2], b[..., :2])
     hi = np.minimum(a[..., :2] + a[..., [3, 2]], b[..., :2] + b[..., [3, 2]])
     return np.prod(np.maximum(hi - lo, 0.0), axis=-1)
 
 
+def _areas(boxes) -> np.ndarray:
+    return boxes[..., 2] * boxes[..., 3]
+
+
 def _iou_matrix(a, b) -> np.ndarray:
-    """(na, nb) IoU of two (n, 4) box arrays; degenerate pairs score 0."""
+    """(..., na, nb) IoU of (..., na, 4) and (..., nb, 4) box arrays; leading
+    axes broadcast and degenerate pairs score 0."""
     inter = _intersections(a, b)
-    union = (a[:, 2] * a[:, 3])[:, None] + b[:, 2] * b[:, 3] - inter
+    union = _areas(a)[..., :, None] + _areas(b)[..., None, :] - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 
@@ -89,6 +101,21 @@ def _norm_boxes(layout: Layout) -> np.ndarray:
     return np.array(
         [[b.x / layout.W, b.y / layout.H, b.h / layout.H, b.w / layout.W] for b in layout.boxes]
     )
+
+
+def _categories(layout: Layout) -> np.ndarray:
+    return np.array([b.c for b in layout.boxes], dtype=np.int64)
+
+
+def _stacks(items, keys) -> dict:
+    """key -> ((k, n, 4) boxes, (k, n) category codes) of the k layouts that
+    share the key, from each layout's ((n, 4) normalized boxes, (n,)
+    category codes); layouts sharing a key must share their box count n."""
+    groups = {}
+    for item, key in zip(items, keys):
+        groups.setdefault(key, []).append(item)
+    return {key: tuple(np.stack(part) for part in zip(*group))
+            for key, group in groups.items()}
 
 
 def alignment_score(layouts) -> float:
@@ -126,15 +153,17 @@ def overlap_score(layouts) -> float:
     return float(np.mean(scores)) if scores else 0.0
 
 
-def _layout_pair_maxiou(a: Layout, b: Layout) -> float:
-    """Category-constrained max-IoU matching, normalized by max box count."""
-    na, nb = len(a.boxes), len(b.boxes)
+def _best_maxiou(boxes, cats, ref_boxes, ref_cats) -> float:
+    """Best MaxIoU pair score of one layout, given by its (na, 4) normalized
+    boxes and (na,) category codes, against k references of nb boxes given
+    as (k, nb, 4) boxes and (k, nb) category codes: category-constrained
+    max-IoU matching over max(na, nb). Both layouts empty score 1.0, one
+    empty 0.0."""
+    na, nb = len(cats), ref_cats.shape[1]
     if na == 0 or nb == 0:
         return 1.0 if na == nb else 0.0
-    same_category = np.equal.outer([x.c for x in a.boxes], [y.c for y in b.boxes])
-    w = np.where(same_category, _iou_matrix(_norm_boxes(a), _norm_boxes(b)), 0.0)
-    _, total = max_weight_matching(w)
-    return total / max(na, nb)
+    same_category = cats[:, None] == ref_cats[:, None, :]
+    return _best_matching(np.where(same_category, _iou_matrix(boxes, ref_boxes), 0.0), na, nb)
 
 
 def _category_multiset(layout: Layout):
@@ -144,41 +173,50 @@ def _category_multiset(layout: Layout):
 def max_iou(generated, reference) -> float:
     """Mean over generated layouts of the best pair similarity against
     reference layouts sharing the same category multiset (all references if
-    no multiset match exists)."""
+    no multiset match exists). Each multiset pool, and the references of
+    each box count, are scored against a generated layout in one broadcast."""
     generated, reference = list(generated), list(reference)
     if not generated or not reference:
         raise ValueError("both corpora must be nonempty")
-    by_multiset = {}
-    for r in reference:
-        by_multiset.setdefault(_category_multiset(r), []).append(r)
+    items = [(_norm_boxes(r), _categories(r)) for r in reference]
+    pools = _stacks(items, [_category_multiset(r) for r in reference])
+    everything = list(_stacks(items, [len(r.boxes) for r in reference]).values())
     scores = []
     for g in generated:
-        pool = by_multiset.get(_category_multiset(g), reference)
-        scores.append(max(_layout_pair_maxiou(g, r) for r in pool))
+        pool = pools.get(_category_multiset(g))
+        groups = everything if pool is None else [pool]
+        boxes, cats = _norm_boxes(g), _categories(g)
+        scores.append(max(_best_maxiou(boxes, cats, *group) for group in groups))
     return float(np.mean(scores))
 
 
-def _docsim_pair(a: Layout, b: Layout) -> float:
-    na, nb = len(a.boxes), len(b.boxes)
+def _best_docsim(boxes, ref_boxes) -> float:
+    """Best DocSim pair score of one layout's (na, 4) normalized boxes
+    against k references given as (k, nb, 4) boxes; 0.0 if either side is
+    empty."""
+    na, nb = len(boxes), ref_boxes.shape[1]
     if na == 0 or nb == 0:
         return 0.0
-    ba, bb = _norm_boxes(a), _norm_boxes(b)
-    ca = ba[:, :2] + ba[:, [3, 2]] / 2
-    cb = bb[:, :2] + bb[:, [3, 2]] / 2
-    alpha = np.sqrt(np.minimum.outer(ba[:, 2] * ba[:, 3], bb[:, 2] * bb[:, 3]))
-    dc = np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=-1)
-    ds = np.abs(ba[:, None, 2:] - bb[None, :, 2:]).sum(axis=-1)
-    w = alpha * 2.0 ** (-dc - 2.0 * ds)
-    _, total = max_weight_matching(w)
-    return total / max(na, nb)
+    ca = boxes[:, :2] + boxes[:, [3, 2]] / 2
+    cb = ref_boxes[..., :2] + ref_boxes[..., [3, 2]] / 2
+    alpha = np.sqrt(np.minimum(_areas(boxes)[:, None], _areas(ref_boxes)[:, None, :]))
+    dc = np.linalg.norm(ca[:, None, :] - cb[:, None, :, :], axis=-1)
+    ds = np.abs(boxes[:, None, 2:] - ref_boxes[:, None, :, 2:]).sum(axis=-1)
+    return _best_matching(alpha * 2.0 ** (-dc - 2.0 * ds), na, nb)
 
 
 def docsim(generated, reference) -> float:
-    """Mean over generated layouts of the best DocSim pair score."""
+    """Mean over generated layouts of the best DocSim pair score. The
+    references of each box count are scored against a generated layout in
+    one broadcast."""
     generated, reference = list(generated), list(reference)
     if not generated or not reference:
         raise ValueError("both corpora must be nonempty")
-    return float(np.mean([max(_docsim_pair(g, r) for r in reference) for g in generated]))
+    items = [(_norm_boxes(r), _categories(r)) for r in reference]
+    groups = [boxes for boxes, _ in _stacks(items, [len(r.boxes) for r in reference]).values()]
+    return float(np.mean([
+        max(_best_docsim(_norm_boxes(g), ref_boxes) for ref_boxes in groups) for g in generated
+    ]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +230,18 @@ def segment_weight(l1: Segment, l2: Segment) -> float:
     )
 
 
+def _endpoints(segments) -> np.ndarray:
+    """(k, 4) array of the (x1, y1, x2, y2) endpoints of k segments."""
+    return np.array([[s.x1, s.y1, s.x2, s.y2] for s in segments],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def _segment_costs(a, b) -> np.ndarray:
+    """(..., ka, kb) segment_weight of every segment pair of (..., ka, 4) and
+    (..., kb, 4) endpoint arrays; leading axes broadcast."""
+    return np.abs(a[..., :, None, :] - b[..., None, :, :]).sum(axis=-1)
+
+
 def image_weight(s1, s2) -> float:
     """Min-cost segment matching between two equally sized segment sets."""
     s1, s2 = list(s1), list(s2)
@@ -199,29 +249,33 @@ def image_weight(s1, s2) -> float:
         raise ValueError(f"segment counts differ: {len(s1)} vs {len(s2)}")
     if not s1:
         return 0.0
-    e1, e2 = (np.array([[s.x1, s.y1, s.x2, s.y2] for s in segs]) for segs in (s1, s2))
-    cost = np.abs(e1[:, None, :] - e2[None, :, :]).sum(axis=-1)
-    _, total = hungarian(cost)
+    _, total = hungarian(_segment_costs(_endpoints(s1), _endpoints(s2)))
     return total
 
 
 def difference_score(set_a, set_b) -> float:
     """Two-level min-cost matching: segments within image pairs, then image
     pairs across the two collections; the score is the average matched
-    inter-image weight."""
+    inter-image weight. set_b is the reference: its first image sets the
+    segment count k that every image on both sides must have."""
     set_a, set_b = list(set_a), list(set_b)
     if len(set_a) != len(set_b):
         raise ValueError(f"image counts differ: {len(set_a)} vs {len(set_b)}")
     if not set_a:
         return 0.0
-    k = len(set_a[0])
+    k = len(set_b[0])
     for side, images in (("A", set_a), ("B", set_b)):
         for idx, s in enumerate(images):
             if len(s) != k:
-                raise ValueError(
-                    f"image {side}[{idx}] has {len(s)} segments, expected {k}"
-                )
-    cost = np.array([[image_weight(a, b) for b in set_b] for a in set_a])
+                raise ValueError(f"image {side}[{idx}] has {len(s)} segments, "
+                                 f"expected {k} as in reference image B[0]")
+    cost = np.zeros((len(set_a), len(set_b)))
+    if k:
+        ends_b = np.stack([_endpoints(s) for s in set_b])
+        # one (|B|, k, k) block per image of A: the whole (|A|, |B|, k, k, 4)
+        # difference would grow with both corpora at once
+        for i, s in enumerate(set_a):
+            cost[i] = [hungarian(c)[1] for c in _segment_costs(_endpoints(s), ends_b)]
     _, total = hungarian(cost)
     return total / len(set_a)
 

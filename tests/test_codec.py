@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import layoutdiff
 from layoutdiff.core import (
     BoundingBox,
     CapacityError,
@@ -17,6 +22,7 @@ from layoutdiff.core import (
     tokenize_layout,
     tokenize_segments,
 )
+from layoutdiff.core import _median
 
 CFG = DatasetConfig(n_max=8, num_categories=5, h_max=256.0, w_max=256.0)
 SEG_CFG = DatasetConfig(n_max=8, num_categories=1, mode="segment")
@@ -135,6 +141,34 @@ class TestLayoutCodec:
     def test_roundtrip_property(self, seed, n_boxes):
         layout = dyadic_layout(np.random.default_rng(seed), n_boxes)
         assert detokenize_layout(tokenize_layout(layout, CFG), CFG) == layout
+
+    @pytest.mark.parametrize("col", [
+        [0.25, -0.5, 0.75],  # odd
+        [0.25, -0.5, 0.75, 0.1],  # even
+        [1.7, -3.0, 1.0, 0.3, -1.0, 2.5],  # clamped: ties at the bounds
+    ])
+    def test_scene_median_equals_numpy(self, col):
+        col = np.clip(np.array(col), -1.0, 1.0)
+        assert _median(col) == np.median(col)
+        rng = np.random.default_rng(len(col))
+        for n in range(1, 17):
+            col = np.clip(rng.uniform(-1.5, 1.5, n), -1.0, 1.0)
+            assert _median(col) == np.median(col)
+
+    def test_scene_median_propagates_nan(self):
+        col = np.array([0.5, np.nan, 0.25, 0.0])
+        assert np.isnan(np.median(col)) and np.isnan(_median(col))
+
+    def test_detokenize_leaves_numpy_ma_unloaded(self):
+        """numpy's first np.median in a process imports numpy.ma (11-15 ms),
+        which the first sampled layout of a timed run used to pay."""
+        src = os.path.dirname(os.path.dirname(layoutdiff.__file__))
+        code = ("import sys, numpy as np; from layoutdiff.core import DatasetConfig, "
+                "detokenize_layout; cfg = DatasetConfig(n_max=8, h_max=256.0, w_max=256.0); "
+                "detokenize_layout(np.zeros((8, 16)), cfg); print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 def dyadic_segments(rng, n):

@@ -1,8 +1,11 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from layoutdiff import metrics
 from layoutdiff.core import BoundingBox, Layout, Segment
 from layoutdiff.data import synth_layout_corpus, synth_segment_corpus
 from layoutdiff.metrics import (
@@ -394,9 +397,166 @@ class TestDifference:
         with pytest.raises(ValueError, match=r"B\[1\]"):
             difference_score([s, s], [s, [Segment(0, 0, 1, 1), Segment(0, 0, 0, 1)]])
 
+    def test_segment_count_comes_from_reference(self):
+        """Sampled sets of 4 and 3 segments against a 5-segment reference:
+        A[0] is the first image off the reference's count."""
+        ref = [[Segment(0.0, 0.0, 1.0, 1.0)] * 5] * 2
+        gen = [[Segment(0.0, 0.0, 1.0, 1.0)] * 4, [Segment(0.0, 0.0, 1.0, 1.0)] * 3]
+        with pytest.raises(ValueError, match=r"^image A\[0\] has 4 segments, expected 5 "):
+            difference_score(gen, ref)
+
     def test_image_weight_requires_equal_counts(self):
         with pytest.raises(ValueError):
             image_weight([Segment(0, 0, 1, 1)], [])
+
+
+# The per-pair code the bulk metrics replaced, kept as oracles: the bulk
+# paths must give the same floats and make the same hungarian calls.
+
+
+def _iou_matrix_pair(a, b):
+    """(na, nb) IoU of two (n, 4) box arrays of one layout pair."""
+    a3, b3 = a[:, None, :], b[None, :, :]
+    lo = np.maximum(a3[..., :2], b3[..., :2])
+    hi = np.minimum(a3[..., :2] + a3[..., [3, 2]], b3[..., :2] + b3[..., [3, 2]])
+    inter = np.prod(np.maximum(hi - lo, 0.0), axis=-1)
+    union = (a[:, 2] * a[:, 3])[:, None] + b[:, 2] * b[:, 3] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
+def _layout_pair_maxiou(a, b):
+    na, nb = len(a.boxes), len(b.boxes)
+    if na == 0 or nb == 0:
+        return 1.0 if na == nb else 0.0
+    same_category = np.equal.outer([x.c for x in a.boxes], [y.c for y in b.boxes])
+    w = np.where(same_category,
+                 _iou_matrix_pair(metrics._norm_boxes(a), metrics._norm_boxes(b)), 0.0)
+    _, total = metrics.max_weight_matching(w)
+    return total / max(na, nb)
+
+
+def max_iou_pairwise(generated, reference):
+    cats = lambda l: frozenset(Counter(b.c for b in l.boxes).items())
+    pools = {}
+    for r in reference:
+        pools.setdefault(cats(r), []).append(r)
+    return float(np.mean([
+        max(_layout_pair_maxiou(g, r) for r in pools.get(cats(g), reference)) for g in generated
+    ]))
+
+
+def _docsim_pair(a, b):
+    na, nb = len(a.boxes), len(b.boxes)
+    if na == 0 or nb == 0:
+        return 0.0
+    ba, bb = metrics._norm_boxes(a), metrics._norm_boxes(b)
+    ca = ba[:, :2] + ba[:, [3, 2]] / 2
+    cb = bb[:, :2] + bb[:, [3, 2]] / 2
+    alpha = np.sqrt(np.minimum.outer(ba[:, 2] * ba[:, 3], bb[:, 2] * bb[:, 3]))
+    dc = np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=-1)
+    ds = np.abs(ba[:, None, 2:] - bb[None, :, 2:]).sum(axis=-1)
+    w = alpha * 2.0 ** (-dc - 2.0 * ds)
+    _, total = metrics.max_weight_matching(w)
+    return total / max(na, nb)
+
+
+def docsim_pairwise(generated, reference):
+    return float(np.mean([max(_docsim_pair(g, r) for r in reference) for g in generated]))
+
+
+def _image_weight_pair(s1, s2):
+    if not s1:
+        return 0.0
+    e1, e2 = (np.array([[s.x1, s.y1, s.x2, s.y2] for s in segs]) for segs in (s1, s2))
+    cost = np.abs(e1[:, None, :] - e2[None, :, :]).sum(axis=-1)
+    return metrics.hungarian(cost)[1]
+
+
+def difference_pairwise(set_a, set_b):
+    if not set_a:
+        return 0.0
+    cost = np.array([[_image_weight_pair(a, b) for b in set_b] for a in set_a])
+    return metrics.hungarian(cost)[1] / len(set_a)
+
+
+def with_hungarian_calls(fn, *args):
+    """(fn(*args), the number of metrics.hungarian calls it made)."""
+    solve, calls = metrics.hungarian, []
+
+    def counting(cost):
+        calls.append(1)
+        return solve(cost)
+
+    metrics.hungarian = counting
+    try:
+        return fn(*args), len(calls)
+    finally:
+        metrics.hungarian = solve
+
+
+def assert_bulk_equals_pairwise(generated, reference):
+    for bulk, pairwise in ((max_iou, max_iou_pairwise), (docsim, docsim_pairwise)):
+        assert with_hungarian_calls(bulk, generated, reference) == with_hungarian_calls(
+            pairwise, generated, reference)
+
+
+COORD = st.floats(0.0, 200.0)
+SIZE = st.floats(0.0, 56.0)  # zero-area boxes included
+BOXES = st.lists(st.builds(BoundingBox, x=COORD, y=COORD, h=SIZE, w=SIZE,
+                           c=st.integers(1, 3)), max_size=8)
+LAYOUTS = st.builds(lambda boxes, hw: Layout(H=hw[0], W=hw[1], boxes=tuple(boxes)),
+                    BOXES, st.sampled_from([(256.0, 256.0), (120.0, 200.0)]))
+
+
+def moved(layout, boxes):
+    """layout's categories on the first len(layout.boxes) of the new boxes:
+    a layout in layout's multiset pool."""
+    return Layout(H=layout.H, W=layout.W, boxes=tuple(
+        BoundingBox(b.x, b.y, b.h, b.w, old.c) for b, old in zip(boxes, layout.boxes)))
+
+
+class TestBulkEqualsPairwise:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_max_iou_and_docsim(self, data):
+        reference = data.draw(st.lists(LAYOUTS, min_size=1, max_size=8))
+        # a moved reference shares its multiset pool; a random layout
+        # usually misses every pool and is scored against all references
+        in_pool = st.tuples(st.sampled_from(reference), st.lists(
+            st.builds(BoundingBox, x=COORD, y=COORD, h=SIZE, w=SIZE, c=st.just(1)),
+            min_size=8, max_size=8)).map(lambda pair: moved(*pair))
+        generated = data.draw(st.lists(st.one_of(LAYOUTS, in_pool), min_size=1, max_size=5))
+        assert_bulk_equals_pairwise(generated, reference)
+
+    def test_empty_layouts_and_missed_pools(self):
+        B = BoundingBox
+        empty = Layout(H=256.0, W=256.0, boxes=())
+        one = Layout(H=256.0, W=256.0, boxes=(B(10.0, 10.0, 40.0, 40.0, 1),))
+        two = Layout(H=256.0, W=256.0, boxes=(B(10.0, 10.0, 40.0, 40.0, 1),
+                                              B(60.0, 10.0, 40.0, 40.0, 2)))
+        miss = Layout(H=256.0, W=256.0, boxes=(B(12.0, 10.0, 40.0, 40.0, 3),
+                                               B(60.0, 12.0, 40.0, 40.0, 3)))
+        for generated, reference in (
+            ([empty, one, miss], [empty, one, two]),  # empty matches empty
+            ([empty, miss], [one, two]),  # no empty reference: the all-pool
+            ([one, two, miss], [empty]),
+        ):
+            assert_bulk_equals_pairwise(generated, reference)
+        assert max_iou([empty], [empty, one]) == 1.0
+        assert max_iou([empty], [one]) == 0.0
+        assert docsim([empty], [empty, one]) == 0.0
+
+    @given(st.integers(0, 6), st.integers(0, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_difference_score(self, n_images, k, data):
+        segments = st.builds(Segment, *[st.floats(0.0, 1.0)] * 4)
+        images = st.lists(st.lists(segments, min_size=k, max_size=k),
+                          min_size=n_images, max_size=n_images)
+        set_a, set_b = data.draw(images), data.draw(images)
+        assert with_hungarian_calls(difference_score, set_a, set_b) == with_hungarian_calls(
+            difference_pairwise, set_a, set_b)
+        for a, b in zip(set_a, set_b):
+            assert image_weight(a, b) == _image_weight_pair(a, b)
 
 
 class TestFrechet:
