@@ -2,10 +2,11 @@
 
 Takes about a minute on one CPU core.
 
-Run:  python3 demos/03_train_and_sample.py
+Run:  python3 demos/03_train_and_sample.py [OUT_DIR]   (default demos/out)
 """
 
 import os
+import sys
 
 import numpy as np
 
@@ -43,7 +44,7 @@ samples, _, _ = sample_nonar(state.params, model_cfg, sched, dcfg,
 print("sampled alignment:", round(alignment_score(samples), 3))
 print("sampled overlap:  ", round(overlap_score(samples), 3))
 
-outdir = os.path.join(os.path.dirname(__file__), "out")
+outdir = sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(outdir, exist_ok=True)
 path = os.path.join(outdir, "sample_0.svg")
 with open(path, "w") as f:

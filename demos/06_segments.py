@@ -3,10 +3,11 @@
 Segments use the same 16-entry token layout as boxes: four endpoint
 coordinates mapped to [-1, 1], a PAD sentinel entry, and unused filler.
 
-Run:  python3 demos/06_segments.py
+Run:  python3 demos/06_segments.py [OUT_DIR]   (default demos/out)
 """
 
 import os
+import sys
 
 from layoutdiff import (
     DatasetConfig,
@@ -32,7 +33,7 @@ _, other = synth_segment_corpus(seed=1, n=8, k_segments=8)
 print("difference(corpus, itself):", difference_score(corpora, corpora))
 print("difference(corpus, other): ", round(difference_score(corpora, other), 4))
 
-outdir = os.path.join(os.path.dirname(__file__), "out")
+outdir = sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(outdir, exist_ok=True)
 path = os.path.join(outdir, "segments_0.svg")
 with open(path, "w") as f:

@@ -46,9 +46,7 @@ class ModelConfig:
     variance_head: bool = False
     ar_mode: bool = False
     adapter_latent: int | None = None
-    # "tanh" is the DiT backbone's approximation; checkpoints written before
-    # the field existed load as "erf", the exact form they were trained with
-    gelu: str = "tanh"
+    gelu: str = "tanh"  # the DiT backbone's approximation; "erf" is exact GELU
 
     def __post_init__(self):
         if self.layers < 1:
@@ -65,6 +63,9 @@ class ModelConfig:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
         if self.gelu not in GELU_FORMS:
             raise ConfigError(f"gelu must be one of {GELU_FORMS}, got {self.gelu!r}")
+        if self.ar_mode and self.variance_head:
+            raise ConfigError("ar_mode and variance_head cannot both be set: the AR "
+                              "loss trains no variance head")
 
     @property
     def out_dim(self) -> int:
@@ -662,7 +663,7 @@ def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t,
         mods, _ = timestep_modulations(params, cfg, t)
     out, _ = _forward_core(params, cfg, h0, mods, attn_bias=bias, step=cache,
                            for_backward=False)
-    pred = out[:, -1, : cfg.token_dim]
+    pred = out[:, -1]
     return pred[0] if squeeze else pred
 
 
@@ -681,7 +682,7 @@ def forward_ar_all(params, cfg: ModelConfig, tokens, noise, t, ws=None):
     mods, tcache = timestep_modulations(params, cfg, t, for_backward=True, ws=ws)
     out, cache = _forward_core(params, cfg, h0, mods, attn_bias=bias, ws=ws)
     cache["timestep"] = tcache
-    return out[:, n : 2 * n, : cfg.token_dim], cache
+    return out[:, n : 2 * n], cache
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +798,7 @@ def ar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true, ws=None):
     dpred = (2.0 / (B * td)) * diff
     # the sequence is n data rows, START and n - 1 noise rows
     dout = _zeros(ws, "dout", (B, 2 * n, cfg.out_dim), dtype)
-    dout[:, n : 2 * n, : cfg.token_dim] = dpred.astype(dtype)
+    dout[:, n : 2 * n] = dpred.astype(dtype)
     grads, dh0 = _backward_core(params, cfg, cache, dout, ws=ws)
     grads.update(_embed_grads_ar(params, cfg, xt, eps_true[:, : n - 1, :], dh0, ws=ws))
     return loss, grads

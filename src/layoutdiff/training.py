@@ -3,10 +3,8 @@
 The checkpoint container is a single file: a magic string, a 4-byte
 little-endian manifest length, a human-readable JSON manifest, then raw
 little-endian blocks (parameters and optimizer moments) in the order listed by
-the manifest. Each manifest entry records its block's dtype: `<f8` for a
-float64 array, `<f4` otherwise (version 1 files, which have no dtype field,
-are all `<f4`), and the zlib CRC-32 of its bytes, which the loader checks
-when present (files written before the field existed have none). Reloading
+the manifest. Each manifest entry records its block's dtype, `<f4` or `<f8`,
+and the zlib CRC-32 of its bytes. The loader reads only this format. Reloading
 restores the exact training state, so a resumed run reproduces the original
 loss trajectory bit for bit in single-threaded mode.
 """
@@ -272,14 +270,19 @@ def train_loop(train_cfg: TrainConfig, model_cfg: M.ModelConfig,
 
 
 def save_checkpoint(path: str, state: TrainState) -> None:
-    """Write the whole training state to a single file, atomically."""
+    """Write the whole training state to a single file, atomically. An array
+    that is not float32 or float64 raises ValueError before anything is written."""
     blocks = []
     entries = []
     offset = 0
     for group, d in (("param", state.params), ("adam_m", state.adam_m),
                      ("adam_v", state.adam_v)):
         for name in sorted(d):
-            dtype = "<f8" if d[name].dtype == np.float64 else "<f4"
+            kind = d[name].dtype.type
+            if kind not in (np.float32, np.float64):
+                raise ValueError(f"{path}: {group}/{name} has dtype {d[name].dtype}, "
+                                 f"not float32 or float64")
+            dtype = "<f8" if kind is np.float64 else "<f4"
             arr = np.ascontiguousarray(d[name], dtype=dtype)
             blocks.append(arr.tobytes())
             entries.append({
@@ -315,10 +318,8 @@ def save_checkpoint(path: str, state: TrainState) -> None:
 # the keys every manifest carries, in the order they are checked
 MANIFEST_KEYS = ("version", "model_cfg", "data_cfg", "train_cfg", "schedule",
                  "step", "rng_state", "entries")
-ENTRY_KEYS = ("name", "shape", "offset", "size")
-# files written before EMA was removed may carry an "ema" group; it is read
-# and dropped, since nothing uses it
-ENTRY_GROUPS = ("param", "adam_m", "adam_v", "ema")
+ENTRY_KEYS = ("name", "shape", "dtype", "offset", "size", "crc32")
+ENTRY_GROUPS = ("param", "adam_m", "adam_v")
 
 
 def _is_count(x) -> bool:
@@ -331,7 +332,8 @@ def _read_entry(path, data, blob_start, i, e):
         raise ValueError(f"{path}: entry {i} is not a JSON object")
     missing = [k for k in ENTRY_KEYS if k not in e]
     if missing:
-        raise ValueError(f"{path}: entry {e.get('name', i)!r} has no "
+        label = e["name"] if "name" in e else i
+        raise ValueError(f"{path}: entry {label!r} has no "
                          f"{', '.join(map(repr, missing))}")
     full = e["name"]
     if not isinstance(full, str) or "/" not in full:
@@ -344,7 +346,7 @@ def _read_entry(path, data, blob_start, i, e):
             and _is_count(offset) and _is_count(size)):
         raise ValueError(f"{path}: entry {full} has shape {shape!r}, offset {offset!r} "
                          f"and size {size!r}, not non-negative integers")
-    dtype = e.get("dtype", "<f4")
+    dtype = e["dtype"]
     if dtype not in ("<f4", "<f8"):
         raise ValueError(f"{path}: entry {full} has dtype {dtype!r}, "
                          f"not '<f4' or '<f8'")
@@ -356,10 +358,9 @@ def _read_entry(path, data, blob_start, i, e):
             f"{dtype} takes {size} bytes at file offset {offset}, the file "
             f"has {len(data)}"
         )
-    crc = e.get("crc32")
-    if crc is not None and crc != zlib.crc32(memoryview(data)[offset:offset + size]):
+    if e["crc32"] != zlib.crc32(memoryview(data)[offset:offset + size]):
         raise ValueError(f"{path}: entry {full} at file offset {offset} does not "
-                         f"match its crc32 {crc!r}")
+                         f"match its crc32 {e['crc32']!r}")
     arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
     return group, name, arr.reshape(shape).copy()
 
@@ -371,9 +372,8 @@ def load_checkpoint(path: str) -> TrainState:
     the model config or fail their crc32 raises one ValueError naming the
     path and the bad key, group, entry or byte offset.
 
-    Older files load too: a model config with no `gelu` field loads as
-    "erf", the form such files were trained with, and the `ema_decay` field
-    and `ema` group of files written before EMA was removed are dropped."""
+    Only the format save_checkpoint writes loads: no key is defaulted, and
+    no entry skips its crc32."""
     with open(path, "rb") as f:
         data = f.read()
     start = len(CKPT_MAGIC) + 4
@@ -394,20 +394,19 @@ def load_checkpoint(path: str) -> TrainState:
     missing = [k for k in MANIFEST_KEYS if k not in manifest]
     if missing:
         raise ValueError(f"{path}: manifest has no {', '.join(map(repr, missing))}")
-    if manifest["version"] not in (1, CKPT_VERSION):
+    if manifest["version"] != CKPT_VERSION:
         raise ValueError(
-            f"{path}: checkpoint version {manifest['version']!r} is not 1 or {CKPT_VERSION}"
+            f"{path}: checkpoint version {manifest['version']!r} is not {CKPT_VERSION}"
         )
     cfgs = {}
     for group, cls in (("model_cfg", M.ModelConfig), ("data_cfg", DatasetConfig),
                        ("train_cfg", TrainConfig)):
         try:
             fields = dict(manifest[group])
-            if group == "model_cfg":
-                # files written before ModelConfig.gelu existed used exact GELU
-                fields.setdefault("gelu", "erf")
-            if group == "train_cfg":
-                fields.pop("ema_decay", None)
+            # a default could be another function of the same weights (gelu)
+            missing = [f.name for f in dataclasses.fields(cls) if f.name not in fields]
+            if missing:
+                raise TypeError(f"missing field {', '.join(map(repr, missing))}")
             cfgs[group] = cls(**fields)
         except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: {group} is not a valid {cls.__name__}: {e}") from e
@@ -433,7 +432,6 @@ def load_checkpoint(path: str) -> TrainState:
     for i, e in enumerate(entries):
         group, name, arr = _read_entry(path, data, blob_start, i, e)
         groups[group][name] = arr
-    del groups["ema"]
     expected = M.param_shapes(model_cfg)
     for group, arrays in groups.items():
         shapes = {name: a.shape for name, a in arrays.items()}

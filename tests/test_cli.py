@@ -234,9 +234,10 @@ class TestRecord:
         ("sample", ["--eta", "1.5", "--method", "ddim"]),
         ("train", ["--train-steps", "-3"]),
         ("train", ["--train-steps", "2", "--checkpoint-every", "-1"]),
+        ("train", ["--variant", "ar", "--variance-head"]),
         ("eval", ["--timing", "--n", "0"]),
     ], ids=["n-0", "n-neg", "stride-0", "eta", "train-steps-neg", "checkpoint-every-neg",
-            "timing-n-0"])
+            "ar-variance-head", "timing-n-0"])
     def test_rejected_argument_leaves_no_record(self, tmp_path, corpus, checkpoint,
                                                 capsys, command, args):
         """The input loads, but the run is refused before any output."""

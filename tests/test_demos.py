@@ -1,12 +1,11 @@
 """The quick demos run end to end, each as its own process.
 
-Each demo runs from a copy in a temporary directory, so demo 06, which
-writes next to itself, leaves demos/out untouched. Demos 03 and 04 train
-models for minutes and are left to be run by hand.
+Each demo runs in place, from a temporary working directory. Demo 06 is
+given a temporary output directory, so demos/out is left untouched. Demos
+03 and 04 train models for minutes and are left to be run by hand.
 """
 
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +16,11 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
 
-def run_demo(name, tmp_path):
-    script = tmp_path / f"{name}.py"
-    shutil.copy(DEMOS / script.name, script)
+def run_demo(name, tmp_path, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, str(DEMOS / f"{name}.py"), *map(str, args)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 @pytest.mark.parametrize("name", [
@@ -34,7 +32,7 @@ def test_demo_exits_0(name, tmp_path):
 
 
 def test_segments_demo_writes_the_committed_svg(tmp_path):
-    proc = run_demo("06_segments", tmp_path)
+    proc = run_demo("06_segments", tmp_path, tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
     written = (tmp_path / "out" / "segments_0.svg").read_bytes()
     assert written == (DEMOS / "out" / "segments_0.svg").read_bytes()

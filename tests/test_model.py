@@ -101,6 +101,8 @@ class TestConfig:
             ModelConfig(layers=1, heads=3, hidden=8, n_max=2)
         with pytest.raises(ConfigError):
             ModelConfig(layers=1, heads=2, hidden=8, n_max=0)
+        with pytest.raises(ConfigError, match="ar_mode and variance_head"):
+            ModelConfig(layers=1, heads=2, hidden=8, n_max=2, ar_mode=True, variance_head=True)
 
     def test_gelu_form_checked(self):
         assert ModelConfig().gelu == "tanh"

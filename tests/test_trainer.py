@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import re
 import tracemalloc
 
@@ -425,7 +427,6 @@ class TestCheckpoint:
     @staticmethod
     def rewrite_manifest(path, edit):
         """Apply edit(manifest) to a checkpoint file's manifest in place."""
-        import json
         data = path.read_bytes()
         magic = b"LAYOUTDIFF-CKPT\n"
         mlen = int.from_bytes(data[len(magic):len(magic) + 4], "little")
@@ -434,27 +435,6 @@ class TestCheckpoint:
         payload = json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8")
         path.write_bytes(magic + len(payload).to_bytes(4, "little") + payload
                          + data[len(magic) + 4 + mlen:])
-
-    def test_version_1_file_still_loads(self, tmp_path):
-        """The version 1 layout is this one with no dtype field: every block
-        is <f4, and loads as float32."""
-        state = init_state(TrainConfig(seed=11), TINY, DCFG)
-        train_step_nonar(state, corpus_tokens())
-        path = tmp_path / "v1.ckpt"
-        save_checkpoint(str(path), state)
-
-        def to_v1(manifest):
-            manifest["version"] = 1
-            for e in manifest["entries"]:
-                del e["dtype"]
-        self.rewrite_manifest(path, to_v1)
-        loaded = load_checkpoint(str(path))
-        assert loaded.step == state.step
-        for group in ("params", "adam_m", "adam_v"):
-            a, b = getattr(state, group), getattr(loaded, group)
-            assert sorted(a) == sorted(b)
-            for k in a:
-                assert b[k].dtype == np.float32 and np.array_equal(a[k], b[k]), (group, k)
 
     def test_entry_dtype_checked(self, tmp_path):
         state = init_state(TrainConfig(seed=12), TINY, DCFG)
@@ -482,9 +462,9 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: model_cfg .*'relu'"):
             load_checkpoint(str(path))
 
-    def test_file_without_gelu_field_loads_as_erf(self, tmp_path):
-        """Checkpoints written before ModelConfig.gelu existed keep exact GELU,
-        and with it their predictions, bit for bit."""
+    def test_erf_model_loads_with_same_predictions(self, tmp_path):
+        """An exact-GELU model keeps its form, and with it its predictions,
+        bit for bit."""
         cfg = ModelConfig(layers=2, heads=2, hidden=16, n_max=4, gelu="erf")
         state = init_state(TrainConfig(seed=15, lr=1e-2), cfg, DCFG)
         for _ in range(3):
@@ -492,9 +472,8 @@ class TestCheckpoint:
         x = np.random.default_rng(16).standard_normal((3, 4, 16)).astype(np.float32)
         t = np.array([0, 40, 99])
         before = forward_nonar(state.params, cfg, x, t).eps_hat
-        path = tmp_path / "old.ckpt"
+        path = tmp_path / "erf.ckpt"
         save_checkpoint(str(path), state)
-        self.rewrite_manifest(path, lambda m: m["model_cfg"].pop("gelu"))
         loaded = load_checkpoint(str(path))
         assert loaded.model_cfg == cfg
         after = forward_nonar(loaded.params, loaded.model_cfg, x, t).eps_hat
@@ -510,37 +489,45 @@ class TestCheckpoint:
         assert path.exists()
         assert not (tmp_path / "model.ckpt.tmp").exists()
 
-    @pytest.mark.parametrize("ema_decay", [None, 0.99])
-    def test_file_written_with_ema_loads(self, tmp_path, ema_decay):
-        """Files written while TrainConfig had ema_decay carry that field, and
-        with it set an `ema` group after adam_v; both are dropped on load."""
-        state = init_state(TrainConfig(seed=17), TINY, DCFG)
-        train_step_nonar(state, corpus_tokens())
-        path = tmp_path / "ema.ckpt"
-        save_checkpoint(str(path), state)
-        blocks = []
+    @pytest.mark.parametrize("kind", ["float16_params", "int64_moment"])
+    def test_save_refuses_dtype_loss(self, tmp_path, kind):
+        """An array stored as <f4 or <f8 would change its values or dtype, so
+        it fails before anything is written."""
+        if kind == "float16_params":
+            state = init_state(TrainConfig(seed=7), TINY, DCFG, dtype=np.float16)
+            name, dtype = r"param/\S+", "float16"
+        else:
+            state = init_state(TrainConfig(seed=7), TINY, DCFG)
+            state.adam_v["in_proj.b"] = np.zeros(TINY.hidden, dtype=np.int64)
+            name, dtype = r"adam_v/in_proj\.b", "int64"
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {name} has dtype {dtype}"):
+            save_checkpoint(str(path), state)
+        assert list(tmp_path.iterdir()) == []
 
-        def add_ema(manifest):
-            manifest["train_cfg"]["ema_decay"] = ema_decay
-            if ema_decay is None:
-                return
-            offset = sum(e["size"] for e in manifest["entries"])
-            for name in sorted(state.params):
-                arr = np.full_like(state.params[name], 0.5)
-                manifest["entries"].append({
-                    "name": f"ema/{name}", "shape": list(arr.shape), "dtype": "<f4",
-                    "offset": offset, "size": arr.nbytes})
-                blocks.append(arr.tobytes())
-                offset += arr.nbytes
-        self.rewrite_manifest(path, add_ema)
-        path.write_bytes(path.read_bytes() + b"".join(blocks))
-        loaded = load_checkpoint(str(path))
-        assert loaded.train_cfg == state.train_cfg and loaded.step == state.step
-        for group in ("params", "adam_m", "adam_v"):
-            a, b = getattr(state, group), getattr(loaded, group)
-            assert sorted(a) == sorted(b)
-            for k in a:
-                assert np.array_equal(a[k], b[k]), (group, k)
+    @pytest.mark.parametrize("kind", ["float32", "float64", "erf"])
+    def test_writer_and_reader_agree(self, tmp_path, kind):
+        """The reader requires exactly what the writer writes, and a loaded
+        file saves back to the same bytes."""
+        cfg = dataclasses.replace(TINY, gelu="erf") if kind == "erf" else TINY
+        dtype = np.float64 if kind == "float64" else np.float32
+        state = init_state(TrainConfig(seed=24), cfg, DCFG, dtype=dtype)
+        for _ in range(3):
+            train_step_nonar(state, corpus_tokens())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), state)
+        data = path.read_bytes()
+        mlen = int.from_bytes(data[len(CKPT_MAGIC):len(CKPT_MAGIC) + 4], "little")
+        manifest = json.loads(data[len(CKPT_MAGIC) + 4:len(CKPT_MAGIC) + 4 + mlen])
+        assert sorted(manifest) == sorted(MANIFEST_KEYS)
+        for e in manifest["entries"]:
+            assert sorted(e) == sorted(ENTRY_KEYS), e["name"]
+        for group, cls in (("model_cfg", ModelConfig), ("data_cfg", DatasetConfig),
+                           ("train_cfg", TrainConfig)):
+            assert sorted(manifest[group]) == sorted(f.name for f in dataclasses.fields(cls))
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(str(again), load_checkpoint(str(path)))
+        assert again.read_bytes() == data
 
     @pytest.mark.parametrize("key", MANIFEST_KEYS)
     def test_missing_manifest_key_names_path_and_key(self, tmp_path, key):
@@ -570,6 +557,12 @@ class TestCheckpoint:
         (lambda m: m["entries"][0].update(name="moments/in_proj.b"),
          r"entry moments/in_proj\.b is in unknown group 'moments'"),
         (lambda m: m["model_cfg"].update(heads=0), r"model_cfg .*heads must be >= 1"),
+        # what files from before the current format carried is refused
+        (lambda m: m.update(version=1), r"checkpoint version 1 is not 2"),
+        (lambda m: m["entries"][0].update(name="ema/in_proj.b"),
+         r"entry ema/in_proj\.b is in unknown group 'ema'"),
+        (lambda m: m["train_cfg"].update(ema_decay=0.99), r"train_cfg .*'ema_decay'"),
+        (lambda m: m["model_cfg"].pop("gelu"), r"model_cfg .*missing field 'gelu'"),
     ])
     def test_bad_manifest_value_names_path(self, tmp_path, edit, message):
         path = tmp_path / "model.ckpt"
@@ -629,21 +622,5 @@ class TestCheckpoint:
         original = load_checkpoint(str(tmp_path / "original.ckpt"))
         for group in ("params", "adam_m", "adam_v"):
             a, b = getattr(original, group), getattr(loaded, group)
-            for k in a:
-                assert np.array_equal(a[k], b[k]), (group, k)
-
-    def test_file_without_crc_loads_as_before(self, tmp_path):
-        """Files written before entries carried a crc32 load unchecked."""
-        state = init_state(TrainConfig(seed=23), TINY, DCFG)
-        path = tmp_path / "old.ckpt"
-        save_checkpoint(str(path), state)
-
-        def drop_crc(manifest):
-            for e in manifest["entries"]:
-                del e["crc32"]
-        self.rewrite_manifest(path, drop_crc)
-        loaded = load_checkpoint(str(path))
-        for group in ("params", "adam_m", "adam_v"):
-            a, b = getattr(state, group), getattr(loaded, group)
             for k in a:
                 assert np.array_equal(a[k], b[k]), (group, k)
