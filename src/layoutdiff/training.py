@@ -2,15 +2,17 @@
 
 The checkpoint container is a single file: a magic string, a 4-byte
 little-endian manifest length, a human-readable JSON manifest, then raw
-little-endian blocks (parameters and optimizer moments) in the order listed by
-the manifest. Each manifest entry records its block's dtype, `<f4` or `<f8`,
-and the zlib CRC-32 of its bytes. The loader reads only this format. Reloading
-restores the exact training state, so a resumed run reproduces the original
-loss trajectory bit for bit in single-threaded mode.
+little-endian blocks (parameters and optimizer moments), back to back in the
+order listed by the manifest up to the end of the file. Each manifest entry
+records its block's dtype, `<f4` or `<f8`, and the zlib CRC-32 of its bytes.
+The loader reads only this format, front to back. Reloading restores the
+exact training state, so a resumed run reproduces the original loss
+trajectory bit for bit in single-threaded mode.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -271,8 +273,10 @@ def train_loop(train_cfg: TrainConfig, model_cfg: M.ModelConfig,
 
 def save_checkpoint(path: str, state: TrainState) -> None:
     """Write the whole training state to a single file, atomically. An array
-    that is not float32 or float64 raises ValueError before anything is written."""
-    blocks = []
+    that is not float32 or float64 raises ValueError before anything is
+    written. Each array is written from its own buffer, so no byte copy of
+    the state is made; a write that fails removes the partial file."""
+    arrays = []
     entries = []
     offset = 0
     for group, d in (("param", state.params), ("adam_m", state.adam_m),
@@ -283,15 +287,16 @@ def save_checkpoint(path: str, state: TrainState) -> None:
                 raise ValueError(f"{path}: {group}/{name} has dtype {d[name].dtype}, "
                                  f"not float32 or float64")
             dtype = "<f8" if kind is np.float64 else "<f4"
+            # the array itself when its dtype and layout already match
             arr = np.ascontiguousarray(d[name], dtype=dtype)
-            blocks.append(arr.tobytes())
+            arrays.append(arr)
             entries.append({
                 "name": f"{group}/{name}",
                 "shape": list(d[name].shape),
                 "dtype": dtype,
                 "offset": offset,
                 "size": arr.nbytes,
-                "crc32": zlib.crc32(blocks[-1]),
+                "crc32": zlib.crc32(arr),
             })
             offset += arr.nbytes
     manifest = {
@@ -306,13 +311,18 @@ def save_checkpoint(path: str, state: TrainState) -> None:
     }
     payload = json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8")
     tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", len(payload)))
-        f.write(payload)
-        for b in blocks:
-            f.write(b)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<I", len(payload)))
+            f.write(payload)
+            for arr in arrays:
+                f.write(arr)  # the buffer itself, counted in bytes
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # the keys every manifest carries, in the order they are checked
@@ -326,8 +336,10 @@ def _is_count(x) -> bool:
     return type(x) is int and x >= 0  # JSON true/false are bools, not counts
 
 
-def _read_entry(path, data, blob_start, i, e):
-    """Check manifest entry i and return (group, name, array)."""
+def _read_entry(path, f, file_size, blob_start, end, i, e):
+    """Check manifest entry i, which must start where the entries before it
+    end (`end` bytes into the data section, where f stands), read its block
+    into a new array and return (group, name, array)."""
     if not isinstance(e, dict):
         raise ValueError(f"{path}: entry {i} is not a JSON object")
     missing = [k for k in ENTRY_KEYS if k not in e]
@@ -335,6 +347,10 @@ def _read_entry(path, data, blob_start, i, e):
         label = e["name"] if "name" in e else i
         raise ValueError(f"{path}: entry {label!r} has no "
                          f"{', '.join(map(repr, missing))}")
+    unknown = sorted(e.keys() - set(ENTRY_KEYS))
+    if unknown:
+        raise ValueError(f"{path}: entry {e['name']!r} has unknown key "
+                         f"{', '.join(map(repr, unknown))}")
     full = e["name"]
     if not isinstance(full, str) or "/" not in full:
         raise ValueError(f"{path}: entry {i} has name {full!r}, not '<group>/<name>'")
@@ -352,86 +368,118 @@ def _read_entry(path, data, blob_start, i, e):
                          f"not '<f4' or '<f8'")
     count = math.prod(shape)
     offset += blob_start
-    if size != np.dtype(dtype).itemsize * count or offset + size > len(data):
+    if size != np.dtype(dtype).itemsize * count or offset + size > file_size:
         raise ValueError(
             f"{path}: entry {full} of shape {tuple(shape)} and dtype "
             f"{dtype} takes {size} bytes at file offset {offset}, the file "
-            f"has {len(data)}"
+            f"has {file_size}"
         )
-    if e["crc32"] != zlib.crc32(memoryview(data)[offset:offset + size]):
+    if offset != blob_start + end:
+        raise ValueError(f"{path}: entry {full} is at file offset {offset}, the "
+                         f"entries before it end at file offset {blob_start + end}")
+    arr = np.empty(shape, dtype)
+    got = f.readinto(arr)  # counted in bytes
+    if got != size:
+        raise ValueError(f"{path}: entry {full} at file offset {offset} ends after "
+                         f"{got} of its {size} bytes")
+    if e["crc32"] != zlib.crc32(arr):
         raise ValueError(f"{path}: entry {full} at file offset {offset} does not "
                          f"match its crc32 {e['crc32']!r}")
-    arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-    return group, name, arr.reshape(shape).copy()
+    return group, name, arr
 
 
-def load_checkpoint(path: str) -> TrainState:
-    """Read a checkpoint back. A file that is not one, is truncated, whose
-    manifest does not parse or lacks a key, whose config groups, schedule,
-    step or RNG state do not build, or whose entries do not fit the file or
-    the model config or fail their crc32 raises one ValueError naming the
-    path and the bad key, group, entry or byte offset.
-
-    Only the format save_checkpoint writes loads: no key is defaulted, and
-    no entry skips its crc32."""
-    with open(path, "rb") as f:
-        data = f.read()
+def _read_manifest(path, f, file_size):
+    """Read the magic, the length field and the manifest from the start of
+    f; return the manifest and the file offset of the data section."""
     start = len(CKPT_MAGIC) + 4
-    if data[:len(CKPT_MAGIC)] != CKPT_MAGIC:
+    head = f.read(start)
+    if head[:len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    if len(data) < start:
-        raise ValueError(f"{path}: file ends at byte {len(data)}, inside the manifest "
+    if len(head) < start:
+        raise ValueError(f"{path}: file ends at byte {len(head)}, inside the manifest "
                          f"length field at bytes {len(CKPT_MAGIC)}-{start}")
-    (mlen,) = struct.unpack_from("<I", data, len(CKPT_MAGIC))
+    (mlen,) = struct.unpack_from("<I", head, len(CKPT_MAGIC))
     blob_start = start + mlen
+    where = (f"{path}: manifest at bytes {start}-{blob_start} does not parse "
+             f"({file_size} bytes in file)")
+    # the length field is checked against the file before it sizes a read
+    if blob_start > file_size:
+        raise ValueError(f"{where}: the file ends inside it")
     try:
-        manifest = json.loads(data[start:blob_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ValueError(f"{path}: manifest at bytes {start}-{blob_start} does not parse "
-                         f"({len(data)} bytes in file): {e}") from e
+        manifest = json.loads(f.read(mlen).decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise ValueError(f"{where}: {e}") from e
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest is not a JSON object")
     missing = [k for k in MANIFEST_KEYS if k not in manifest]
     if missing:
         raise ValueError(f"{path}: manifest has no {', '.join(map(repr, missing))}")
+    unknown = sorted(manifest.keys() - set(MANIFEST_KEYS))
+    if unknown:
+        raise ValueError(f"{path}: manifest has unknown key {', '.join(map(repr, unknown))}")
     if manifest["version"] != CKPT_VERSION:
         raise ValueError(
             f"{path}: checkpoint version {manifest['version']!r} is not {CKPT_VERSION}"
         )
-    cfgs = {}
-    for group, cls in (("model_cfg", M.ModelConfig), ("data_cfg", DatasetConfig),
-                       ("train_cfg", TrainConfig)):
+    return manifest, blob_start
+
+
+def load_checkpoint(path: str) -> TrainState:
+    """Read a checkpoint back. A file that is not one, is truncated, whose
+    manifest does not parse, lacks a key or has one the writer does not
+    write, whose config groups, schedule, step or RNG state do not build, or
+    whose entries do not fit the file or the model config, fail their crc32,
+    repeat a name or do not tile the data section front to back up to the
+    end of the file raises one ValueError naming the path and the bad key,
+    group, entry or byte offset.
+
+    Only the format save_checkpoint writes loads: no key is defaulted, and
+    no entry skips its crc32. Each entry is read straight into its own
+    array, so a load holds one copy of the state."""
+    with open(path, "rb") as f:
+        file_size = os.fstat(f.fileno()).st_size
+        manifest, blob_start = _read_manifest(path, f, file_size)
+        cfgs = {}
+        for group, cls in (("model_cfg", M.ModelConfig), ("data_cfg", DatasetConfig),
+                           ("train_cfg", TrainConfig)):
+            try:
+                fields = dict(manifest[group])
+                # a default could be another function of the same weights (gelu)
+                missing = [fd.name for fd in dataclasses.fields(cls) if fd.name not in fields]
+                if missing:
+                    raise TypeError(f"missing field {', '.join(map(repr, missing))}")
+                cfgs[group] = cls(**fields)
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{path}: {group} is not a valid {cls.__name__}: {e}") from e
         try:
-            fields = dict(manifest[group])
-            # a default could be another function of the same weights (gelu)
-            missing = [f.name for f in dataclasses.fields(cls) if f.name not in fields]
-            if missing:
-                raise TypeError(f"missing field {', '.join(map(repr, missing))}")
-            cfgs[group] = cls(**fields)
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{path}: {group} is not a valid {cls.__name__}: {e}") from e
+            sched = S.build_schedule(manifest["schedule"]["T"], manifest["schedule"]["kind"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"{path}: schedule {manifest['schedule']!r} does not build "
+                             f"a schedule: {e!r}") from e
+        step = manifest["step"]
+        if not _is_count(step):
+            raise ValueError(f"{path}: step {step!r} is not a non-negative integer")
+        rng = np.random.default_rng()
+        try:
+            rng.bit_generator.state = manifest["rng_state"]
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise ValueError(f"{path}: rng_state is not a "
+                             f"{type(rng.bit_generator).__name__} state: {e!r}") from e
+        entries = manifest["entries"]
+        if not isinstance(entries, list):
+            raise ValueError(f"{path}: entries is not a list")
+        groups = {group: {} for group in ENTRY_GROUPS}
+        end = 0
+        for i, e in enumerate(entries):
+            group, name, arr = _read_entry(path, f, file_size, blob_start, end, i, e)
+            if name in groups[group]:
+                raise ValueError(f"{path}: entry {group}/{name} appears more than once")
+            groups[group][name] = arr
+            end += arr.nbytes
+    if blob_start + end != file_size:
+        raise ValueError(f"{path}: the entries end at file offset {blob_start + end}, "
+                         f"the file has {file_size} bytes")
     model_cfg, data_cfg, train_cfg = cfgs["model_cfg"], cfgs["data_cfg"], cfgs["train_cfg"]
-    try:
-        sched = S.build_schedule(manifest["schedule"]["T"], manifest["schedule"]["kind"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"{path}: schedule {manifest['schedule']!r} does not build "
-                         f"a schedule: {e!r}") from e
-    step = manifest["step"]
-    if not _is_count(step):
-        raise ValueError(f"{path}: step {step!r} is not a non-negative integer")
-    rng = np.random.default_rng()
-    try:
-        rng.bit_generator.state = manifest["rng_state"]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise ValueError(f"{path}: rng_state is not a "
-                         f"{type(rng.bit_generator).__name__} state: {e!r}") from e
-    entries = manifest["entries"]
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: entries is not a list")
-    groups = {group: {} for group in ENTRY_GROUPS}
-    for i, e in enumerate(entries):
-        group, name, arr = _read_entry(path, data, blob_start, i, e)
-        groups[group][name] = arr
     expected = M.param_shapes(model_cfg)
     for group, arrays in groups.items():
         shapes = {name: a.shape for name, a in arrays.items()}

@@ -1,13 +1,17 @@
 import dataclasses
+import errno
+import io
 import json
 import re
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from layoutdiff import model as M
+from layoutdiff import training
 from layoutdiff.core import DatasetConfig, tokenize_layout
 from layoutdiff.data import synth_layout_corpus
 from layoutdiff.model import ModelConfig, forward_nonar, nonar_loss_and_grads
@@ -489,6 +493,136 @@ class TestCheckpoint:
         assert path.exists()
         assert not (tmp_path / "model.ckpt.tmp").exists()
 
+    def test_failed_write_removes_tmp_and_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=7), TINY, DCFG))
+        old = path.read_bytes()
+
+        class FullDisk(io.BufferedWriter):
+            """A file whose fourth write fails, as on a full disk."""
+            writes = 0
+
+            def write(self, b):
+                self.writes += 1
+                if self.writes == 4:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(b)
+
+        monkeypatch.setattr(training, "open", lambda p, mode: FullDisk(io.FileIO(p, "wb")),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(str(path), init_state(TrainConfig(seed=8), TINY, DCFG))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+        assert path.read_bytes() == old
+
+    # big enough that the manifest is a small share of the state's bytes
+    MEDIUM = ModelConfig(layers=2, heads=4, hidden=128, n_max=4)
+
+    @staticmethod
+    def traced_rise(fn):
+        """fn's result, and its tracemalloc peak above the start, in bytes."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def state_bytes(state):
+        return sum(a.nbytes for d in (state.params, state.adam_m, state.adam_v)
+                   for a in d.values())
+
+    def test_save_holds_no_copy_of_the_state(self, tmp_path):
+        state = init_state(TrainConfig(seed=25), self.MEDIUM, DCFG)
+        _, rise = self.traced_rise(lambda: save_checkpoint(str(tmp_path / "m.ckpt"), state))
+        assert rise < 0.1 * self.state_bytes(state), (rise, self.state_bytes(state))
+
+    def test_load_holds_one_copy_of_the_state(self, tmp_path):
+        state = init_state(TrainConfig(seed=26), self.MEDIUM, DCFG)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, state)
+        del state
+        loaded, rise = self.traced_rise(lambda: load_checkpoint(path))
+        assert rise <= 1.1 * self.state_bytes(loaded), (rise, self.state_bytes(loaded))
+
+    def test_length_field_checked_before_a_read(self, tmp_path, monkeypatch):
+        """A manifest length past the end of the file is refused before
+        anything past the header is read."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=27), TINY, DCFG))
+        data = bytearray(path.read_bytes())
+        data[len(CKPT_MAGIC):len(CKPT_MAGIC) + 4] = (0xFFFFFF00).to_bytes(4, "little")
+        path.write_bytes(data)
+        reached = []
+
+        class Recording(io.BufferedReader):
+            """A file that records how far each read has reached."""
+            def read(self, n=-1):
+                out = super().read(n)
+                reached.append(self.tell())
+                return out
+
+            def readinto(self, b):
+                out = super().readinto(b)
+                reached.append(self.tell())
+                return out
+
+        monkeypatch.setattr(training, "open", lambda p, mode: Recording(io.FileIO(p)),
+                            raising=False)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: manifest at bytes "
+                                             r"20-4294967060 does not parse .*ends inside"):
+            load_checkpoint(str(path))
+        assert reached and max(reached) <= len(CKPT_MAGIC) + 4, reached
+
+    def test_short_read_names_entry_and_offset(self, tmp_path, monkeypatch):
+        """A file that ends early although its size said otherwise (it
+        shrank after the size was taken) fails on the entry it cut."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=29), TINY, DCFG))
+
+        class Shrunk(io.BufferedReader):
+            def readinto(self, b):
+                return super().readinto(memoryview(b).cast("B")[:-1])
+
+        monkeypatch.setattr(training, "open", lambda p, mode: Shrunk(io.FileIO(p)),
+                            raising=False)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: entry param/\\S+ "
+                                             r"at file offset \d+ ends after \d+ of its \d+ bytes"):
+            load_checkpoint(str(path))
+
+    TILING_ERRORS = {
+        # a second entry for blocks.0, pointing at blocks.1's block and crc32
+        "alias": r"entry param/blocks\.0\.attn\.wqkv is at file offset \d+, the "
+                 r"entries before it end at file offset \d+",
+        # the same, with blocks.1's bytes copied to the end of the file
+        "repeat": r"entry param/blocks\.0\.attn\.wqkv appears more than once",
+        "trailing": r"the entries end at file offset \d+, the file has \d+ bytes",
+    }
+
+    @pytest.mark.parametrize("case", sorted(TILING_ERRORS))
+    def test_entries_tile_the_data_section(self, tmp_path, case):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=28), TINY, DCFG))
+        data = path.read_bytes()
+        mlen = int.from_bytes(data[len(CKPT_MAGIC):len(CKPT_MAGIC) + 4], "little")
+        blob_start = len(CKPT_MAGIC) + 4 + mlen
+        if case == "trailing":
+            path.write_bytes(data + bytes(400))
+        else:
+            entries = json.loads(data[len(CKPT_MAGIC) + 4:blob_start])["entries"]
+            other = next(e for e in entries if e["name"] == "param/blocks.1.attn.wqkv")
+            block = data[blob_start + other["offset"]:][:other["size"]]
+            alias = {**other, "name": "param/blocks.0.attn.wqkv"}
+            if case == "repeat":
+                alias["offset"] = len(data) - blob_start
+                path.write_bytes(data + block)
+            self.rewrite_manifest(path, lambda m: m["entries"].append(alias))
+        with pytest.raises(ValueError,
+                           match=f"{re.escape(str(path))}: {self.TILING_ERRORS[case]}"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("kind", ["float16_params", "int64_moment"])
     def test_save_refuses_dtype_loss(self, tmp_path, kind):
         """An array stored as <f4 or <f8 would change its values or dtype, so
@@ -525,6 +659,11 @@ class TestCheckpoint:
         for group, cls in (("model_cfg", ModelConfig), ("data_cfg", DatasetConfig),
                            ("train_cfg", TrainConfig)):
             assert sorted(manifest[group]) == sorted(f.name for f in dataclasses.fields(cls))
+        # the data section is every array's bytes in entry order, to the end
+        blocks = [getattr(state, {"param": "params"}.get(group, group))[name].tobytes()
+                  for group, name in (e["name"].split("/", 1) for e in manifest["entries"])]
+        assert data[len(CKPT_MAGIC) + 4 + mlen:] == b"".join(blocks)
+        assert [e["crc32"] for e in manifest["entries"]] == [zlib.crc32(b) for b in blocks]
         again = tmp_path / "again.ckpt"
         save_checkpoint(str(again), load_checkpoint(str(path)))
         assert again.read_bytes() == data
@@ -563,6 +702,9 @@ class TestCheckpoint:
          r"entry ema/in_proj\.b is in unknown group 'ema'"),
         (lambda m: m["train_cfg"].update(ema_decay=0.99), r"train_cfg .*'ema_decay'"),
         (lambda m: m["model_cfg"].pop("gelu"), r"model_cfg .*missing field 'gelu'"),
+        # a key the writer does not write is refused, not ignored
+        (lambda m: m["entries"][0].update(ema=1), r"entry 'param/\S+' has unknown key 'ema'"),
+        (lambda m: m.update(extra_top={"a": 1}), r"manifest has unknown key 'extra_top'"),
     ])
     def test_bad_manifest_value_names_path(self, tmp_path, edit, message):
         path = tmp_path / "model.ckpt"
