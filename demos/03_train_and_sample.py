@@ -7,6 +7,7 @@ Run:  python3 demos/03_train_and_sample.py [OUT_DIR]   (default demos/out)
 
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -35,8 +36,14 @@ train_cfg = TrainConfig(lr=2e-3, batch_size=32, total_steps=600,
 sched = build_schedule(100)
 
 print("\ntraining 600 steps ...")
-state = train_loop(train_cfg, model_cfg, dcfg, tokens, sched=sched,
-                   print_every=150)
+with tempfile.TemporaryDirectory() as tmp:
+    log = os.path.join(tmp, "loss.log")
+    state = train_loop(train_cfg, model_cfg, dcfg, tokens, sched=sched, log_path=log)
+    with open(log) as f:
+        for line in f:
+            step, loss, _ = line.split("\t")
+            if int(step) % 150 == 0:
+                print(f"step {step}  loss {float(loss):.5f}")
 
 print("\nsampling 8 layouts (DDIM) ...")
 samples, _, _ = sample_nonar(state.params, model_cfg, sched, dcfg,

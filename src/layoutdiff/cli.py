@@ -120,7 +120,8 @@ def _cmd_convert(cfg) -> int:
 
 def _cmd_train(cfg) -> int:
     resolved = _announce("train", cfg)
-    dcfg, records = D.load_canonical(cfg["data"])
+    # a converted corpus tags its records; val and test are held out
+    dcfg, records = D.load_canonical(cfg["data"], split="train")
     tokens = _tokenize_all(dcfg, records)
     model_cfg = M.ModelConfig(
         layers=cfg["layers"], heads=cfg["heads"], hidden=cfg["hidden"],
@@ -144,9 +145,12 @@ def _cmd_train(cfg) -> int:
     return 0
 
 
-def _load_mask(mask_kind, cond_data, dcfg, index=0):
+def _load_mask(mask_kind, cond_data, checkpoint, dcfg, index=0):
     if mask_kind in (None, "none"):
         return None
+    if dcfg.mode != "layout":
+        raise ValueError(f"--mask {mask_kind} conditions a layout model; "
+                         f"{checkpoint} is a {dcfg.mode} model")
     if not cond_data:
         raise ValueError(f"--mask {mask_kind} requires --cond-data")
     ccfg, records = D.load_canonical(cond_data)
@@ -176,7 +180,8 @@ def _cmd_sample(cfg) -> int:
     resolved = _announce("sample", cfg)
     state = TR.load_checkpoint(cfg["checkpoint"])
     dcfg = state.data_cfg
-    mask = _load_mask(cfg["mask"], cfg["cond_data"], dcfg, cfg["cond_index"])
+    mask = _load_mask(cfg["mask"], cfg["cond_data"], cfg["checkpoint"], dcfg,
+                      cfg["cond_index"])
     is_ar = state.model_cfg.ar_mode
     method = cfg["method"] or ("ddim" if is_ar else "ddpm")
     sampler = SMP.sample_ar if is_ar else SMP.sample_nonar
@@ -201,7 +206,9 @@ def _cmd_sample(cfg) -> int:
 
 def _cmd_eval(cfg) -> int:
     resolved = _announce("eval", cfg)
-    corpora = cfg["generated"] and cfg["reference"]
+    corpora = cfg["generated"] is not None
+    if corpora != (cfg["reference"] is not None) or not (corpora or cfg["timing"]):
+        raise ValueError("eval needs --generated and --reference together, or --timing")
     if corpora:
         gcfg, gen = D.load_canonical(cfg["generated"])
         rcfg, ref = D.load_canonical(cfg["reference"])

@@ -19,6 +19,8 @@ from .core import BoundingBox, DatasetConfig, Layout, Segment, ValidationError
 FORMAT_VERSION = 1
 # header fields besides the version, one per DatasetConfig field
 HEADER_KEYS = ("mode", "n_max", "num_categories", "h_max", "w_max")
+# train / val / test shares of a converted corpus
+SPLITS = (0.85, 0.05, 0.10)
 
 
 class FormatError(ValueError):
@@ -159,14 +161,14 @@ def load_canonical(path: str, split: str | None = None):
 # detection-annotation converter
 
 
-def convert_publaynet_like(annotations: dict, n_max=16, num_categories=5,
-                           splits=(0.85, 0.05, 0.10), seed=0):
+def convert_publaynet_like(annotations: dict, n_max=16, num_categories=5, seed=0):
     """Convert a detection-style annotation dict to a canonical corpus.
 
     Expects {"images": [{"id", "height", "width"}], "annotations":
     [{"image_id", "bbox": [x, y, w, h] (top-left origin), "category_id"}]}.
     Source boxes are flipped to a bottom-left origin. Layouts with more than
-    n_max elements are dropped (counted, not truncated).
+    n_max elements are dropped (counted, not truncated). The kept layouts are
+    tagged train / val / test in the SPLITS shares, in a seeded random order.
 
     Returns (DatasetConfig, layouts, split_tags, dropped_count).
     """
@@ -201,8 +203,8 @@ def convert_publaynet_like(annotations: dict, n_max=16, num_categories=5,
         layouts.append(Layout(H=H, W=W, boxes=tuple(boxes)))
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(layouts))
-    n_train = int(round(splits[0] * len(layouts)))
-    n_val = int(round(splits[1] * len(layouts)))
+    n_train = int(round(SPLITS[0] * len(layouts)))
+    n_val = int(round(SPLITS[1] * len(layouts)))
     tags = [""] * len(layouts)
     for rank, idx in enumerate(order):
         tags[idx] = "train" if rank < n_train else ("val" if rank < n_train + n_val else "test")

@@ -1,8 +1,8 @@
 """Evaluation metrics: alignment, overlap, MaxIoU, DocSim, the two-level
-segment Difference score, the assignment wrapper they share, and a pluggable
-Frechet feature distance standing in for FID. Its default features are a
-fixed-seed Gaussian random projection of the renders, streamed in row blocks
-over all renders at once and never held whole.
+segment Difference score, the assignment wrapper they share, and a Frechet
+feature distance standing in for FID. Its features are one fixed-seed
+Gaussian random projection of the renders (project_features), streamed in
+row blocks over all renders at once and never held whole.
 
 All box-level formulas operate on per-layout normalized coordinates in [0, 1].
 """
@@ -287,43 +287,39 @@ def difference_score(set_a, set_b) -> float:
 # Rows of the projection drawn and applied at a time: 16384 x 32 float64 is
 # 4 MiB, where the whole projection of a 256 px render is 48 MiB.
 PROJECTION_BLOCK_ROWS = 16384
+# a report's config_hash covers both
+FEATURE_DIM = 32
+FEATURE_SEED = 0
 
 
-class RandomProjectionExtractor:
-    """Documented default feature proxy: a fixed-seed Gaussian projection of
-    the flattened image. Deterministic; NOT comparable with Inception FID.
+def project_features(images) -> np.ndarray:
+    """(n, FEATURE_DIM) features of n images of one size: a Gaussian
+    projection of each flattened image. Deterministic; NOT comparable with
+    Inception FID. Raises ValueError naming the first image whose size
+    differs from image 0's, or whose features are not finite.
 
-    The (D, dim) projection is drawn from default_rng(seed) and scaled by
-    1/sqrt(D). It is drawn and applied PROJECTION_BLOCK_ROWS rows at a time,
-    in one pass for a whole batch of images, and never held whole. Successive
-    draws from one generator give the numbers of one whole draw, so the
-    blocks are the rows of the same matrix."""
-
-    def __init__(self, dim=32, seed=0):
-        self.dim = dim
-        self.seed = seed
-
-    def features(self, images) -> np.ndarray:
-        """(n, dim) features of n images of one size. Raises ValueError
-        naming the first image whose size differs from image 0's, or whose
-        features are not finite."""
-        flats = [np.asarray(im, dtype=np.float64).ravel() for im in images]
-        size = flats[0].size if flats else 0
-        for i, flat in enumerate(flats):
-            if flat.size != size:
-                raise ValueError(f"image {i} has {flat.size} values, image 0 has {size}")
-        rng = np.random.default_rng(self.seed)
-        out = np.zeros((len(flats), self.dim))
-        # overflow and NaN pixels show as non-finite features, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, size, PROJECTION_BLOCK_ROWS):
-                block = rng.standard_normal((min(PROJECTION_BLOCK_ROWS, size - lo), self.dim))
-                out += np.stack([flat[lo:lo + len(block)] for flat in flats]) @ block
-        out /= np.sqrt(size)
-        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-        if bad.size:
-            raise ValueError(f"image {bad[0]} has non-finite features")
-        return out
+    The (D, FEATURE_DIM) projection is drawn from default_rng(FEATURE_SEED)
+    and scaled by 1/sqrt(D), PROJECTION_BLOCK_ROWS rows at a time, in one
+    pass for a whole batch of images, and never held whole. Successive draws
+    from one generator give the numbers of one whole draw, so the blocks are
+    the rows of the same matrix."""
+    flats = [np.asarray(im, dtype=np.float64).ravel() for im in images]
+    size = flats[0].size if flats else 0
+    for i, flat in enumerate(flats):
+        if flat.size != size:
+            raise ValueError(f"image {i} has {flat.size} values, image 0 has {size}")
+    rng = np.random.default_rng(FEATURE_SEED)
+    out = np.zeros((len(flats), FEATURE_DIM))
+    # overflow and NaN pixels show as non-finite features, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, size, PROJECTION_BLOCK_ROWS):
+            block = rng.standard_normal((min(PROJECTION_BLOCK_ROWS, size - lo), FEATURE_DIM))
+            out += np.stack([flat[lo:lo + len(block)] for flat in flats]) @ block
+    out /= np.sqrt(size)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise ValueError(f"image {bad[0]} has non-finite features")
+    return out
 
 
 def frechet_gaussian_distance(feats_a, feats_b) -> float:
@@ -349,18 +345,13 @@ def frechet_gaussian_distance(feats_a, feats_b) -> float:
     return float(diff @ diff + np.trace(s1) + np.trace(s2) - 2.0 * tr_covmean)
 
 
-def feature_distance(generated_images, reference_images, extractor=None) -> float:
-    """Frechet distance between feature populations of two render sets.
-
-    `extractor` is any object with `features(images) -> (n, dim)` array;
-    the default is RandomProjectionExtractor(). Both sets go through one
-    `features` call, generated first, so the projection is drawn once and
-    an image index in its errors counts the reference images after the
-    generated ones."""
-    if extractor is None:
-        extractor = RandomProjectionExtractor()
+def feature_distance(generated_images, reference_images) -> float:
+    """Frechet distance between the project_features populations of two
+    render sets. Both sets go through one project_features call, generated
+    first, so the projection is drawn once and an image index in its errors
+    counts the reference images after the generated ones."""
     generated_images = list(generated_images)
-    feats = extractor.features(generated_images + list(reference_images))
+    feats = project_features(generated_images + list(reference_images))
     n = len(generated_images)
     return frechet_gaussian_distance(feats[:n], feats[n:])
 
@@ -388,12 +379,12 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def _finish_report(report, generated, reference, images_generated, images_reference,
-                   extractor) -> MetricReport:
+def _finish_report(report, generated, reference, images_generated,
+                   images_reference) -> MetricReport:
     """Add the feature distance when renders are supplied, then the meta: the
     corpus sizes, the render shape, and a hash of the canonical records of
-    both corpora plus the render shape and the feature extractor's
-    parameters. Renders for one side only raise ValueError naming the
+    both corpora plus the render shape and the projection's FEATURE_DIM and
+    FEATURE_SEED. Renders for one side only raise ValueError naming the
     missing one."""
     inputs = {"generated": [_record_dict(r) for r in generated],
               "reference": [_record_dict(r) for r in reference]}
@@ -402,23 +393,19 @@ def _finish_report(report, generated, reference, images_generated, images_refere
         missing = "images_generated" if images_generated is None else "images_reference"
         raise ValueError(f"renders were given for one side only: {missing} is missing")
     if images_generated is not None:
-        if extractor is None:
-            extractor = RandomProjectionExtractor()
         images_generated = list(images_generated)
-        report.scalars["feature_distance"] = feature_distance(
-            images_generated, images_reference, extractor
-        )
+        report.scalars["feature_distance"] = feature_distance(images_generated,
+                                                              images_reference)
         # feature_distance has checked that every render has image 0's size
         meta["render_shape"] = inputs["render_shape"] = list(np.shape(images_generated[0]))
-        inputs["extractor"] = {"dim": getattr(extractor, "dim", None),
-                               "seed": getattr(extractor, "seed", None)}
+        inputs["extractor"] = {"dim": FEATURE_DIM, "seed": FEATURE_SEED}
     meta["config_hash"] = hashlib.sha256(_dump(inputs).encode()).hexdigest()[:12]
     report.meta = meta
     return report
 
 
 def evaluate_layout_corpora(generated, reference, images_generated=None,
-                            images_reference=None, extractor=None) -> MetricReport:
+                            images_reference=None) -> MetricReport:
     """Full layout metric suite; feature distance only when renders supplied."""
     generated, reference = list(generated), list(reference)
     report = MetricReport()
@@ -429,13 +416,13 @@ def evaluate_layout_corpora(generated, reference, images_generated=None,
         report.per_sample[name] = [score([g]) for g in generated]
         report.scalars[name] = float(np.mean(report.per_sample[name]))
     return _finish_report(report, generated, reference, images_generated,
-                          images_reference, extractor)
+                          images_reference)
 
 
 def evaluate_segment_corpora(generated, reference, images_generated=None,
-                             images_reference=None, extractor=None) -> MetricReport:
+                             images_reference=None) -> MetricReport:
     generated, reference = list(generated), list(reference)
     report = MetricReport()
     report.scalars["difference"] = difference_score(generated, reference)
     return _finish_report(report, generated, reference, images_generated,
-                          images_reference, extractor)
+                          images_reference)

@@ -30,6 +30,8 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715
 GELU_FORMS = ("erf", "tanh")
+# the KL term's weight in the hybrid loss (Nichol & Dhariwal, arXiv:2102.09672)
+KL_WEIGHT = 1e-3
 
 
 class UnsupportedModeError(RuntimeError):
@@ -705,8 +707,8 @@ def _embed_grads_nonar(params, cfg, tokens, dh0, ws=None):
 
 
 def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true,
-                         sched=None, x0=None, kl_weight=1e-3, ws=None):
-    """MSE (plus KL in learned-variance mode) and its parameter gradients.
+                         sched=None, x0=None, ws=None):
+    """MSE (plus KL_WEIGHT x KL in learned-variance mode) and its parameter gradients.
 
     Without ws every returned grad is a fresh array. With ws, a workspace
     dict that the caller keeps across steps (see _buf), the forward cache,
@@ -742,9 +744,9 @@ def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true,
         delta2 = (mu_q - mu_p) ** 2
         kl = 0.5 * log_var_p - 0.5 * np.log(beta_tilde) + (beta_tilde + delta2) / (2.0 * var_p) - 0.5
         kl_term = float(np.mean(kl))
-        loss = loss + kl_weight * kl_term
-        dmu_p = kl_weight * (mu_p - mu_q) / var_p / numel
-        dlogvar = kl_weight * (0.5 - (beta_tilde + delta2) / (2.0 * var_p)) / numel
+        loss = loss + KL_WEIGHT * kl_term
+        dmu_p = KL_WEIGHT * (mu_p - mu_q) / var_p / numel
+        dlogvar = KL_WEIGHT * (0.5 - (beta_tilde + delta2) / (2.0 * var_p)) / numel
         deps = deps + (dmu_p * (-beta_t / (np.sqrt(denom) * np.sqrt(alpha_t)))).astype(dtype)
         draw = (dlogvar * v * (1.0 - v) * (np.log(beta_t) - np.log(beta_tilde))).astype(dtype)
         dout[..., cfg.token_dim :] = draw
@@ -808,26 +810,19 @@ def ar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true, ws=None):
 # optional MLP autoencoder adapter (latent-space ablation)
 
 
-def init_adapter(cfg: ModelConfig, seed: int, dtype=np.float64, identity=False) -> dict:
-    """Linear 16 -> d_latent -> 16 autoencoder used only for the ablation."""
+def init_adapter(cfg: ModelConfig, seed: int) -> dict:
+    """Linear 16 -> d_latent -> 16 float64 autoencoder, used only for the ablation."""
     if cfg.adapter_latent is None:
         raise UnsupportedModeError("adapter_latent is not set in the model config")
     d = cfg.adapter_latent
     td = cfg.token_dim
-    if identity:
-        if d != td:
-            raise ConfigError("identity init requires d_latent == token_dim")
-        return {
-            "enc.w": np.eye(td, dtype=dtype), "enc.b": np.zeros(d, dtype=dtype),
-            "dec.w": np.eye(td, dtype=dtype), "dec.b": np.zeros(td, dtype=dtype),
-        }
     rng = np.random.default_rng(seed)
     s = 1.0 / math.sqrt(td)
     return {
-        "enc.w": (rng.standard_normal((td, d)) * s).astype(dtype),
-        "enc.b": np.zeros(d, dtype=dtype),
-        "dec.w": (rng.standard_normal((d, td)) * s).astype(dtype),
-        "dec.b": np.zeros(td, dtype=dtype),
+        "enc.w": rng.standard_normal((td, d)) * s,
+        "enc.b": np.zeros(d),
+        "dec.w": rng.standard_normal((d, td)) * s,
+        "dec.b": np.zeros(td),
     }
 
 

@@ -19,7 +19,6 @@ class Schedule:
     """Per-step beta/alpha arrays; immutable and shareable across threads."""
 
     T: int
-    kind: str
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
@@ -31,18 +30,16 @@ class Schedule:
         return out if out.shape else float(out)
 
 
-def build_schedule(T: int, kind: str = "linear") -> Schedule:
+def build_schedule(T: int) -> Schedule:
     """Linear beta schedule rescaled so T=100 mirrors the usual T=1000 range."""
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ConfigError(f"diffusion step count must be a positive integer, got {T}")
-    if kind != "linear":
-        raise ConfigError(f"unknown schedule kind {kind!r}")
     scale = 1000.0 / T
     beta = np.linspace(1e-4 * scale, 0.02 * scale, T, dtype=np.float64)
     beta = np.clip(beta, 1e-8, 0.999)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
-    return Schedule(T=int(T), kind=kind, beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+    return Schedule(T=int(T), beta=beta, alpha=alpha, alpha_bar=alpha_bar)
 
 
 def _gather(arr, t, ndim):

@@ -1,5 +1,8 @@
 """Training loops for both variants, the optimizer, and checkpointing.
 
+Every training step runs AdamW with the published moment decays BETA1 and
+BETA2, its gradients clipped to a global norm of GRAD_CLIP.
+
 The checkpoint container is a single file: a magic string, a 4-byte
 little-endian manifest length, a human-readable JSON manifest, then raw
 little-endian blocks (parameters and optimizer moments), back to back in the
@@ -29,7 +32,12 @@ from . import schedule as S
 from .core import DatasetConfig
 
 CKPT_MAGIC = b"LAYOUTDIFF-CKPT\n"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
+
+# AdamW's moment decays as published (Loshchilov & Hutter, arXiv:1711.05101)
+BETA1 = 0.9
+BETA2 = 0.999
+GRAD_CLIP = 1.0
 
 
 class TrainingDiverged(RuntimeError):
@@ -47,10 +55,6 @@ class TrainConfig:
     variant: str = "nonar"  # "nonar" | "ar"
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    grad_clip: float | None = 1.0
-    kl_weight: float = 1e-3
     lr_schedule: str = "constant"  # "constant" | "cosine" (decay over total_steps)
 
     def __post_init__(self):
@@ -65,15 +69,8 @@ class TrainConfig:
             raise S.ConfigError(f"unknown variant {self.variant!r}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise S.ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
-        # beta = 1 divides by a zero bias correction, and a negative clip
-        # flips every step uphill
-        for name in ("beta1", "beta2"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise S.ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not (self.weight_decay >= 0.0):
             raise S.ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.grad_clip is not None and not (self.grad_clip > 0.0):
-            raise S.ConfigError(f"grad_clip must be positive or None, got {self.grad_clip}")
 
 
 @dataclass
@@ -127,8 +124,7 @@ def _sum_squares(arrays) -> float:
     return total
 
 
-def adamw_step(params, m, v, grads, step, lr, beta1=0.9, beta2=0.999,
-               weight_decay=0.0, grad_clip=None) -> None:
+def adamw_step(params, m, v, grads, step, lr, weight_decay=0.0, grad_clip=None) -> None:
     """One AdamW update (Loshchilov & Hutter, arXiv:1711.05101) of params and
     their moments m and v, all in place; step is the 1-based update count.
 
@@ -144,22 +140,22 @@ def adamw_step(params, m, v, grads, step, lr, beta1=0.9, beta2=0.999,
         norm = math.sqrt(_sum_squares([grads[k] for k in params]))
         if norm > grad_clip:
             scale = grad_clip / norm
-    c1 = (1.0 - beta1) * scale
-    c2 = (1.0 - beta2) * scale * scale
+    c1 = (1.0 - BETA1) * scale
+    c2 = (1.0 - BETA2) * scale * scale
     # with eps = 1e-8:
     # mhat / (sqrt(vhat) + eps) = m * (sqrt(bc2) / bc1) / (sqrt(v) + eps * sqrt(bc2))
-    root_bc2 = math.sqrt(1.0 - beta2**step)
-    step_size = lr * root_bc2 / (1.0 - beta1**step)
+    root_bc2 = math.sqrt(1.0 - BETA2**step)
+    step_size = lr * root_bc2 / (1.0 - BETA1**step)
     eps_v = 1e-8 * root_bc2
     decay = 1.0 - lr * weight_decay
     for k, p in params.items():
         g, mk, vk = grads[k], m[k], v[k]
         tmp = np.multiply(g, c1, dtype=mk.dtype)
-        mk *= beta1
+        mk *= BETA1
         mk += tmp
         np.multiply(g, g, out=tmp)
         tmp *= c2
-        vk *= beta2
+        vk *= BETA2
         vk += tmp
         np.sqrt(vk, out=tmp)
         tmp += eps_v
@@ -171,7 +167,7 @@ def adamw_step(params, m, v, grads, step, lr, beta1=0.9, beta2=0.999,
 
 
 def adamw_update(state: TrainState, grads: dict) -> None:
-    """Advance state by one AdamW step on grads, at the scheduled lr."""
+    """Advance state by one AdamW step on grads at the scheduled lr, clipped to GRAD_CLIP."""
     cfg = state.train_cfg
     state.step += 1
     lr = cfg.lr
@@ -179,8 +175,7 @@ def adamw_update(state: TrainState, grads: dict) -> None:
         frac = min((state.step - 1) / max(cfg.total_steps, 1), 1.0)
         lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * frac))
     adamw_step(state.params, state.adam_m, state.adam_v, grads, state.step, lr,
-               beta1=cfg.beta1, beta2=cfg.beta2, weight_decay=cfg.weight_decay,
-               grad_clip=cfg.grad_clip)
+               weight_decay=cfg.weight_decay, grad_clip=GRAD_CLIP)
 
 
 def _draw_noising(state: TrainState, batch):
@@ -212,7 +207,7 @@ def train_step_nonar(state: TrainState, batch, snapshot_dir=None) -> float:
         state.params, state.model_cfg, xt, t, eps,
         sched=state.sched if state.model_cfg.variance_head else None,
         x0=np.asarray(batch, dtype=np.float64) if state.model_cfg.variance_head else None,
-        kl_weight=state.train_cfg.kl_weight, ws=state.workspace,
+        ws=state.workspace,
     )
     _check_finite(loss, state, snapshot_dir)
     adamw_update(state, grads)
@@ -232,14 +227,12 @@ def train_step_ar(state: TrainState, batch, snapshot_dir=None) -> float:
 
 def train_loop(train_cfg: TrainConfig, model_cfg: M.ModelConfig,
                data_cfg: DatasetConfig, data, sched: S.Schedule | None = None,
-               log_path=None, checkpoint_path=None, dtype=np.float32,
-               state: TrainState | None = None, print_every=0) -> TrainState:
-    """Run total_steps updates over a tokenized (N, n_max, token_dim) corpus."""
+               log_path=None, checkpoint_path=None) -> TrainState:
+    """Train a new float32 model for total_steps over a (N, n_max, token_dim) corpus."""
     data = np.asarray(data)
     if data.shape[0] == 0:
         raise ValueError("dataset is empty")
-    if state is None:
-        state = init_state(train_cfg, model_cfg, data_cfg, sched, dtype=dtype)
+    state = init_state(train_cfg, model_cfg, data_cfg, sched)
     step_fn = train_step_nonar if train_cfg.variant == "nonar" else train_step_ar
     snapshot_dir = os.path.dirname(checkpoint_path) if checkpoint_path else None
     log_f = open(log_path, "a") if log_path else None
@@ -251,8 +244,6 @@ def train_loop(train_cfg: TrainConfig, model_cfg: M.ModelConfig,
             millis = (time.perf_counter() - t0) * 1000.0
             if log_f:
                 log_f.write(f"{state.step}\t{loss:.8f}\t{millis:.3f}\n")
-            if print_every and state.step % print_every == 0:
-                print(f"step {state.step}  loss {loss:.5f}")
             if (
                 checkpoint_path
                 and train_cfg.checkpoint_every
@@ -304,7 +295,7 @@ def save_checkpoint(path: str, state: TrainState) -> None:
         "model_cfg": dataclasses.asdict(state.model_cfg),
         "data_cfg": dataclasses.asdict(state.data_cfg),
         "train_cfg": dataclasses.asdict(state.train_cfg),
-        "schedule": {"T": state.sched.T, "kind": state.sched.kind},
+        "schedule": {"T": state.sched.T},
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
         "entries": entries,
@@ -451,10 +442,15 @@ def load_checkpoint(path: str) -> TrainState:
                 cfgs[group] = cls(**fields)
             except (TypeError, ValueError) as e:
                 raise ValueError(f"{path}: {group} is not a valid {cls.__name__}: {e}") from e
+        schedule = manifest["schedule"]
+        unknown = sorted(schedule.keys() - {"T"}) if isinstance(schedule, dict) else []
+        if unknown:
+            raise ValueError(f"{path}: schedule {schedule!r} has unknown key "
+                             f"{', '.join(map(repr, unknown))}")
         try:
-            sched = S.build_schedule(manifest["schedule"]["T"], manifest["schedule"]["kind"])
+            sched = S.build_schedule(schedule["T"])
         except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"{path}: schedule {manifest['schedule']!r} does not build "
+            raise ValueError(f"{path}: schedule {schedule!r} does not build "
                              f"a schedule: {e!r}") from e
         step = manifest["step"]
         if not _is_count(step):

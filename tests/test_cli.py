@@ -266,6 +266,33 @@ class TestTrain:
         assert resolved["command"] == "train"
         assert resolved["seed"] == 1
 
+    def test_trains_on_the_train_split_only(self, tmp_path, capsys):
+        """A converted corpus holds val and test records: training on it
+        writes the checkpoint that training on its train records alone does."""
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(json.dumps({
+            "images": [{"id": i, "height": 100.0, "width": 80.0} for i in range(20)],
+            "annotations": [{"image_id": i, "bbox": [i, 10.0, 20.0 + i, 30.0],
+                             "category_id": 1 + i % 3} for i in range(20)]}))
+        converted = tmp_path / "converted.jsonl"
+        code, _, err = run(capsys, "convert", "--src", str(annotations), "--n-max", "2",
+                           "--num-categories", "3", "--out", str(converted))
+        assert code == 0, err
+        splits = [json.loads(l).get("split") for l in converted.read_text().splitlines()[1:]]
+        assert splits.count("train") == 17 and len(splits) == 20
+        cfg, train = load_canonical(str(converted), split="train")
+        train_only = tmp_path / "train_only.jsonl"
+        save_canonical(str(train_only), cfg, train)
+        ckpts = []
+        for data in (converted, train_only):
+            out = tmp_path / data.stem
+            code, _, err = run(capsys, "train", "--data", str(data), "--out", str(out),
+                               "--train-steps", "2", "--steps", "10", "--layers", "1",
+                               "--heads", "2", "--hidden", "8", "--batch-size", "4")
+            assert code == 0, err
+            ckpts.append((out / "model.ckpt").read_bytes())
+        assert ckpts[0] == ckpts[1]
+
     def test_missing_data_is_error_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--data", str(tmp_path / "nope.jsonl"),
                            "--out", str(tmp_path / "r"))
@@ -338,6 +365,26 @@ class TestSample:
                            "--out", str(tmp_path / "x"), "--mask", "cate")
         assert code == 1 and "cond-data" in err
 
+    def test_mask_on_a_segment_checkpoint_fails(self, tmp_path, corpus, capsys):
+        """A layout corpus's category codes cannot pin a segment model's
+        samples; the run names the checkpoint and its mode."""
+        segments = tmp_path / "segments.jsonl"
+        run(capsys, "synth", "--mode", "segment", "--n", "4", "--k-segments", "3",
+            "--n-max", "4", "--out", str(segments))
+        code, _, err = run(capsys, "train", "--data", str(segments),
+                           "--out", str(tmp_path / "seg"), "--train-steps", "1",
+                           "--steps", "10", "--layers", "1", "--heads", "2",
+                           "--hidden", "8", "--batch-size", "4")
+        assert code == 0, err
+        ckpt = str(tmp_path / "seg" / "model.ckpt")
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "sample", "--checkpoint", ckpt, "--out", str(out),
+                           "--mask", "cate", "--cond-data", corpus)
+        assert code == 1 and err.count("\n") == 1
+        assert err == (f"error: ValueError: --mask cate conditions a layout model; "
+                       f"{ckpt} is a segment model\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, message", [
         (["--n", "0"], "n_samples must be >= 1, got 0"),
         (["--n", "-1"], "n_samples must be >= 1, got -1"),
@@ -366,6 +413,18 @@ class TestEval:
         assert scalars["feature_distance"] == pytest.approx(0.0, abs=1e-6)
         assert report["report"]["meta"]["render_shape"] == [64, 64, 3]
         assert "alignment" in printed
+
+    @pytest.mark.parametrize("given", [["--generated"], ["--reference"], []],
+                             ids=["generated-only", "reference-only", "neither"])
+    def test_run_with_nothing_to_score_fails(self, tmp_path, corpus, capsys, given):
+        """A corpus is scored against another one, and a run with neither
+        corpus nor --timing does nothing: both are refused before any output."""
+        out = tmp_path / "eval"
+        argv = [arg for flag in given for arg in (flag, corpus)]
+        code, _, err = run(capsys, "eval", *argv, "--out", str(out))
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: ValueError: ")
+        assert not out.exists()
 
     def test_timing_reports_both_variants(self, tmp_path, capsys):
         out = tmp_path / "timing"

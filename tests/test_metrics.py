@@ -9,8 +9,9 @@ from layoutdiff import metrics
 from layoutdiff.core import BoundingBox, Layout, Segment
 from layoutdiff.data import synth_layout_corpus, synth_segment_corpus
 from layoutdiff.metrics import (
+    FEATURE_DIM,
+    FEATURE_SEED,
     MetricReport,
-    RandomProjectionExtractor,
     alignment_score,
     difference_score,
     docsim,
@@ -24,6 +25,7 @@ from layoutdiff.metrics import (
     max_iou,
     max_weight_matching,
     overlap_score,
+    project_features,
     segment_weight,
 )
 
@@ -619,10 +621,10 @@ class TestFrechet:
         assert dists[0] < dists[1] < dists[2]
 
     def test_extractor_deterministic(self):
-        ex = RandomProjectionExtractor(dim=8, seed=3)
         im = np.random.default_rng(14).uniform(0, 1, (16, 16, 3))
-        assert np.array_equal(ex.features([im]),
-                              RandomProjectionExtractor(dim=8, seed=3).features([im]))
+        features = project_features([im])
+        assert features.shape == (1, FEATURE_DIM)
+        assert np.array_equal(features, project_features([im]))
 
 
 class TestRandomProjection:
@@ -635,20 +637,18 @@ class TestRandomProjection:
         assert (size < PROJECTION_BLOCK_ROWS) == (shape[0] == 16)
         assert size % PROJECTION_BLOCK_ROWS != 0
         images = np.random.default_rng(20).uniform(0, 1, (5,) + shape)
-        ex = RandomProjectionExtractor(dim=8, seed=4)
         flat = images.reshape(5, size)
-        expected = (flat @ np.random.default_rng(4).standard_normal((size, 8))
-                    / np.sqrt(size))
-        np.testing.assert_allclose(ex.features(images), expected, rtol=1e-12, atol=0)
+        projection = np.random.default_rng(FEATURE_SEED).standard_normal((size, FEATURE_DIM))
+        expected = flat @ projection / np.sqrt(size)
+        np.testing.assert_allclose(project_features(images), expected, rtol=1e-12, atol=0)
 
     def test_features_do_not_depend_on_batch(self):
         images = list(np.random.default_rng(21).uniform(0, 1, (6, 80, 80, 3)))
-        ex = RandomProjectionExtractor(dim=8, seed=5)
-        batch = ex.features(images)
+        batch = project_features(images)
         for i in (0, 3):
-            np.testing.assert_allclose(ex.features([images[i]])[0], batch[i],
+            np.testing.assert_allclose(project_features([images[i]])[0], batch[i],
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(ex.features(images[i:i + 2])[0], batch[i],
+            np.testing.assert_allclose(project_features(images[i:i + 2])[0], batch[i],
                                        rtol=0, atol=1e-12)
 
     def test_mixed_sizes_rejected(self):
@@ -656,7 +656,7 @@ class TestRandomProjection:
         images = [rng.uniform(0, 1, (16, 16, 3)) for _ in range(4)]
         images[2] = rng.uniform(0, 1, (32, 32, 3))
         with pytest.raises(ValueError, match=r"image 2 has 3072 values, image 0 has 768"):
-            RandomProjectionExtractor().features(images)
+            project_features(images)
         with pytest.raises(ValueError, match=r"image 2 has 3072 values"):
             feature_distance(images[:3], images[3:] + images[:1])
 
@@ -668,7 +668,7 @@ class TestRandomProjection:
             images = [rng.uniform(0, 1, (16, 16, 3)) for _ in range(5)]
             images[3][:] = bad
             with pytest.raises(ValueError, match=r"image 3 has non-finite features"):
-                RandomProjectionExtractor().features(images)
+                project_features(images)
             with pytest.raises(ValueError, match=r"image 3 has non-finite features"):
                 feature_distance(images[:2], images[2:])
 
@@ -701,18 +701,32 @@ class TestReports:
         assert hs(s1, s2) == hs(s1, s2)
         assert hs(s1, s2) != hs(s2, s1)
 
-    def test_config_hash_covers_extractor(self):
+    def test_config_hash_covers_extractor(self, monkeypatch):
+        """With renders, the hash covers the projection's width and seed."""
         from layoutdiff.render import rasterize
         _, layouts = synth_layout_corpus(8, 4, style="grid")
         images = [rasterize(l, size=16) for l in layouts]
-        def h(extractor):
-            return evaluate_layout_corpora(
-                layouts, layouts, images, images, extractor).meta["config_hash"]
+
+        def h():
+            return evaluate_layout_corpora(layouts, layouts, images, images).meta["config_hash"]
         plain = evaluate_layout_corpora(layouts, layouts).meta["config_hash"]
-        default = h(None)
-        assert default == h(RandomProjectionExtractor())
-        assert len({plain, default, h(RandomProjectionExtractor(dim=16)),
-                    h(RandomProjectionExtractor(seed=1))}) == 4
+        default = h()
+        hashes = {plain, default}
+        for name, value in (("FEATURE_DIM", 16), ("FEATURE_SEED", 1)):
+            with monkeypatch.context() as mp:
+                mp.setattr(metrics, name, value)
+                hashes.add(h())
+        assert len(hashes) == 4
+
+    def test_fixed_report_keeps_its_hash_and_distance(self):
+        """The config_hash of a fixed input, and its feature distance, as
+        recorded when the projection had a settable width and seed (32, 0)."""
+        from layoutdiff.render import rasterize
+        _, layouts = synth_layout_corpus(0, 6, style="columns", n_max=4)
+        images = [rasterize(l) for l in layouts]
+        rep = evaluate_layout_corpora(layouts[:3], layouts[3:], images[:3], images[3:])
+        assert rep.meta["config_hash"] == "bf37f81630b2"
+        assert rep.scalars["feature_distance"] == pytest.approx(0.5800746051967165, rel=1e-9)
 
     @pytest.mark.parametrize("suite", ["layout", "segment"])
     @pytest.mark.parametrize("missing", ["images_generated", "images_reference"])

@@ -198,7 +198,7 @@ class TestGradients:
         rng = np.random.default_rng(17)
         x0 = rng.uniform(-1, 1, (2, 3, 16))
         eps = rng.standard_normal((2, 3, 16))
-        kw = dict(sched=sched, x0=x0, kl_weight=1e-3)
+        kw = dict(sched=sched, x0=x0)
         # t = 0, where beta_tilde_0 = 0, takes the collapsed variance range
         for t in (np.array([5, 60]), np.array([0, 60])):
             xt = q_sample(x0, t, eps, sched)
@@ -414,17 +414,13 @@ class TestAdapter:
         with pytest.raises(UnsupportedModeError):
             init_adapter(TINY, seed=0)
 
-    def test_identity_init_roundtrips_exactly(self):
-        ad = init_adapter(self.CFG, seed=0, identity=True)
-        x = np.random.default_rng(0).uniform(-1, 1, (5, 2, 16))
-        z = adapter_encode(ad, self.CFG, x)
-        assert np.array_equal(adapter_decode(ad, self.CFG, z), x)
-
     def test_full_rank_training_reaches_near_zero(self):
         ad = init_adapter(self.CFG, seed=1)
         x = np.random.default_rng(1).uniform(-1, 1, (64, 16))
         losses = train_adapter(ad, self.CFG, x, steps=2000, lr=1e-2)
         assert losses[-1] < 1e-3
+        roundtrip = adapter_decode(ad, self.CFG, adapter_encode(ad, self.CFG, x))
+        assert np.mean((roundtrip - x) ** 2) < 1e-3
 
     def test_bottleneck_is_lossy(self):
         cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=2, adapter_latent=4)
@@ -433,8 +429,3 @@ class TestAdapter:
         losses = train_adapter(ad, cfg, x, steps=1500, lr=1e-2)
         # rank-4 linear autoencoder cannot reconstruct rank-16 data
         assert losses[-1] > 1e-2
-
-    def test_identity_requires_matching_width(self):
-        cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=2, adapter_latent=4)
-        with pytest.raises(ConfigError):
-            init_adapter(cfg, seed=0, identity=True)

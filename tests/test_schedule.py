@@ -49,15 +49,13 @@ class TestBuildSchedule:
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             build_schedule(0)
-        with pytest.raises(ConfigError):
-            build_schedule(100, kind="cosine")
 
 
 class TestQSample:
     def test_frozen_value(self):
         # abar = 0.25 exactly: sqrt(.25)*1 + sqrt(.75)*2 = 0.5 + sqrt(3)
         from layoutdiff.schedule import Schedule
-        s = Schedule(T=1, kind="linear", beta=np.array([0.75]),
+        s = Schedule(T=1, beta=np.array([0.75]),
                      alpha=np.array([0.25]), alpha_bar=np.array([0.25]))
         got = q_sample(np.array([1.0]), 0, np.array([2.0]), s)
         assert got[0] == pytest.approx(2.2320508075688772, abs=1e-12)

@@ -22,6 +22,7 @@ from layoutdiff.training import (
     MANIFEST_KEYS,
     TrainConfig,
     TrainingDiverged,
+    adamw_step,
     adamw_update,
     init_state,
     load_checkpoint,
@@ -44,7 +45,8 @@ def corpus_tokens(n_max=4, n=16):
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
-        assert cfg.lr == 1e-4 and cfg.weight_decay == 0.01 and cfg.grad_clip == 1.0
+        assert cfg.lr == 1e-4 and cfg.weight_decay == 0.01
+        assert (training.BETA1, training.BETA2, training.GRAD_CLIP) == (0.9, 0.999, 1.0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -56,9 +58,7 @@ class TestTrainConfig:
 
 
     @pytest.mark.parametrize("field,value", [
-        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("weight_decay", -0.01),
-        ("grad_clip", 0.0), ("grad_clip", -1.0), ("beta2", float("nan")),
-        ("total_steps", -3), ("checkpoint_every", -1),
+        ("weight_decay", -0.01), ("total_steps", -3), ("checkpoint_every", -1),
     ])
     def test_optimizer_fields_validated(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -131,22 +131,20 @@ class TestAdamW:
         assert np.allclose(state.params[name], before * (1 - 0.1 * 0.5), atol=1e-7)
 
     def test_grad_clip_rescales_global_norm(self):
-        cfg_a = TrainConfig(lr=1e-2, weight_decay=0.0, grad_clip=1.0)
-        cfg_b = TrainConfig(lr=1e-2, weight_decay=0.0, grad_clip=None)
         results = []
-        for cfg in (cfg_a, cfg_b):
-            state = init_state(cfg, TINY, DCFG)
-            grads = {k: np.full_like(v, 100.0) for k, v in state.params.items()}
-            adamw_update(state, grads)
-            results.append({k: v.copy() for k, v in state.params.items()})
+        for grad_clip in (1.0, None):
+            state = init_state(TrainConfig(), TINY, DCFG)
+            params, m, v = state.params, state.adam_m, state.adam_v
+            grads = {k: np.full_like(p, 100.0) for k, p in params.items()}
+            adamw_step(params, m, v, grads, 1, 1e-2, grad_clip=grad_clip)
+            results.append({k: p.copy() for k, p in params.items()})
         # adam normalizes by sqrt(v), so one huge uniform step lands in the
         # same place with or without clipping
         for k in results[0]:
             assert np.allclose(results[0][k], results[1][k], atol=1e-6)
 
     def test_cosine_schedule_decays_to_zero(self):
-        cfg = TrainConfig(lr=1.0, weight_decay=0.0, grad_clip=None,
-                          lr_schedule="cosine", total_steps=4)
+        cfg = TrainConfig(lr=1.0, weight_decay=0.0, lr_schedule="cosine", total_steps=4)
         state = init_state(cfg, TINY, DCFG)
         grads = {k: np.ones_like(v) for k, v in state.params.items()}
         deltas = []
@@ -164,32 +162,36 @@ class TestAdamW:
             TrainConfig(lr_schedule="linear")
 
     @staticmethod
-    def textbook_adamw(params, m, v, grads, t, cfg):
-        """AdamW as written before the in-place update, one tensor at a time:
-        clip, moments, bias corrections, then decoupled weight decay."""
-        if cfg.grad_clip is not None:
+    def textbook_adamw(params, m, v, grads, t, cfg, grad_clip):
+        """AdamW as written before the in-place update, one tensor at a time,
+        with the published betas: clip, moments, bias corrections, then
+        decoupled weight decay."""
+        beta1, beta2 = 0.9, 0.999
+        if grad_clip is not None:
             norm = np.sqrt(sum(np.sum(grads[k] ** 2) for k in params))
-            if norm > cfg.grad_clip:
-                grads = {k: g * (cfg.grad_clip / norm) for k, g in grads.items()}
+            if norm > grad_clip:
+                grads = {k: g * (grad_clip / norm) for k, g in grads.items()}
         lr = cfg.lr
         if cfg.lr_schedule == "cosine":
             frac = min((t - 1) / max(cfg.total_steps, 1), 1.0)
             lr = cfg.lr * 0.5 * (1.0 + np.cos(np.pi * frac))
         for k in params:
-            m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * grads[k]
-            v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * grads[k] ** 2
-            mhat = m[k] / (1.0 - cfg.beta1**t)
-            vhat = v[k] / (1.0 - cfg.beta2**t)
+            m[k] = beta1 * m[k] + (1.0 - beta1) * grads[k]
+            v[k] = beta2 * v[k] + (1.0 - beta2) * grads[k] ** 2
+            mhat = m[k] / (1.0 - beta1**t)
+            vhat = v[k] / (1.0 - beta2**t)
             params[k] = params[k] - lr * (
                 mhat / (np.sqrt(vhat) + 1e-8) + cfg.weight_decay * params[k])
 
     # random unit-normal grads over TINY's ~6k parameters have a global norm
-    # near 80: a clip of 1 always fires and a clip of 1e4 never does
+    # near 80: the GRAD_CLIP of 1 always fires; in place of it, a clip of 1e4
+    # never does, and None is the unclipped path that train_adapter takes
     @pytest.mark.parametrize("grad_clip,fires", [(1.0, True), (1e4, False), (None, False)])
     @pytest.mark.parametrize("lr_schedule", ["constant", "cosine"])
-    def test_matches_textbook_adamw_in_float64(self, grad_clip, fires, lr_schedule):
-        cfg = TrainConfig(lr=1e-2, weight_decay=0.1, grad_clip=grad_clip,
-                          lr_schedule=lr_schedule, total_steps=5)
+    def test_matches_textbook_adamw_in_float64(self, monkeypatch, grad_clip, fires,
+                                               lr_schedule):
+        monkeypatch.setattr(training, "GRAD_CLIP", grad_clip)
+        cfg = TrainConfig(lr=1e-2, weight_decay=0.1, lr_schedule=lr_schedule, total_steps=5)
         state = init_state(cfg, TINY, DCFG, dtype=np.float64)
         rng = np.random.default_rng(18)
         state.params = {k: rng.standard_normal(p.shape) * 0.1 for k, p in state.params.items()}
@@ -201,13 +203,13 @@ class TestAdamW:
             norm = np.sqrt(sum(np.sum(g**2) for g in grads.values()))
             assert fires == (grad_clip is not None and norm > grad_clip)
             adamw_update(state, grads)
-            self.textbook_adamw(params, m, v, grads, t, cfg)
+            self.textbook_adamw(params, m, v, grads, t, cfg, grad_clip)
         for got, want in ((state.params, params), (state.adam_m, m), (state.adam_v, v)):
             for k in want:
                 np.testing.assert_allclose(got[k], want[k], rtol=1e-12, atol=1e-12, err_msg=k)
 
     def test_grads_left_unchanged_when_clipping_fires(self):
-        state = init_state(TrainConfig(grad_clip=1.0), TINY, DCFG)
+        state = init_state(TrainConfig(), TINY, DCFG)
         grads = {k: np.full_like(v, 100.0) for k, v in state.params.items()}
         arrays = dict(grads)
         before = {k: g.copy() for k, g in grads.items()}
@@ -236,6 +238,20 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train_loop(TrainConfig(total_steps=1), TINY, DCFG,
                        np.zeros((0, 4, 16)))
+
+    def test_divergence_snapshot_beside_checkpoint_loads(self, tmp_path):
+        """A non-finite loss saves the state it was reached from next to the
+        checkpoint, under its step, and that file loads."""
+        tokens = corpus_tokens()
+        tokens[:, 1, 0] = np.nan  # in every record, so the first batch holds one
+        ckpt = tmp_path / "model.ckpt"
+        with pytest.raises(TrainingDiverged, match="non-finite loss nan at step 0") as info:
+            train_loop(TrainConfig(seed=0, total_steps=5, batch_size=4), TINY, DCFG,
+                       tokens, checkpoint_path=str(ckpt))
+        assert info.value.snapshot_path == str(tmp_path / "diverged_step0.ckpt")
+        loaded = load_checkpoint(info.value.snapshot_path)
+        assert loaded.step == 0 and loaded.model_cfg == TINY
+        assert not ckpt.exists()
 
     def test_deterministic_final_params(self, tmp_path):
         tokens = corpus_tokens()
@@ -685,7 +701,9 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda m: m["schedule"].pop("kind"), r"schedule \{'T': 100\} .*'kind'"),
+        (lambda m: m["schedule"].update(kind="linear"),
+         r"schedule \{'T': 100, 'kind': 'linear'\} has unknown key 'kind'"),
+        (lambda m: m["schedule"].pop("T"), r"schedule \{\} does not build a schedule: .*'T'"),
         (lambda m: m["rng_state"].pop("state"), r"rng_state is not a PCG64 state"),
         (lambda m: m.update(step=2.0), r"step 2\.0 is not a non-negative integer"),
         (lambda m: m["entries"][0].update(shape=["16", 16]),
@@ -697,7 +715,8 @@ class TestCheckpoint:
          r"entry moments/in_proj\.b is in unknown group 'moments'"),
         (lambda m: m["model_cfg"].update(heads=0), r"model_cfg .*heads must be >= 1"),
         # what files from before the current format carried is refused
-        (lambda m: m.update(version=1), r"checkpoint version 1 is not 2"),
+        (lambda m: m.update(version=1), r"checkpoint version 1 is not 3"),
+        (lambda m: m.update(version=2), r"checkpoint version 2 is not 3"),
         (lambda m: m["entries"][0].update(name="ema/in_proj.b"),
          r"entry ema/in_proj\.b is in unknown group 'ema'"),
         (lambda m: m["train_cfg"].update(ema_decay=0.99), r"train_cfg .*'ema_decay'"),
