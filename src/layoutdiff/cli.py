@@ -122,6 +122,8 @@ def _cmd_train(cfg) -> int:
     resolved = _announce("train", cfg)
     # a converted corpus tags its records; val and test are held out
     dcfg, records = D.load_canonical(cfg["data"], split="train")
+    if not records:
+        raise ValueError(f"{cfg['data']} has no train or untagged records to train on")
     tokens = _tokenize_all(dcfg, records)
     model_cfg = M.ModelConfig(
         layers=cfg["layers"], heads=cfg["heads"], hidden=cfg["hidden"],

@@ -71,10 +71,6 @@ class BoundingBox:
                 field="c",
             )
 
-    @property
-    def area(self):
-        return self.h * self.w
-
 
 @dataclass(frozen=True)
 class Layout:

@@ -242,17 +242,6 @@ def _segment_costs(a, b) -> np.ndarray:
     return np.abs(a[..., :, None, :] - b[..., None, :, :]).sum(axis=-1)
 
 
-def image_weight(s1, s2) -> float:
-    """Min-cost segment matching between two equally sized segment sets."""
-    s1, s2 = list(s1), list(s2)
-    if len(s1) != len(s2):
-        raise ValueError(f"segment counts differ: {len(s1)} vs {len(s2)}")
-    if not s1:
-        return 0.0
-    _, total = hungarian(_segment_costs(_endpoints(s1), _endpoints(s2)))
-    return total
-
-
 def difference_score(set_a, set_b) -> float:
     """Two-level min-cost matching: segments within image pairs, then image
     pairs across the two collections; the score is the average matched

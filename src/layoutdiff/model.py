@@ -24,12 +24,10 @@ import numpy as np
 
 from .schedule import ConfigError, learned_log_variance, posterior_moments
 
-SQRT2 = math.sqrt(2.0)
-INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# tanh-form GELU: 0.5 x (1 + tanh(GELU_C (x + GELU_A x^3)))
+# the MLP's GELU is the tanh form of DiT's backbone (Hendrycks & Gimpel,
+# arXiv:1606.08415): 0.5 x (1 + tanh(GELU_C (x + GELU_A x^3)))
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715
-GELU_FORMS = ("erf", "tanh")
 # the KL term's weight in the hybrid loss (Nichol & Dhariwal, arXiv:2102.09672)
 KL_WEIGHT = 1e-3
 
@@ -48,7 +46,6 @@ class ModelConfig:
     variance_head: bool = False
     ar_mode: bool = False
     adapter_latent: int | None = None
-    gelu: str = "tanh"  # the DiT backbone's approximation; "erf" is exact GELU
 
     def __post_init__(self):
         if self.layers < 1:
@@ -63,8 +60,6 @@ class ModelConfig:
             raise ConfigError("hidden must be even (sinusoidal features pair up)")
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
-        if self.gelu not in GELU_FORMS:
-            raise ConfigError(f"gelu must be one of {GELU_FORMS}, got {self.gelu!r}")
         if self.ar_mode and self.variance_head:
             raise ConfigError("ar_mode and variance_head cannot both be set: the AR "
                               "loss trains no variance head")
@@ -152,21 +147,9 @@ def _silu_grad(x, s):
     return s * (1.0 + x * (1.0 - s))
 
 
-def _gelu(x, form, out=None, aux=None):
-    """GELU of x in the given form; returns (y, aux) for _gelu_grad, written
-    into out and aux when given.
-
-    aux is Phi(x) for "erf" and tanh(GELU_C (x + GELU_A x^3)) for "tanh".
-    """
-    if form == "erf":
-        # imported here: scipy.special adds about 0.3 s to `import layoutdiff`
-        from scipy.special import erf
-
-        phi = np.divide(x, SQRT2, out=aux)
-        erf(phi, out=phi)
-        phi += 1.0
-        phi *= 0.5
-        return np.multiply(x, phi, out=out), phi
+def _gelu(x, out=None, aux=None):
+    """GELU of x; returns (y, aux) for _gelu_grad, written into out and aux
+    when given. aux is tanh(GELU_C (x + GELU_A x^3))."""
     th = np.multiply(x, x, out=aux)
     th *= GELU_C * GELU_A
     th += GELU_C
@@ -178,18 +161,9 @@ def _gelu(x, form, out=None, aux=None):
     return y, th
 
 
-def _gelu_grad(x, aux, form, out=None, tmp=None):
+def _gelu_grad(x, aux, out=None, tmp=None):
     """GELU'(x) from _gelu's aux, written into out when given; tmp, when
     given, holds the one other x-sized intermediate."""
-    if form == "erf":
-        # Phi(x) + x exp(-x^2 / 2) / sqrt(2 pi)
-        e = np.multiply(-0.5, x, out=tmp)
-        e *= x
-        np.exp(e, out=e)
-        d = np.multiply(x, INV_SQRT_2PI, out=out)
-        d *= e
-        d += aux
-        return d
     # 0.5 (1 + th) + 0.5 x (1 - th^2) GELU_C (1 + 3 GELU_A x^2)
     d = np.multiply(x, x, out=out)
     d *= 3.0 * GELU_C * GELU_A
@@ -397,7 +371,7 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
         xm2 += sh2
         um = _matmul_rows(xm2, params[p + "mlp.w1"], out=buf(p + "um", (B * S, 4 * H)))
         um += params[p + "mlp.b1"]
-        am, gelu_aux = _gelu(um, cfg.gelu, out=buf(p + "am", um.shape),
+        am, gelu_aux = _gelu(um, out=buf(p + "am", um.shape),
                              aux=buf(p + "gelu_aux", um.shape))
         mlp_out = _matmul_rows(am, params[p + "mlp.w2"], out=buf(p + "mlp_out", (B * S, H)))
         mlp_out += params[p + "mlp.b2"]
@@ -471,7 +445,7 @@ def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
         um = bc["um"]
         dum = _matmul_rows(dmlp_out, params[p + "mlp.w2"].T,
                            out=_buf(ws, "dam", (B * S, 4 * H), dtype))
-        dum *= _gelu_grad(um, bc["gelu_aux"], cfg.gelu,
+        dum *= _gelu_grad(um, bc["gelu_aux"],
                           out=_buf(ws, "gelu_grad", um.shape, dtype),
                           tmp=_buf(ws, "gelu_grad_tmp", um.shape, dtype))
         linear(p + "mlp.w1", p + "mlp.b1", bc["xm2"], dum)

@@ -32,7 +32,7 @@ from . import schedule as S
 from .core import DatasetConfig
 
 CKPT_MAGIC = b"LAYOUTDIFF-CKPT\n"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 
 # AdamW's moment decays as published (Loshchilov & Hutter, arXiv:1711.05101)
 BETA1 = 0.9
@@ -235,7 +235,7 @@ def train_loop(train_cfg: TrainConfig, model_cfg: M.ModelConfig,
     state = init_state(train_cfg, model_cfg, data_cfg, sched)
     step_fn = train_step_nonar if train_cfg.variant == "nonar" else train_step_ar
     snapshot_dir = os.path.dirname(checkpoint_path) if checkpoint_path else None
-    log_f = open(log_path, "a") if log_path else None
+    log_f = open(log_path, "w") if log_path else None
     try:
         while state.step < train_cfg.total_steps:
             idx = state.rng.integers(0, data.shape[0], size=train_cfg.batch_size)
@@ -435,7 +435,7 @@ def load_checkpoint(path: str) -> TrainState:
                            ("train_cfg", TrainConfig)):
             try:
                 fields = dict(manifest[group])
-                # a default could be another function of the same weights (gelu)
+                # a defaulted field need not be the value the weights were trained with
                 missing = [fd.name for fd in dataclasses.fields(cls) if fd.name not in fields]
                 if missing:
                     raise TypeError(f"missing field {', '.join(map(repr, missing))}")

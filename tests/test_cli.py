@@ -7,7 +7,7 @@ import pytest
 
 import layoutdiff
 from layoutdiff.cli import cli
-from layoutdiff.data import load_canonical, save_canonical
+from layoutdiff.data import load_canonical, save_canonical, synth_layout_corpus
 
 
 def run(capsys, *argv):
@@ -293,6 +293,36 @@ class TestTrain:
             ckpts.append((out / "model.ckpt").read_bytes())
         assert ckpts[0] == ckpts[1]
 
+    def test_second_run_into_one_out_replaces_the_log(self, tmp_path, corpus, checkpoint,
+                                                      capsys):
+        """loss.log belongs to the checkpoint beside it: a second run into
+        the same --out leaves only its own lines."""
+        out = os.path.dirname(checkpoint)
+        small = ["--train-steps", "3", "--steps", "10", "--layers", "1", "--heads", "2",
+                 "--hidden", "8", "--batch-size", "4"]
+        logs = []
+        for target in (out, str(tmp_path / "fresh")):
+            code, _, err = run(capsys, "train", "--data", corpus, "--out", target,
+                               "--seed", "2", *small)
+            assert code == 0, err
+            lines = open(os.path.join(target, "loss.log")).read().splitlines()
+            # step and loss; the third column is wall time
+            logs.append([line.split("\t")[:2] for line in lines])
+        assert len(logs[0]) == 3 and logs[0] == logs[1]
+
+    def test_corpus_with_nothing_to_train_on_fails(self, tmp_path, capsys):
+        """A corpus whose records are all held out names the file and leaves
+        no record."""
+        cfg, records = synth_layout_corpus(0, 3, n_max=4)
+        data = tmp_path / "held_out.jsonl"
+        save_canonical(str(data), cfg, records, splits=["test"] * 3)
+        out = tmp_path / "r"
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(out))
+        assert code == 1 and err.count("\n") == 1
+        assert err == (f"error: ValueError: {data} has no train or untagged records "
+                       "to train on\n")
+        assert not (out / "resolved_config.json").exists()
+
     def test_missing_data_is_error_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--data", str(tmp_path / "nope.jsonl"),
                            "--out", str(tmp_path / "r"))
@@ -459,17 +489,35 @@ class TestRender:
 
 
 class TestStartup:
-    def test_import_loads_no_scipy(self):
-        """Every command pays the package import; scipy (about 0.3 s for
-        scipy.special alone) is imported only where a function needs it, and
-        nothing loads concurrent.futures."""
+    def test_import_loads_no_scipy(self, tmp_path):
+        """Every command pays the package import, and scipy adds about 0.3 s
+        to it. Only metrics.hungarian imports scipy, so neither the import
+        nor a train run followed by a sample run loads it, and nothing loads
+        concurrent.futures."""
         src = os.path.dirname(os.path.dirname(layoutdiff.__file__))
-        code = ("import sys, layoutdiff, layoutdiff.cli; print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] in ('scipy', 'concurrent')))")
+        code = (
+            "import sys, layoutdiff, layoutdiff.cli\n"
+            "def loaded(when):\n"
+            "    print(when, sorted(m for m in sys.modules\n"
+            "                       if m.split('.')[0] in ('scipy', 'concurrent')))\n"
+            "loaded('import')\n"
+            "d = sys.argv[1]\n"
+            "small = ['--steps', '5', '--layers', '1', '--heads', '2', '--hidden', '8']\n"
+            "for argv in (['synth', '--n', '4', '--n-max', '2', '--out', d + '/c.jsonl'],\n"
+            "             ['train', '--data', d + '/c.jsonl', '--out', d + '/run',\n"
+            "              '--train-steps', '2', '--batch-size', '2', *small],\n"
+            "             ['sample', '--checkpoint', d + '/run/model.ckpt', '--n', '2',\n"
+            "              '--out', d + '/samples']):\n"
+            "    assert layoutdiff.cli.cli(argv) == 0, argv\n"
+            "loaded('train and sample')\n"
+        )
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        lines = out.splitlines()
+        assert lines[0] == "import []"
+        assert lines[-1] == "train and sample []"
+        assert (tmp_path / "samples" / "samples.jsonl").exists()
 
 
 class TestParsing:

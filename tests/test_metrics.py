@@ -20,7 +20,6 @@ from layoutdiff.metrics import (
     feature_distance,
     frechet_gaussian_distance,
     hungarian,
-    image_weight,
     iou,
     max_iou,
     max_weight_matching,
@@ -407,10 +406,6 @@ class TestDifference:
         with pytest.raises(ValueError, match=r"^image A\[0\] has 4 segments, expected 5 "):
             difference_score(gen, ref)
 
-    def test_image_weight_requires_equal_counts(self):
-        with pytest.raises(ValueError):
-            image_weight([Segment(0, 0, 1, 1)], [])
-
 
 # The per-pair code the bulk metrics replaced, kept as oracles: the bulk
 # paths must give the same floats and make the same hungarian calls.
@@ -557,8 +552,6 @@ class TestBulkEqualsPairwise:
         set_a, set_b = data.draw(images), data.draw(images)
         assert with_hungarian_calls(difference_score, set_a, set_b) == with_hungarian_calls(
             difference_pairwise, set_a, set_b)
-        for a, b in zip(set_a, set_b):
-            assert image_weight(a, b) == _image_weight_pair(a, b)
 
 
 class TestFrechet:

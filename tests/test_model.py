@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from layoutdiff.model import (
-    GELU_FORMS,
     ARStepCache,
     ModelConfig,
     UnsupportedModeError,
@@ -104,11 +103,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="ar_mode and variance_head"):
             ModelConfig(layers=1, heads=2, hidden=8, n_max=2, ar_mode=True, variance_head=True)
 
-    def test_gelu_form_checked(self):
-        assert ModelConfig().gelu == "tanh"
-        with pytest.raises(ConfigError, match="gelu"):
-            ModelConfig(gelu="relu")
-
 
 class TestForwardNonAR:
     def test_untrained_model_outputs_exact_zero(self):
@@ -160,13 +154,8 @@ class TestForwardNonAR:
 class TestGradients:
     """64-bit finite-difference checks of the hand-written backward pass."""
 
-    GELU = "tanh"
-
-    def cfg(self, base):
-        return dataclasses.replace(base, gelu=self.GELU)
-
     def test_nonar_mse_gradcheck(self):
-        cfg = self.cfg(TINY)
+        cfg = TINY
         params = random_params(cfg, 10)
         rng = np.random.default_rng(11)
         xt = rng.standard_normal((2, 3, 16))
@@ -179,7 +168,7 @@ class TestGradients:
         assert errs.max() < 1e-3
 
     def test_ar_gradcheck(self):
-        cfg = self.cfg(TINY_AR)
+        cfg = TINY_AR
         params = random_params(cfg, 13)
         rng = np.random.default_rng(14)
         xt = rng.standard_normal((2, 3, 16))
@@ -192,7 +181,7 @@ class TestGradients:
         assert errs.max() < 1e-3
 
     def test_variance_head_gradcheck(self):
-        cfg = self.cfg(ModelConfig(layers=2, heads=2, hidden=8, n_max=3, variance_head=True))
+        cfg = ModelConfig(layers=2, heads=2, hidden=8, n_max=3, variance_head=True)
         sched = build_schedule(100)
         params = random_params(cfg, 16)
         rng = np.random.default_rng(17)
@@ -209,10 +198,6 @@ class TestGradients:
             # the KL term's gradients can sit near the finite-difference noise
             # floor (~1e-8); the 1e-6 denominator floor absorbs that
             assert errs.max() < 2e-3, t
-
-
-class TestGradientsErf(TestGradients):
-    GELU = "erf"
 
 
 def test_variance_loss_at_t0_on_the_scale_of_t1():
@@ -258,11 +243,8 @@ class TestGradDict:
             assert grads[name].shape == shape and grads[name].dtype == np.float32, name
 
 
-def reference_gelu(x, form):
+def reference_gelu(x):
     """GELU and its derivative of one float, in Python float arithmetic."""
-    if form == "erf":
-        phi = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-        return x * phi, phi + x * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     c, a = math.sqrt(2.0 / math.pi), 0.044715
     th = math.tanh(c * (x + a * x**3))
     return (0.5 * x * (1.0 + th),
@@ -272,24 +254,19 @@ def reference_gelu(x, form):
 class TestGelu:
     X = np.concatenate([np.linspace(-10.0, 10.0, 2001), [-1e3, -40.0, 0.0, 40.0, 1e3]])
 
-    @pytest.mark.parametrize("form", GELU_FORMS)
     # in float32 the tanh derivative loses digits in 1 - tanh^2 near |x| = 5
     # (worst 1.2e-6 on a 2e5-point grid over [-12, 12])
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-14), (np.float32, 3e-6)])
-    def test_matches_float64_reference(self, form, dtype, tol):
-        ref = np.array([reference_gelu(float(x), form) for x in self.X.astype(dtype)])
+    def test_matches_float64_reference(self, dtype, tol):
+        ref = np.array([reference_gelu(float(x)) for x in self.X.astype(dtype)])
         x = self.X.astype(dtype)
-        y, aux = _gelu(x, form)
-        dy = _gelu_grad(x, aux, form)
+        y, aux = _gelu(x)
+        dy = _gelu_grad(x, aux)
         assert y.dtype == dy.dtype == dtype
         assert np.all(np.isfinite(y)) and np.all(np.isfinite(dy))
         scale = np.maximum(1.0, np.abs(ref))
         assert np.max(np.abs(y - ref[:, 0]) / scale[:, 0]) < tol
         assert np.max(np.abs(dy - ref[:, 1]) / scale[:, 1]) < tol
-
-    def test_forms_differ_by_the_tanh_approximation(self):
-        gap = np.abs(_gelu(self.X, "tanh")[0] - _gelu(self.X, "erf")[0]).max()
-        assert 1e-4 < gap < 5e-4
 
 
 class TestForwardAR:

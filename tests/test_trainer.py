@@ -14,7 +14,7 @@ from layoutdiff import model as M
 from layoutdiff import training
 from layoutdiff.core import DatasetConfig, tokenize_layout
 from layoutdiff.data import synth_layout_corpus
-from layoutdiff.model import ModelConfig, forward_nonar, nonar_loss_and_grads
+from layoutdiff.model import ModelConfig, nonar_loss_and_grads
 from layoutdiff.schedule import ConfigError, build_schedule
 from layoutdiff.training import (
     CKPT_MAGIC,
@@ -475,33 +475,6 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {group} .*dropout"):
             load_checkpoint(str(path))
 
-    def test_bad_gelu_names_path_and_group(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), init_state(TrainConfig(seed=14), TINY, DCFG))
-        self.rewrite_manifest(path, lambda m: m["model_cfg"].update(gelu="relu"))
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: model_cfg .*'relu'"):
-            load_checkpoint(str(path))
-
-    def test_erf_model_loads_with_same_predictions(self, tmp_path):
-        """An exact-GELU model keeps its form, and with it its predictions,
-        bit for bit."""
-        cfg = ModelConfig(layers=2, heads=2, hidden=16, n_max=4, gelu="erf")
-        state = init_state(TrainConfig(seed=15, lr=1e-2), cfg, DCFG)
-        for _ in range(3):
-            train_step_nonar(state, corpus_tokens())
-        x = np.random.default_rng(16).standard_normal((3, 4, 16)).astype(np.float32)
-        t = np.array([0, 40, 99])
-        before = forward_nonar(state.params, cfg, x, t).eps_hat
-        path = tmp_path / "erf.ckpt"
-        save_checkpoint(str(path), state)
-        loaded = load_checkpoint(str(path))
-        assert loaded.model_cfg == cfg
-        after = forward_nonar(loaded.params, loaded.model_cfg, x, t).eps_hat
-        assert after.tobytes() == before.tobytes()
-        # the tanh form is a different function of the same parameters
-        tanh = forward_nonar(loaded.params, TINY, x, t).eps_hat
-        assert not np.array_equal(tanh, before)
-
     def test_save_is_atomic_no_tmp_left(self, tmp_path):
         state = init_state(TrainConfig(seed=7), TINY, DCFG)
         path = tmp_path / "model.ckpt"
@@ -655,13 +628,12 @@ class TestCheckpoint:
             save_checkpoint(str(path), state)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("kind", ["float32", "float64", "erf"])
+    @pytest.mark.parametrize("kind", ["float32", "float64"])
     def test_writer_and_reader_agree(self, tmp_path, kind):
         """The reader requires exactly what the writer writes, and a loaded
         file saves back to the same bytes."""
-        cfg = dataclasses.replace(TINY, gelu="erf") if kind == "erf" else TINY
         dtype = np.float64 if kind == "float64" else np.float32
-        state = init_state(TrainConfig(seed=24), cfg, DCFG, dtype=dtype)
+        state = init_state(TrainConfig(seed=24), TINY, DCFG, dtype=dtype)
         for _ in range(3):
             train_step_nonar(state, corpus_tokens())
         path = tmp_path / "model.ckpt"
@@ -715,12 +687,17 @@ class TestCheckpoint:
          r"entry moments/in_proj\.b is in unknown group 'moments'"),
         (lambda m: m["model_cfg"].update(heads=0), r"model_cfg .*heads must be >= 1"),
         # what files from before the current format carried is refused
-        (lambda m: m.update(version=1), r"checkpoint version 1 is not 3"),
-        (lambda m: m.update(version=2), r"checkpoint version 2 is not 3"),
+        (lambda m: m.update(version=1), r"checkpoint version 1 is not 4"),
+        (lambda m: m.update(version=2), r"checkpoint version 2 is not 4"),
+        (lambda m: m.update(version=3), r"checkpoint version 3 is not 4"),
         (lambda m: m["entries"][0].update(name="ema/in_proj.b"),
          r"entry ema/in_proj\.b is in unknown group 'ema'"),
         (lambda m: m["train_cfg"].update(ema_decay=0.99), r"train_cfg .*'ema_decay'"),
-        (lambda m: m["model_cfg"].pop("gelu"), r"model_cfg .*missing field 'gelu'"),
+        (lambda m: m["model_cfg"].update(gelu="tanh"),
+         r"model_cfg .*unexpected keyword argument 'gelu'"),
+        # a field with a default is still refused when missing
+        (lambda m: m["model_cfg"].pop("adapter_latent"),
+         r"model_cfg .*missing field 'adapter_latent'"),
         # a key the writer does not write is refused, not ignored
         (lambda m: m["entries"][0].update(ema=1), r"entry 'param/\S+' has unknown key 'ema'"),
         (lambda m: m.update(extra_top={"a": 1}), r"manifest has unknown key 'extra_top'"),
