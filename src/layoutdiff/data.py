@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from .core import BoundingBox, DatasetConfig, Layout, Segment, ValidationError
+from .core import BoundingBox, DatasetConfig, Layout, Segment, ValidationError, normalize_box
 
 FORMAT_VERSION = 1
 # header fields besides the version, one per DatasetConfig field
@@ -73,8 +73,37 @@ def _record_dict(item, split=None) -> dict:
     return rec
 
 
+def _check_record(item, cfg: DatasetConfig) -> None:
+    """Raise ValidationError unless item is a record of cfg's corpus that
+    tokenizes: in layout mode a Layout whose boxes have categories in
+    [1, num_categories] and lie inside the scene as normalize_box requires,
+    in segment mode a sequence of Segments; at most n_max of either."""
+    if cfg.mode == "layout":
+        if not isinstance(item, Layout):
+            raise ValidationError(f"a {type(item).__name__} is not a layout")
+        for b in item.boxes:
+            if not 1 <= b.c <= cfg.num_categories:
+                raise ValidationError(f"category {b.c} outside [1, {cfg.num_categories}]",
+                                      field="c")
+            normalize_box(b, item)
+        count, kind = len(item.boxes), "boxes"
+    else:
+        if isinstance(item, Layout) or not all(isinstance(s, Segment) for s in item):
+            raise ValidationError(f"a {type(item).__name__} is not a sequence of segments")
+        count, kind = len(item), "segments"
+    if count > cfg.n_max:
+        raise ValidationError(f"{count} {kind} exceed n_max {cfg.n_max}")
+
+
 def serialize_canonical(cfg: DatasetConfig, records, splits=None) -> str:
+    """The canonical text of a corpus. A record that load_canonical would
+    refuse raises ValueError naming its index."""
     records = list(records)
+    for i, r in enumerate(records):
+        try:
+            _check_record(r, cfg)
+        except ValueError as e:
+            raise ValueError(f"record {i}: {e}") from e
     if splits is None:
         splits = [None] * len(records)
     lines = [_dump(_header_dict(cfg))]
@@ -83,37 +112,22 @@ def serialize_canonical(cfg: DatasetConfig, records, splits=None) -> str:
 
 
 def save_canonical(path: str, cfg: DatasetConfig, records, splits=None) -> None:
+    """Write a corpus atomically; a record that load_canonical would refuse
+    raises ValueError naming its index before anything is written."""
     atomic_write_text(path, serialize_canonical(cfg, records, splits))
 
 
-def _parse_layout(rec, cfg: DatasetConfig, line_no):
+def _parse_record(rec: dict, cfg: DatasetConfig, line_no):
     try:
-        boxes = []
-        for b in rec["boxes"]:
-            x, y, h, w, c = b
-            if not (1 <= int(c) <= cfg.num_categories):
-                raise ValidationError(
-                    f"category {c} outside [1, {cfg.num_categories}]", field="c"
-                )
-            boxes.append(BoundingBox(x=x, y=y, h=h, w=w, c=int(c)))
-        layout = Layout(H=rec["H"], W=rec["W"], boxes=tuple(boxes))
+        if cfg.mode == "layout":
+            boxes = tuple(BoundingBox(x, y, h, w, int(c)) for x, y, h, w, c in rec["boxes"])
+            item = Layout(H=rec["H"], W=rec["W"], boxes=boxes)
+        else:
+            item = tuple(Segment(*s) for s in rec["segments"])
+        _check_record(item, cfg)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(str(e), line=line_no) from e
-    if len(layout.boxes) > cfg.n_max:
-        raise FormatError(
-            f"{len(layout.boxes)} boxes exceed n_max {cfg.n_max}", line=line_no
-        )
-    return layout
-
-
-def _parse_segments(rec, cfg: DatasetConfig, line_no):
-    try:
-        segs = tuple(Segment(*s) for s in rec["segments"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(str(e), line=line_no) from e
-    if len(segs) > cfg.n_max:
-        raise FormatError(f"{len(segs)} segments exceed n_max {cfg.n_max}", line=line_no)
-    return segs
+    return item
 
 
 def load_canonical(path: str, split: str | None = None):
@@ -148,12 +162,11 @@ def load_canonical(path: str, split: str | None = None):
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise FormatError(f"malformed JSON: {e}", line=i) from e
+        if not isinstance(rec, dict):
+            raise FormatError(f"record is a JSON {type(rec).__name__}, not an object", line=i)
         if split is not None and rec.get("split") not in (split, None):
             continue
-        if cfg.mode == "layout":
-            records.append(_parse_layout(rec, cfg, i))
-        else:
-            records.append(_parse_segments(rec, cfg, i))
+        records.append(_parse_record(rec, cfg, i))
     return cfg, records
 
 

@@ -48,18 +48,22 @@ class ModelConfig:
     adapter_latent: int | None = None
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
+        sizes = ("layers", "heads", "hidden", "token_dim", "n_max")
+        if self.adapter_latent is not None:
+            sizes += ("adapter_latent",)
+        for name in sizes:
+            value = getattr(self, name)
+            # these size arrays, so a JSON true or 16.0 is refused, not used
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.hidden % self.heads != 0:
             raise ConfigError(
                 f"hidden ({self.hidden}) must be divisible by heads ({self.heads})"
             )
         if self.hidden % 2 != 0:
             raise ConfigError("hidden must be even (sinusoidal features pair up)")
-        if self.n_max < 1:
-            raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
         if self.ar_mode and self.variance_head:
             raise ConfigError("ar_mode and variance_head cannot both be set: the AR "
                               "loss trains no variance head")
@@ -115,7 +119,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
 
 
 def param_count(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(s)) for s in param_shapes(cfg).values())
+    return sum(math.prod(s) for s in param_shapes(cfg).values())
 
 
 # zero-initialized groups: every bias; modulations start as identity and the

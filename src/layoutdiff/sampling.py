@@ -92,8 +92,9 @@ def sample_tokens(predictor, sched: S.Schedule, shape, rng, method="ddpm",
     batch. predictor(x, t) must return the predicted noise for the whole
     batch; it may also return a VariancePrediction to supply a learned
     variance to the DDPM step. Raises ValueError on a bad method, eta or
-    capture_stride before x_T is drawn, and FloatingPointError naming the
-    sample and t as soon as a reverse step yields a non-finite entry.
+    capture_stride, or on eta > 0 with method 'ddpm', before x_T is drawn,
+    and FloatingPointError naming the sample and t as soon as a reverse step
+    yields a non-finite entry.
 
     Returns (x0, trajectory), where trajectory is None without a
     capture_stride and otherwise a list of (t, x) pairs: x as it enters the
@@ -104,6 +105,8 @@ def sample_tokens(predictor, sched: S.Schedule, shape, rng, method="ddpm",
         raise ValueError(f"method must be 'ddpm' or 'ddim', got {method!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
+    if eta > 0 and method == "ddpm":
+        raise ValueError(f"eta {eta} sets DDIM's noise; method 'ddpm' takes no eta")
     if capture_stride is not None and capture_stride < 1:
         raise ValueError(f"capture_stride must be >= 1, got {capture_stride}")
     T = sched.T

@@ -4,10 +4,13 @@ Every training step runs AdamW with the published moment decays BETA1 and
 BETA2, its gradients clipped to a global norm of GRAD_CLIP.
 
 The checkpoint container is a single file: a magic string, a 4-byte
-little-endian manifest length, a human-readable JSON manifest, then raw
-little-endian blocks (parameters and optimizer moments), back to back in the
-order listed by the manifest up to the end of the file. Each manifest entry
-records its block's dtype, `<f4` or `<f8`, and the zlib CRC-32 of its bytes.
+little-endian manifest length, a human-readable JSON manifest, then the data
+section up to the end of the file. The model config fixes the data section's
+layout: the parameters, then AdamW's first and second moments, each group
+holding the arrays of M.param_shapes in sorted name order, back to back as
+raw little-endian blocks of the one dtype the manifest names, `<f4` or
+`<f8`. Besides the configs, the schedule, the step and the RNG state, the
+manifest holds only that dtype and the zlib CRC-32 of each block.
 The loader reads only this format, front to back. Reloading restores the
 exact training state, so a resumed run reproduces the original loss
 trajectory bit for bit in single-threaded mode.
@@ -32,7 +35,7 @@ from . import schedule as S
 from .core import DatasetConfig
 
 CKPT_MAGIC = b"LAYOUTDIFF-CKPT\n"
-CKPT_VERSION = 4
+CKPT_VERSION = 5
 
 # AdamW's moment decays as published (Loshchilov & Hutter, arXiv:1711.05101)
 BETA1 = 0.9
@@ -263,33 +266,32 @@ def train_loop(train_cfg: TrainConfig, model_cfg: M.ModelConfig,
 
 
 def save_checkpoint(path: str, state: TrainState) -> None:
-    """Write the whole training state to a single file, atomically. An array
-    that is not float32 or float64 raises ValueError before anything is
-    written. Each array is written from its own buffer, so no byte copy of
-    the state is made; a write that fails removes the partial file."""
-    arrays = []
-    entries = []
-    offset = 0
-    for group, d in (("param", state.params), ("adam_m", state.adam_m),
-                     ("adam_v", state.adam_v)):
-        for name in sorted(d):
-            kind = d[name].dtype.type
-            if kind not in (np.float32, np.float64):
-                raise ValueError(f"{path}: {group}/{name} has dtype {d[name].dtype}, "
-                                 f"not float32 or float64")
-            dtype = "<f8" if kind is np.float64 else "<f4"
-            # the array itself when its dtype and layout already match
-            arr = np.ascontiguousarray(d[name], dtype=dtype)
-            arrays.append(arr)
-            entries.append({
-                "name": f"{group}/{name}",
-                "shape": list(d[name].shape),
-                "dtype": dtype,
-                "offset": offset,
-                "size": arr.nbytes,
-                "crc32": zlib.crc32(arr),
-            })
-            offset += arr.nbytes
+    """Write the whole training state to a single file, atomically. A group
+    whose array names or shapes differ from the model config's, or a state
+    whose arrays are not all float32 or all float64, raises ValueError naming
+    the first such array before anything is written. Each array is written
+    from its own buffer, so no byte copy of the state is made; a write that
+    fails removes the partial file."""
+    shapes = M.param_shapes(state.model_cfg)
+    groups = (("param", state.params), ("adam_m", state.adam_m), ("adam_v", state.adam_v))
+    for group, d in groups:
+        got = {name: a.shape for name, a in d.items()}
+        if got != shapes:
+            name = min(n for n in got.keys() | shapes.keys() if got.get(n) != shapes.get(n))
+            raise ValueError(f"{path}: {group}/{name} has shape {got.get(name)}, the "
+                             f"model config gives {shapes.get(name)}")
+    # the data section's order, which the loader derives from the model config
+    named = [(f"{group}/{name}", d[name]) for group, d in groups for name in sorted(shapes)]
+    first, first_array = named[0]
+    for key, a in named:
+        if a.dtype.type not in (np.float32, np.float64):
+            raise ValueError(f"{path}: {key} has dtype {a.dtype}, not float32 or float64")
+        if a.dtype.type is not first_array.dtype.type:
+            raise ValueError(f"{path}: {key} has dtype {a.dtype}, {first} has "
+                             f"{first_array.dtype}: a checkpoint holds one dtype")
+    dtype = "<f8" if first_array.dtype.type is np.float64 else "<f4"
+    # each array itself when its dtype and layout already match
+    arrays = [np.ascontiguousarray(a, dtype=dtype) for _, a in named]
     manifest = {
         "version": CKPT_VERSION,
         "model_cfg": dataclasses.asdict(state.model_cfg),
@@ -298,7 +300,8 @@ def save_checkpoint(path: str, state: TrainState) -> None:
         "schedule": {"T": state.sched.T},
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
-        "entries": entries,
+        "dtype": dtype,
+        "crc32": {key: zlib.crc32(arr) for (key, _), arr in zip(named, arrays)},
     }
     payload = json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8")
     tmp = path + ".tmp"
@@ -318,65 +321,11 @@ def save_checkpoint(path: str, state: TrainState) -> None:
 
 # the keys every manifest carries, in the order they are checked
 MANIFEST_KEYS = ("version", "model_cfg", "data_cfg", "train_cfg", "schedule",
-                 "step", "rng_state", "entries")
-ENTRY_KEYS = ("name", "shape", "dtype", "offset", "size", "crc32")
-ENTRY_GROUPS = ("param", "adam_m", "adam_v")
+                 "step", "rng_state", "dtype", "crc32")
 
 
 def _is_count(x) -> bool:
     return type(x) is int and x >= 0  # JSON true/false are bools, not counts
-
-
-def _read_entry(path, f, file_size, blob_start, end, i, e):
-    """Check manifest entry i, which must start where the entries before it
-    end (`end` bytes into the data section, where f stands), read its block
-    into a new array and return (group, name, array)."""
-    if not isinstance(e, dict):
-        raise ValueError(f"{path}: entry {i} is not a JSON object")
-    missing = [k for k in ENTRY_KEYS if k not in e]
-    if missing:
-        label = e["name"] if "name" in e else i
-        raise ValueError(f"{path}: entry {label!r} has no "
-                         f"{', '.join(map(repr, missing))}")
-    unknown = sorted(e.keys() - set(ENTRY_KEYS))
-    if unknown:
-        raise ValueError(f"{path}: entry {e['name']!r} has unknown key "
-                         f"{', '.join(map(repr, unknown))}")
-    full = e["name"]
-    if not isinstance(full, str) or "/" not in full:
-        raise ValueError(f"{path}: entry {i} has name {full!r}, not '<group>/<name>'")
-    group, name = full.split("/", 1)
-    if group not in ENTRY_GROUPS:
-        raise ValueError(f"{path}: entry {full} is in unknown group {group!r}")
-    shape, offset, size = e["shape"], e["offset"], e["size"]
-    if not (isinstance(shape, list) and all(map(_is_count, shape))
-            and _is_count(offset) and _is_count(size)):
-        raise ValueError(f"{path}: entry {full} has shape {shape!r}, offset {offset!r} "
-                         f"and size {size!r}, not non-negative integers")
-    dtype = e["dtype"]
-    if dtype not in ("<f4", "<f8"):
-        raise ValueError(f"{path}: entry {full} has dtype {dtype!r}, "
-                         f"not '<f4' or '<f8'")
-    count = math.prod(shape)
-    offset += blob_start
-    if size != np.dtype(dtype).itemsize * count or offset + size > file_size:
-        raise ValueError(
-            f"{path}: entry {full} of shape {tuple(shape)} and dtype "
-            f"{dtype} takes {size} bytes at file offset {offset}, the file "
-            f"has {file_size}"
-        )
-    if offset != blob_start + end:
-        raise ValueError(f"{path}: entry {full} is at file offset {offset}, the "
-                         f"entries before it end at file offset {blob_start + end}")
-    arr = np.empty(shape, dtype)
-    got = f.readinto(arr)  # counted in bytes
-    if got != size:
-        raise ValueError(f"{path}: entry {full} at file offset {offset} ends after "
-                         f"{got} of its {size} bytes")
-    if e["crc32"] != zlib.crc32(arr):
-        raise ValueError(f"{path}: entry {full} at file offset {offset} does not "
-                         f"match its crc32 {e['crc32']!r}")
-    return group, name, arr
 
 
 def _read_manifest(path, f, file_size):
@@ -402,31 +351,33 @@ def _read_manifest(path, f, file_size):
         raise ValueError(f"{where}: {e}") from e
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest is not a JSON object")
+    # a file of another version is named by its version, not by its keys
+    if manifest.get("version", CKPT_VERSION) != CKPT_VERSION:
+        raise ValueError(
+            f"{path}: checkpoint version {manifest['version']!r} is not {CKPT_VERSION}"
+        )
     missing = [k for k in MANIFEST_KEYS if k not in manifest]
     if missing:
         raise ValueError(f"{path}: manifest has no {', '.join(map(repr, missing))}")
     unknown = sorted(manifest.keys() - set(MANIFEST_KEYS))
     if unknown:
         raise ValueError(f"{path}: manifest has unknown key {', '.join(map(repr, unknown))}")
-    if manifest["version"] != CKPT_VERSION:
-        raise ValueError(
-            f"{path}: checkpoint version {manifest['version']!r} is not {CKPT_VERSION}"
-        )
     return manifest, blob_start
 
 
 def load_checkpoint(path: str) -> TrainState:
-    """Read a checkpoint back. A file that is not one, is truncated, whose
-    manifest does not parse, lacks a key or has one the writer does not
-    write, whose config groups, schedule, step or RNG state do not build, or
-    whose entries do not fit the file or the model config, fail their crc32,
-    repeat a name or do not tile the data section front to back up to the
-    end of the file raises one ValueError naming the path and the bad key,
-    group, entry or byte offset.
+    """Read a checkpoint back. A file that is not one, is truncated or
+    longer than its model config and dtype make it, whose manifest does not
+    parse, lacks a key or has one the writer does not write, whose config
+    groups, schedule, step, RNG state or dtype do not build, whose crc32
+    object does not name exactly the model config's arrays, or whose arrays
+    fail their crc32 raises one ValueError naming the path and the bad key,
+    group, array or byte offset.
 
     Only the format save_checkpoint writes loads: no key is defaulted, and
-    no entry skips its crc32. Each entry is read straight into its own
-    array, so a load holds one copy of the state."""
+    no array skips its crc32. The file size is checked before any array is
+    allocated, and each array is read straight into its own buffer, so a
+    load holds one copy of the state."""
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
         manifest, blob_start = _read_manifest(path, f, file_size)
@@ -461,31 +412,40 @@ def load_checkpoint(path: str) -> TrainState:
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"{path}: rng_state is not a "
                              f"{type(rng.bit_generator).__name__} state: {e!r}") from e
-        entries = manifest["entries"]
-        if not isinstance(entries, list):
-            raise ValueError(f"{path}: entries is not a list")
-        groups = {group: {} for group in ENTRY_GROUPS}
-        end = 0
-        for i, e in enumerate(entries):
-            group, name, arr = _read_entry(path, f, file_size, blob_start, end, i, e)
-            if name in groups[group]:
-                raise ValueError(f"{path}: entry {group}/{name} appears more than once")
+        dtype = manifest["dtype"]
+        if dtype not in ("<f4", "<f8"):
+            raise ValueError(f"{path}: dtype {dtype!r} is not '<f4' or '<f8'")
+        model_cfg = cfgs["model_cfg"]
+        shapes = M.param_shapes(model_cfg)
+        groups = {"param": {}, "adam_m": {}, "adam_v": {}}
+        # the data section holds each group's arrays in sorted name order
+        keys = [f"{group}/{name}" for group in groups for name in sorted(shapes)]
+        crc32 = manifest["crc32"]
+        if not isinstance(crc32, dict):
+            raise ValueError(f"{path}: crc32 is not a JSON object")
+        missing = [k for k in keys if k not in crc32]
+        if missing:
+            raise ValueError(f"{path}: crc32 has no {missing[0]!r}")
+        unknown = sorted(crc32.keys() - set(keys))
+        if unknown:
+            raise ValueError(f"{path}: crc32 has unknown key {unknown[0]!r}")
+        end = blob_start + 3 * np.dtype(dtype).itemsize * M.param_count(model_cfg)
+        if end != file_size:
+            raise ValueError(f"{path}: model_cfg and dtype {dtype} give a data section "
+                             f"ending at file offset {end}, the file has {file_size} bytes")
+        offset = blob_start
+        for key in keys:
+            group, name = key.split("/", 1)
+            arr = np.empty(shapes[name], dtype)
+            got = f.readinto(arr)  # counted in bytes
+            if got != arr.nbytes:
+                raise ValueError(f"{path}: entry {key} at file offset {offset} ends after "
+                                 f"{got} of its {arr.nbytes} bytes")
+            if crc32[key] != zlib.crc32(arr):
+                raise ValueError(f"{path}: entry {key} at file offset {offset} does not "
+                                 f"match its crc32 {crc32[key]!r}")
             groups[group][name] = arr
-            end += arr.nbytes
-    if blob_start + end != file_size:
-        raise ValueError(f"{path}: the entries end at file offset {blob_start + end}, "
-                         f"the file has {file_size} bytes")
-    model_cfg, data_cfg, train_cfg = cfgs["model_cfg"], cfgs["data_cfg"], cfgs["train_cfg"]
-    expected = M.param_shapes(model_cfg)
-    for group, arrays in groups.items():
-        shapes = {name: a.shape for name, a in arrays.items()}
-        if shapes != expected:
-            name = min(n for n in shapes.keys() | expected.keys()
-                       if shapes.get(n) != expected.get(n))
-            raise ValueError(
-                f"{path}: entry {group}/{name} has shape {shapes.get(name)}, the model "
-                f"config gives {expected.get(name)}"
-            )
+            offset += arr.nbytes
     return TrainState(
         params=groups["param"],
         adam_m=groups["adam_m"],
@@ -493,7 +453,7 @@ def load_checkpoint(path: str) -> TrainState:
         step=step,
         rng=rng,
         model_cfg=model_cfg,
-        data_cfg=data_cfg,
-        train_cfg=train_cfg,
+        data_cfg=cfgs["data_cfg"],
+        train_cfg=cfgs["train_cfg"],
         sched=sched,
     )

@@ -232,12 +232,13 @@ class TestRecord:
         ("sample", ["--n", "-1"]),
         ("sample", ["--capture-stride", "0"]),
         ("sample", ["--eta", "1.5", "--method", "ddim"]),
+        ("sample", ["--eta", "0.7"]),
         ("train", ["--train-steps", "-3"]),
         ("train", ["--train-steps", "2", "--checkpoint-every", "-1"]),
         ("train", ["--variant", "ar", "--variance-head"]),
         ("eval", ["--timing", "--n", "0"]),
-    ], ids=["n-0", "n-neg", "stride-0", "eta", "train-steps-neg", "checkpoint-every-neg",
-            "ar-variance-head", "timing-n-0"])
+    ], ids=["n-0", "n-neg", "stride-0", "eta", "eta-ddpm", "train-steps-neg",
+            "checkpoint-every-neg", "ar-variance-head", "timing-n-0"])
     def test_rejected_argument_leaves_no_record(self, tmp_path, corpus, checkpoint,
                                                 capsys, command, args):
         """The input loads, but the run is refused before any output."""

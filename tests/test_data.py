@@ -110,12 +110,47 @@ class TestCanonicalFormat:
             load_canonical(str(p))
 
     def test_too_many_elements_rejected(self, tmp_path):
-        big = Layout(H=256.0, W=256.0, boxes=tuple(
-            BoundingBox(8.0 * i, 8.0, 4.0, 4.0, 1) for i in range(5)))
         p = tmp_path / "big.jsonl"
-        save_canonical(str(p), LCFG, [big])
-        with pytest.raises(FormatError, match="n_max"):
+        header = serialize_canonical(LCFG, []).splitlines()[0]
+        boxes = [[8.0 * i, 8.0, 4.0, 4.0, 1] for i in range(5)]
+        p.write_text(header + "\n" + json.dumps({"H": 256.0, "W": 256.0, "boxes": boxes}) + "\n")
+        with pytest.raises(FormatError, match="line 2: 5 boxes exceed n_max 4"):
             load_canonical(str(p))
+
+    @pytest.mark.parametrize("split", [None, "train"])
+    @pytest.mark.parametrize("record,message", [
+        ("[1, 2]", "record is a JSON list, not an object"),
+        ('{"H":256.0,"W":256.0,"boxes":[[300.0,16.0,64.0,96.0,1]]}',
+         r"box field x=300\.0 outside scene bound \[0, 256\.0\]"),
+        ('{"H":256.0,"W":256.0,"boxes":[["a",16.0,64.0,96.0,1]]}', "not supported"),
+    ], ids=["list", "box-outside-scene", "x-string"])
+    def test_bad_record_raises_at_its_line(self, tmp_path, split, record, message):
+        """Every record that loads also tokenizes; one that does not is
+        refused at its line, with or without a split filter."""
+        p = tmp_path / "r.jsonl"
+        p.write_text(serialize_canonical(LCFG, LAYOUTS) + record + "\n")
+        with pytest.raises(FormatError, match=f"^line 4: .*{message}"):
+            load_canonical(str(p), split=split)
+
+    @pytest.mark.parametrize("cfg,record,message", [
+        (LCFG, Layout(H=256.0, W=256.0, boxes=(BoundingBox(16.0, 16.0, 8.0, 8.0, 131),)),
+         r"category 131 outside \[1, 5\]"),
+        (LCFG, Layout(H=256.0, W=256.0, boxes=tuple(
+            BoundingBox(8.0 * i, 8.0, 4.0, 4.0, 1) for i in range(5))),
+         "5 boxes exceed n_max 4"),
+        (LCFG, Layout(H=128.0, W=256.0, boxes=(BoundingBox(16.0, 130.0, 8.0, 8.0, 1),)),
+         r"box field y=130\.0 outside scene bound \[0, 128\.0\]"),
+        (LCFG, SEGSETS[0], "a tuple is not a layout"),
+        (SCFG, LAYOUTS[0], "a Layout is not a sequence of segments"),
+        (SCFG, tuple(SEGSETS[0] * 3), "6 segments exceed n_max 4"),
+    ], ids=["category", "n_max", "box-outside-scene", "segments-in-layouts",
+            "layout-in-segments", "segments-n_max"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, cfg, record, message):
+        """One ValueError naming the record's index, before anything is written."""
+        good = LAYOUTS[1] if cfg.mode == "layout" else SEGSETS[1]
+        with pytest.raises(ValueError, match=f"^record 1: {message}"):
+            save_canonical(str(tmp_path / "c.jsonl"), cfg, [good, record])
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.jsonl"

@@ -100,6 +100,14 @@ class TestConfig:
             ModelConfig(layers=1, heads=3, hidden=8, n_max=2)
         with pytest.raises(ConfigError):
             ModelConfig(layers=1, heads=2, hidden=8, n_max=0)
+        for field, value, message in (
+                ("hidden", 0, "must be >= 1, got 0"), ("token_dim", -3, "must be >= 1, got -3"),
+                ("adapter_latent", -2, "must be >= 1, got -2"),
+                ("adapter_latent", 0, "must be >= 1, got 0"),
+                ("hidden", 8.0, "must be an integer, got 8.0"),
+                ("layers", True, "must be an integer, got True")):
+            with pytest.raises(ConfigError, match=f"^{field} {message}$"):
+                ModelConfig(**{"layers": 1, "heads": 2, "hidden": 8, "n_max": 2, field: value})
         with pytest.raises(ConfigError, match="ar_mode and variance_head"):
             ModelConfig(layers=1, heads=2, hidden=8, n_max=2, ar_mode=True, variance_head=True)
 

@@ -134,11 +134,12 @@ class TestSampleTokens:
         (dict(method="ddim", eta=1.5), "eta must be in [0, 1], got 1.5"),
         (dict(eta=-0.5), "eta must be in [0, 1], got -0.5"),
         (dict(eta=float("nan")), "eta must be in [0, 1], got nan"),
+        (dict(eta=0.7), "eta 0.7 sets DDIM's noise; method 'ddpm' takes no eta"),
         (dict(capture_stride=0), "capture_stride must be >= 1, got 0"),
         (dict(capture_stride=-3), "capture_stride must be >= 1, got -3"),
         (dict(n_samples=0), "n_samples must be >= 1, got 0"),
         (dict(n_samples=-1), "n_samples must be >= 1, got -1"),
-    ], ids=["method", "eta-1.5", "eta-neg", "eta-nan", "stride-0", "stride-neg",
+    ], ids=["method", "eta-1.5", "eta-neg", "eta-nan", "eta-ddpm", "stride-0", "stride-neg",
             "n-0", "n-neg"])
     def test_bad_argument_fails_before_x_T(self, kwargs, message):
         """One ValueError naming the argument, before any draw or model call."""

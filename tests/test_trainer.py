@@ -18,7 +18,6 @@ from layoutdiff.model import ModelConfig, nonar_loss_and_grads
 from layoutdiff.schedule import ConfigError, build_schedule
 from layoutdiff.training import (
     CKPT_MAGIC,
-    ENTRY_KEYS,
     MANIFEST_KEYS,
     TrainConfig,
     TrainingDiverged,
@@ -354,6 +353,10 @@ class TestWorkspace:
 
 
 class TestCheckpoint:
+    # a file whose length is not the one its model config and dtype give
+    SIZE_ERROR = (r"model_cfg and dtype {} give a data section ending at file "
+                  r"offset \d+, the file has \d+ bytes")
+
     def test_roundtrip_preserves_everything(self, tmp_path):
         tokens = corpus_tokens()
         state = init_state(TrainConfig(seed=5), TINY, DCFG)
@@ -413,8 +416,8 @@ class TestCheckpoint:
             (len(magic) + 2, "length field"),
             (len(magic) + 4 + mlen // 2, "manifest .* does not parse"),
             (blob_start - 1, "manifest .* does not parse"),
-            ((blob_start + len(data)) // 2, "entry .* at file offset"),
-            (len(data) - 1, "entry .* at file offset"),
+            ((blob_start + len(data)) // 2, self.SIZE_ERROR.format("<f4")),
+            (len(data) - 1, self.SIZE_ERROR.format("<f4")),
         ]
         for cut, message in cuts:
             short = tmp_path / f"cut_{cut}.ckpt"
@@ -423,12 +426,20 @@ class TestCheckpoint:
                 load_checkpoint(str(short))
 
     def test_param_shape_mismatch_names_entry(self, tmp_path):
+        """The loader derives every array's shape from the model config, so a
+        state that does not fit its config fails before anything is written."""
+        path = tmp_path / "model.ckpt"
         state = init_state(TrainConfig(seed=9), TINY, DCFG)
         state.params["in_proj.b"] = np.zeros(TINY.hidden + 1, dtype=np.float32)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), state)
-        with pytest.raises(ValueError, match=r"param/in_proj\.b has shape \(17,\)"):
-            load_checkpoint(str(path))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: param/in_proj\\.b has "
+                                             r"shape \(17,\), the model config gives \(16,\)$"):
+            save_checkpoint(str(path), state)
+        state = init_state(TrainConfig(seed=9), TINY, DCFG)
+        state.adam_m["extra"] = np.zeros(2, dtype=np.float32)
+        with pytest.raises(ValueError, match=r"adam_m/extra has shape \(2,\), the model "
+                                             r"config gives None$"):
+            save_checkpoint(str(path), state)
+        assert list(tmp_path.iterdir()) == []
 
     def test_float64_state_roundtrips_bit_exact(self, tmp_path):
         tokens = corpus_tokens()
@@ -457,14 +468,15 @@ class TestCheckpoint:
                          + data[len(magic) + 4 + mlen:])
 
     def test_entry_dtype_checked(self, tmp_path):
+        """The manifest's one dtype is every entry's: another value, or one
+        that does not fit the file, is refused."""
         state = init_state(TrainConfig(seed=12), TINY, DCFG)
-        for dtype, message in (("<i4", r"entry param/\S+ has dtype '<i4'"),
-                               ("<f8", r"entry param/\S+ of shape .* and dtype <f8 takes")):
+        for dtype, message in (("<i4", r"dtype '<i4' is not '<f4' or '<f8'"),
+                               ("<f8", self.SIZE_ERROR.format("<f8"))):
             path = tmp_path / f"bad_{dtype[1:]}.ckpt"
             save_checkpoint(str(path), state)
-            self.rewrite_manifest(
-                path, lambda m: m["entries"][0].update(dtype=dtype))
-            with pytest.raises(ValueError, match=message):
+            self.rewrite_manifest(path, lambda m: m.update(dtype=dtype))
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
                 load_checkpoint(str(path))
 
     @pytest.mark.parametrize("group", ["model_cfg", "data_cfg", "train_cfg"])
@@ -581,48 +593,52 @@ class TestCheckpoint:
                                              r"at file offset \d+ ends after \d+ of its \d+ bytes"):
             load_checkpoint(str(path))
 
-    TILING_ERRORS = {
-        # a second entry for blocks.0, pointing at blocks.1's block and crc32
-        "alias": r"entry param/blocks\.0\.attn\.wqkv is at file offset \d+, the "
-                 r"entries before it end at file offset \d+",
-        # the same, with blocks.1's bytes copied to the end of the file
-        "repeat": r"entry param/blocks\.0\.attn\.wqkv appears more than once",
-        "trailing": r"the entries end at file offset \d+, the file has \d+ bytes",
-    }
-
-    @pytest.mark.parametrize("case", sorted(TILING_ERRORS))
+    @pytest.mark.parametrize("case", ["short", "trailing"])
     def test_entries_tile_the_data_section(self, tmp_path, case):
+        """The model config and dtype give the data section's length: a file
+        one whole array short, or with bytes past its last array, fails the
+        size check."""
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), init_state(TrainConfig(seed=28), TINY, DCFG))
+        state = init_state(TrainConfig(seed=28), TINY, DCFG)
+        save_checkpoint(str(path), state)
         data = path.read_bytes()
-        mlen = int.from_bytes(data[len(CKPT_MAGIC):len(CKPT_MAGIC) + 4], "little")
-        blob_start = len(CKPT_MAGIC) + 4 + mlen
-        if case == "trailing":
-            path.write_bytes(data + bytes(400))
-        else:
-            entries = json.loads(data[len(CKPT_MAGIC) + 4:blob_start])["entries"]
-            other = next(e for e in entries if e["name"] == "param/blocks.1.attn.wqkv")
-            block = data[blob_start + other["offset"]:][:other["size"]]
-            alias = {**other, "name": "param/blocks.0.attn.wqkv"}
-            if case == "repeat":
-                alias["offset"] = len(data) - blob_start
-                path.write_bytes(data + block)
-            self.rewrite_manifest(path, lambda m: m["entries"].append(alias))
+        last = state.adam_v[max(state.adam_v)].nbytes
+        path.write_bytes(data[:-last] if case == "short" else data + bytes(400))
         with pytest.raises(ValueError,
-                           match=f"{re.escape(str(path))}: {self.TILING_ERRORS[case]}"):
+                           match=f"{re.escape(str(path))}: {self.SIZE_ERROR.format('<f4')}"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("kind", ["float16_params", "int64_moment"])
+    def test_size_checked_before_an_array_is_allocated(self, tmp_path):
+        """A model config far larger than the file fails the size check
+        before any array is allocated."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=30), TINY, DCFG))
+        self.rewrite_manifest(path, lambda m: m["model_cfg"].update(hidden=4096))
+
+        def load():
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))}: "
+                                                 f"{self.SIZE_ERROR.format('<f4')}"):
+                load_checkpoint(str(path))
+
+        _, rise = self.traced_rise(load)
+        assert rise < 2**20, rise
+
+    @pytest.mark.parametrize("kind", ["float16_params", "int64_moment", "mixed"])
     def test_save_refuses_dtype_loss(self, tmp_path, kind):
-        """An array stored as <f4 or <f8 would change its values or dtype, so
-        it fails before anything is written."""
+        """An array stored in the checkpoint's one dtype, <f4 or <f8, would
+        change its values or dtype, so it fails before anything is written."""
         if kind == "float16_params":
             state = init_state(TrainConfig(seed=7), TINY, DCFG, dtype=np.float16)
             name, dtype = r"param/\S+", "float16"
-        else:
+        elif kind == "int64_moment":
             state = init_state(TrainConfig(seed=7), TINY, DCFG)
             state.adam_v["in_proj.b"] = np.zeros(TINY.hidden, dtype=np.int64)
             name, dtype = r"adam_v/in_proj\.b", "int64"
+        else:
+            state = init_state(TrainConfig(seed=7), TINY, DCFG)
+            state.adam_m["in_proj.b"] = np.zeros(TINY.hidden, dtype=np.float64)
+            name, dtype = r"adam_m/in_proj\.b", (r"float64, param/blocks\.0\.attn\.bo has "
+                                                 r"float32: a checkpoint holds one dtype")
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {name} has dtype {dtype}"):
             save_checkpoint(str(path), state)
@@ -641,17 +657,18 @@ class TestCheckpoint:
         data = path.read_bytes()
         mlen = int.from_bytes(data[len(CKPT_MAGIC):len(CKPT_MAGIC) + 4], "little")
         manifest = json.loads(data[len(CKPT_MAGIC) + 4:len(CKPT_MAGIC) + 4 + mlen])
-        assert sorted(manifest) == sorted(MANIFEST_KEYS)
-        for e in manifest["entries"]:
-            assert sorted(e) == sorted(ENTRY_KEYS), e["name"]
+        assert len(MANIFEST_KEYS) == 9 and sorted(manifest) == sorted(MANIFEST_KEYS)
+        assert manifest["dtype"] == {"float32": "<f4", "float64": "<f8"}[kind]
         for group, cls in (("model_cfg", ModelConfig), ("data_cfg", DatasetConfig),
                            ("train_cfg", TrainConfig)):
             assert sorted(manifest[group]) == sorted(f.name for f in dataclasses.fields(cls))
-        # the data section is every array's bytes in entry order, to the end
-        blocks = [getattr(state, {"param": "params"}.get(group, group))[name].tobytes()
-                  for group, name in (e["name"].split("/", 1) for e in manifest["entries"])]
+        # the data section is each group's arrays in sorted name order, to the end
+        order = [(group, name) for group in ("params", "adam_m", "adam_v")
+                 for name in sorted(M.param_shapes(TINY))]
+        blocks = [getattr(state, group)[name].tobytes() for group, name in order]
         assert data[len(CKPT_MAGIC) + 4 + mlen:] == b"".join(blocks)
-        assert [e["crc32"] for e in manifest["entries"]] == [zlib.crc32(b) for b in blocks]
+        assert manifest["crc32"] == {f"{group.replace('params', 'param')}/{name}":
+                                     zlib.crc32(b) for (group, name), b in zip(order, blocks)}
         again = tmp_path / "again.ckpt"
         save_checkpoint(str(again), load_checkpoint(str(path)))
         assert again.read_bytes() == data
@@ -664,34 +681,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: manifest has no '{key}'"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("key", ENTRY_KEYS)
-    def test_missing_entry_key_names_path_and_entry(self, tmp_path, key):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), init_state(TrainConfig(seed=20), TINY, DCFG))
-        self.rewrite_manifest(path, lambda m: m["entries"][3].pop(key))
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: entry .* has no '{key}'"):
-            load_checkpoint(str(path))
-
     @pytest.mark.parametrize("edit,message", [
         (lambda m: m["schedule"].update(kind="linear"),
          r"schedule \{'T': 100, 'kind': 'linear'\} has unknown key 'kind'"),
         (lambda m: m["schedule"].pop("T"), r"schedule \{\} does not build a schedule: .*'T'"),
         (lambda m: m["rng_state"].pop("state"), r"rng_state is not a PCG64 state"),
         (lambda m: m.update(step=2.0), r"step 2\.0 is not a non-negative integer"),
-        (lambda m: m["entries"][0].update(shape=["16", 16]),
-         r"entry param/\S+ has shape \['16', 16\], offset"),
-        (lambda m: m["entries"][0].update(offset=-4), r"entry param/\S+ .* offset -4 "),
-        (lambda m: m["entries"][0].update(name="param.in_proj.b"),
-         r"entry 0 has name 'param\.in_proj\.b'"),
-        (lambda m: m["entries"][0].update(name="moments/in_proj.b"),
-         r"entry moments/in_proj\.b is in unknown group 'moments'"),
+        (lambda m: m.update(dtype="float32"), r"dtype 'float32' is not '<f4' or '<f8'$"),
+        (lambda m: m.update(crc32=[1, 2]), r"crc32 is not a JSON object$"),
+        (lambda m: m["crc32"].pop("adam_v/head.b"), r"crc32 has no 'adam_v/head\.b'$"),
+        (lambda m: m["crc32"].update({"ema/in_proj.b": 1}),
+         r"crc32 has unknown key 'ema/in_proj\.b'$"),
         (lambda m: m["model_cfg"].update(heads=0), r"model_cfg .*heads must be >= 1"),
+        (lambda m: m["model_cfg"].update(token_dim=-3),
+         r"model_cfg .*token_dim must be >= 1, got -3$"),
+        (lambda m: m["model_cfg"].update(hidden=16.0),
+         r"model_cfg .*hidden must be an integer, got 16\.0$"),
         # what files from before the current format carried is refused
-        (lambda m: m.update(version=1), r"checkpoint version 1 is not 4"),
-        (lambda m: m.update(version=2), r"checkpoint version 2 is not 4"),
-        (lambda m: m.update(version=3), r"checkpoint version 3 is not 4"),
-        (lambda m: m["entries"][0].update(name="ema/in_proj.b"),
-         r"entry ema/in_proj\.b is in unknown group 'ema'"),
+        (lambda m: m.update(version=1), r"checkpoint version 1 is not 5"),
+        (lambda m: m.update(version=2), r"checkpoint version 2 is not 5"),
+        (lambda m: m.update(version=3), r"checkpoint version 3 is not 5"),
+        (lambda m: [m.update(version=4, entries=[]), m.pop("dtype"), m.pop("crc32")],
+         r"checkpoint version 4 is not 5$"),
         (lambda m: m["train_cfg"].update(ema_decay=0.99), r"train_cfg .*'ema_decay'"),
         (lambda m: m["model_cfg"].update(gelu="tanh"),
          r"model_cfg .*unexpected keyword argument 'gelu'"),
@@ -699,7 +710,6 @@ class TestCheckpoint:
         (lambda m: m["model_cfg"].pop("adapter_latent"),
          r"model_cfg .*missing field 'adapter_latent'"),
         # a key the writer does not write is refused, not ignored
-        (lambda m: m["entries"][0].update(ema=1), r"entry 'param/\S+' has unknown key 'ema'"),
         (lambda m: m.update(extra_top={"a": 1}), r"manifest has unknown key 'extra_top'"),
     ])
     def test_bad_manifest_value_names_path(self, tmp_path, edit, message):
