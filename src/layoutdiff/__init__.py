@@ -22,7 +22,7 @@ from .schedule import (
     ddpm_step,
     q_sample,
 )
-from .model import ModelConfig, VariancePrediction, forward_ar, forward_nonar, init_params
+from .model import ModelConfig, NoisePrediction, forward_ar, forward_nonar, init_params
 from .training import TrainConfig, TrainState, load_checkpoint, save_checkpoint, train_loop
 from .sampling import (
     ConditionMask,

@@ -114,7 +114,8 @@ def _cmd_convert(cfg) -> int:
         seed=cfg["seed"],
     )
     D.save_canonical(cfg["out"], dcfg, layouts, splits=tags)
-    print(f"wrote {len(layouts)} records to {cfg['out']} (dropped {dropped} oversize)")
+    reasons = ", ".join(f"{n} {reason}" for reason, n in dropped.items())
+    print(f"wrote {len(layouts)} records to {cfg['out']} (dropped {reasons})")
     return 0
 
 
@@ -128,7 +129,6 @@ def _cmd_train(cfg) -> int:
     model_cfg = M.ModelConfig(
         layers=cfg["layers"], heads=cfg["heads"], hidden=cfg["hidden"],
         n_max=dcfg.n_max, ar_mode=cfg["variant"] == "ar",
-        variance_head=cfg["variance_head"],
     )
     train_cfg = TR.TrainConfig(
         lr=cfg["lr"], batch_size=cfg["batch_size"], total_steps=cfg["train_steps"],
@@ -213,7 +213,11 @@ def _cmd_eval(cfg) -> int:
         raise ValueError("eval needs --generated and --reference together, or --timing")
     if corpora:
         gcfg, gen = D.load_canonical(cfg["generated"])
-        rcfg, ref = D.load_canonical(cfg["reference"])
+        # a converted corpus tags its records; train and val are held out
+        rcfg, ref = D.load_canonical(cfg["reference"], split="test")
+        if not ref:
+            raise ValueError(f"{cfg['reference']} has no test or untagged records "
+                             f"to score against")
         if gcfg.mode != rcfg.mode:
             raise ValueError("generated and reference corpora have different modes")
     result = {}
@@ -310,7 +314,6 @@ def _build_parser():
     p.add_argument("--layers", type=int, default=4)
     p.add_argument("--heads", type=int, default=8)
     p.add_argument("--hidden", type=int, default=512)
-    p.add_argument("--variance-head", action="store_true")
     p.add_argument("--checkpoint-every", type=int, default=0)
 
     p = command("sample", _cmd_sample, "sample from a checkpoint", "samples")

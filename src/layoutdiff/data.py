@@ -179,11 +179,14 @@ def convert_publaynet_like(annotations: dict, n_max=16, num_categories=5, seed=0
 
     Expects {"images": [{"id", "height", "width"}], "annotations":
     [{"image_id", "bbox": [x, y, w, h] (top-left origin), "category_id"}]}.
-    Source boxes are flipped to a bottom-left origin. Layouts with more than
-    n_max elements are dropped (counted, not truncated). The kept layouts are
-    tagged train / val / test in the SPLITS shares, in a seeded random order.
+    Source boxes are flipped to a bottom-left origin. A layout with more
+    than n_max elements, or with a box that the canonical format refuses (a
+    field outside its image, as normalize_box checks), is dropped whole and
+    counted, never truncated or clipped. The kept layouts are tagged train /
+    val / test in the SPLITS shares, in a seeded random order.
 
-    Returns (DatasetConfig, layouts, split_tags, dropped_count).
+    Returns (DatasetConfig, layouts, split_tags, dropped), where dropped maps
+    each reason, "oversize" and "outside_image", to its count.
     """
     images = {im["id"]: im for im in annotations["images"]}
     boxes_by_image = {}
@@ -199,12 +202,12 @@ def convert_publaynet_like(annotations: dict, n_max=16, num_categories=5, seed=0
         h_max=float(h_max), w_max=float(w_max),
     )
     layouts = []
-    dropped = 0
+    dropped = {"oversize": 0, "outside_image": 0}
     for image_id in sorted(images):
         im = images[image_id]
         anns = boxes_by_image.get(image_id, [])
         if len(anns) > n_max:
-            dropped += 1
+            dropped["oversize"] += 1
             continue
         H, W = float(im["height"]), float(im["width"])
         boxes = []
@@ -213,7 +216,14 @@ def convert_publaynet_like(annotations: dict, n_max=16, num_categories=5, seed=0
             boxes.append(
                 BoundingBox(x=x, y=H - (y_top + h), h=h, w=w, c=int(ann["category_id"]))
             )
-        layouts.append(Layout(H=H, W=W, boxes=tuple(boxes)))
+        layout = Layout(H=H, W=W, boxes=tuple(boxes))
+        try:
+            for b in boxes:
+                normalize_box(b, layout)
+        except ValidationError:
+            dropped["outside_image"] += 1
+            continue
+        layouts.append(layout)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(layouts))
     n_train = int(round(SPLITS[0] * len(layouts)))

@@ -22,14 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schedule import ConfigError, learned_log_variance, posterior_moments
+from .schedule import ConfigError
 
 # the MLP's GELU is the tanh form of DiT's backbone (Hendrycks & Gimpel,
 # arXiv:1606.08415): 0.5 x (1 + tanh(GELU_C (x + GELU_A x^3)))
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715
-# the KL term's weight in the hybrid loss (Nichol & Dhariwal, arXiv:2102.09672)
-KL_WEIGHT = 1e-3
 
 
 class UnsupportedModeError(RuntimeError):
@@ -43,7 +41,6 @@ class ModelConfig:
     hidden: int = 512
     token_dim: int = 16
     n_max: int = 16
-    variance_head: bool = False
     ar_mode: bool = False
     adapter_latent: int | None = None
 
@@ -64,25 +61,17 @@ class ModelConfig:
             )
         if self.hidden % 2 != 0:
             raise ConfigError("hidden must be even (sinusoidal features pair up)")
-        if self.ar_mode and self.variance_head:
-            raise ConfigError("ar_mode and variance_head cannot both be set: the AR "
-                              "loss trains no variance head")
-
-    @property
-    def out_dim(self) -> int:
-        return self.token_dim * (2 if self.variance_head else 1)
 
     @property
     def n_positions(self) -> int:
         return 2 * self.n_max + 1 if self.ar_mode else self.n_max
 
 
-@dataclass
-class VariancePrediction:
-    """Predicted noise plus, optionally, the variance interpolation coefficient."""
+@dataclass(frozen=True)
+class NoisePrediction:
+    """What forward_nonar returns: the predicted noise, eps_hat."""
 
     eps_hat: np.ndarray
-    var_coef: np.ndarray | None = None
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
@@ -109,8 +98,8 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
         shapes[p + "mlp.b2"] = (h,)
     shapes["final.mod.w"] = (h, 2 * h)
     shapes["final.mod.b"] = (2 * h,)
-    shapes["head.w"] = (h, cfg.out_dim)
-    shapes["head.b"] = (cfg.out_dim,)
+    shapes["head.w"] = (h, cfg.token_dim)
+    shapes["head.b"] = (cfg.token_dim,)
     shapes["pos"] = (cfg.n_positions, h)
     if cfg.ar_mode:
         shapes["start"] = (h,)
@@ -309,7 +298,7 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
     """Run the block stack on pre-assembled hidden states h0 (B, S, hidden).
 
     mods are the timestep_modulations rows of the batch: one per sample, or
-    one row shared by all. Returns (out, cache); out is (B, S, out_dim).
+    one row shared by all. Returns (out, cache); out is (B, S, token_dim).
     cache holds the intermediates _backward_core needs, less the timestep
     path's, or is None when for_backward is False, so that inference frees
     each block's activations as it goes.
@@ -507,15 +496,7 @@ def _embed_nonar(params, cfg: ModelConfig, tokens):
     return tokens @ params["in_proj.w"] + params["in_proj.b"] + params["pos"][None, : cfg.n_max, :]
 
 
-def _split_output(cfg: ModelConfig, out) -> VariancePrediction:
-    if cfg.variance_head:
-        eps_hat = out[..., : cfg.token_dim]
-        raw = out[..., cfg.token_dim :]
-        return VariancePrediction(eps_hat=eps_hat, var_coef=1.0 / (1.0 + np.exp(-raw)))
-    return VariancePrediction(eps_hat=out)
-
-
-def forward_nonar(params, cfg: ModelConfig, tokens, t, mods=None) -> VariancePrediction:
+def forward_nonar(params, cfg: ModelConfig, tokens, t, mods=None) -> NoisePrediction:
     """Predict per-token noise for a (B, n_max, token_dim) batch.
 
     mods, when given, are t's timestep_modulations rows (a sampler passes
@@ -534,7 +515,7 @@ def forward_nonar(params, cfg: ModelConfig, tokens, t, mods=None) -> VariancePre
     if mods is None:
         mods, _ = timestep_modulations(params, cfg, t)
     out, _ = _forward_core(params, cfg, h0, mods, for_backward=False)
-    return _split_output(cfg, out[0] if squeeze else out)
+    return NoisePrediction(eps_hat=out[0] if squeeze else out)
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +665,8 @@ def _embed_grads_nonar(params, cfg, tokens, dh0, ws=None):
     return g
 
 
-def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true,
-                         sched=None, x0=None, ws=None):
-    """MSE (plus KL_WEIGHT x KL in learned-variance mode) and its parameter gradients.
+def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true, ws=None):
+    """MSE of the noise prediction and its parameter gradients.
 
     Without ws every returned grad is a fresh array. With ws, a workspace
     dict that the caller keeps across steps (see _buf), the forward cache,
@@ -700,35 +680,9 @@ def nonar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true,
     mods, tcache = timestep_modulations(params, cfg, t, for_backward=True, ws=ws)
     out, cache = _forward_core(params, cfg, h0, mods, ws=ws)
     cache["timestep"] = tcache
-    pred = _split_output(cfg, out)
-    eps_hat, v = pred.eps_hat, pred.var_coef
-    numel = eps_hat.size
-    diff = eps_hat - eps_true
+    diff = out - eps_true
     loss = float(np.mean(diff.astype(np.float64) ** 2))
-    deps = (2.0 / numel) * diff
-
-    dout = _zeros(ws, "dout", out.shape, dtype)
-    if cfg.variance_head:
-        if sched is None or x0 is None:
-            raise ValueError("learned-variance loss needs sched and x0")
-        xt64 = xt.astype(np.float64)
-        mu_q, beta_tilde = posterior_moments(x0, xt64, t, sched)
-        log_var_p, beta_tilde = learned_log_variance(v, beta_tilde, t, sched)
-        beta_t = sched.beta[t].reshape(-1, 1, 1)
-        alpha_t = sched.alpha[t].reshape(-1, 1, 1)
-        denom = 1.0 - sched.alpha_bar[t].reshape(-1, 1, 1)
-        mu_p = (xt64 - beta_t / np.sqrt(denom) * eps_hat) / np.sqrt(alpha_t)
-        var_p = np.exp(log_var_p)
-        delta2 = (mu_q - mu_p) ** 2
-        kl = 0.5 * log_var_p - 0.5 * np.log(beta_tilde) + (beta_tilde + delta2) / (2.0 * var_p) - 0.5
-        kl_term = float(np.mean(kl))
-        loss = loss + KL_WEIGHT * kl_term
-        dmu_p = KL_WEIGHT * (mu_p - mu_q) / var_p / numel
-        dlogvar = KL_WEIGHT * (0.5 - (beta_tilde + delta2) / (2.0 * var_p)) / numel
-        deps = deps + (dmu_p * (-beta_t / (np.sqrt(denom) * np.sqrt(alpha_t)))).astype(dtype)
-        draw = (dlogvar * v * (1.0 - v) * (np.log(beta_t) - np.log(beta_tilde))).astype(dtype)
-        dout[..., cfg.token_dim :] = draw
-    dout[..., : cfg.token_dim] = deps.astype(dtype)
+    dout = (2.0 / diff.size) * diff
 
     # the core and embedding grads cover disjoint parameters
     grads, dh0 = _backward_core(params, cfg, cache, dout, ws=ws)
@@ -777,7 +731,7 @@ def ar_loss_and_grads(params, cfg: ModelConfig, xt, t, eps_true, ws=None):
     loss = float(per_token.sum())
     dpred = (2.0 / (B * td)) * diff
     # the sequence is n data rows, START and n - 1 noise rows
-    dout = _zeros(ws, "dout", (B, 2 * n, cfg.out_dim), dtype)
+    dout = _zeros(ws, "dout", (B, 2 * n, td), dtype)
     dout[:, n : 2 * n] = dpred.astype(dtype)
     grads, dh0 = _backward_core(params, cfg, cache, dout, ws=ws)
     grads.update(_embed_grads_ar(params, cfg, xt, eps_true[:, : n - 1, :], dh0, ws=ws))

@@ -90,11 +90,10 @@ def sample_tokens(predictor, sched: S.Schedule, shape, rng, method="ddpm",
 
     shape is (n_max, token_dim) for one sample or (B, n_max, token_dim) for a
     batch. predictor(x, t) must return the predicted noise for the whole
-    batch; it may also return a VariancePrediction to supply a learned
-    variance to the DDPM step. Raises ValueError on a bad method, eta or
-    capture_stride, or on eta > 0 with method 'ddpm', before x_T is drawn,
-    and FloatingPointError naming the sample and t as soon as a reverse step
-    yields a non-finite entry.
+    batch. Raises ValueError on a bad method, eta or capture_stride, or on
+    eta > 0 with method 'ddpm', before x_T is drawn, and FloatingPointError
+    naming the sample and t as soon as a reverse step yields a non-finite
+    entry.
 
     Returns (x0, trajectory), where trajectory is None without a
     capture_stride and otherwise a list of (t, x) pairs: x as it enters the
@@ -117,13 +116,9 @@ def sample_tokens(predictor, sched: S.Schedule, shape, rng, method="ddpm",
         steps_done = T - 1 - t
         if traj is not None and steps_done % capture_stride == 0:
             traj.append((t, x.copy()))
-        pred = predictor(x, t)
-        if isinstance(pred, M.VariancePrediction):
-            eps_hat, var_coef = pred.eps_hat, pred.var_coef
-        else:
-            eps_hat, var_coef = pred, None
+        eps_hat = predictor(x, t)
         if method == "ddpm":
-            x = S.ddpm_step(x, eps_hat, t, sched, rng, var_pred=var_coef)
+            x = S.ddpm_step(x, eps_hat, t, sched, rng)
         else:
             x = S.ddim_step(x, eps_hat, t, t - 1, eta, sched, rng)
         finite = np.isfinite(x).reshape(-1, *shape[-2:]).all(axis=(1, 2))
@@ -204,7 +199,7 @@ def sample_nonar(params, cfg: M.ModelConfig, sched: S.Schedule,
     """
     def make_predictor(table):
         return lambda x, t: M.forward_nonar(params, cfg, x, t,
-                                            mods=M.modulation_row(table, t))
+                                            mods=M.modulation_row(table, t)).eps_hat
 
     return _sample(make_predictor, params, cfg, sched, data_cfg, n_samples,
                    seed, mask, method, eta, capture_stride)

@@ -86,15 +86,6 @@ def posterior_moments(x0, xt, t, sched: Schedule):
     return mu, (1.0 - ab_prev) / denom * beta_t
 
 
-def learned_log_variance(v, beta_tilde, t, sched: Schedule):
-    """v log(beta_t) + (1 - v) log(beta_tilde_t) per entry of v (Nichol &
-    Dhariwal, arXiv:2102.09672, eq. 15), and its lower end. Where beta_tilde_t
-    = 0, at t = 0, the range collapses to beta_t: both ends are log(beta_t)."""
-    beta_t = _gather(sched.beta, t, np.ndim(beta_tilde))
-    lower = np.where(beta_tilde > 0, beta_tilde, beta_t)
-    return v * np.log(beta_t) + (1.0 - v) * np.log(lower), lower
-
-
 def ddim_step(xt, eps_hat, t, t_prev, eta, sched: Schedule, rng=None):
     """One deterministic-by-default reverse step; t_prev = -1 emits x0_pred."""
     if not (t > t_prev >= -1):
@@ -121,12 +112,9 @@ def ddim_step(xt, eps_hat, t, t_prev, eta, sched: Schedule, rng=None):
     return x
 
 
-def ddpm_step(xt, eps_hat, t, sched: Schedule, rng, var_pred=None):
-    """One stochastic reverse step; no noise is added at t = 0.
-
-    var_pred, when given, is an interpolation coefficient in [0, 1] between
-    log(beta_t) (1.0) and log(beta_tilde_t) (0.0) per entry.
-    """
+def ddpm_step(xt, eps_hat, t, sched: Schedule, rng):
+    """One stochastic reverse step with the posterior variance beta_tilde_t;
+    no noise is added at t = 0."""
     if not (0 <= t < sched.T):
         raise ValueError(f"t={t} outside [0, {sched.T})")
     xt = np.asarray(xt, dtype=np.float64)
@@ -137,7 +125,4 @@ def ddpm_step(xt, eps_hat, t, sched: Schedule, rng, var_pred=None):
     mu, var = posterior_moments(x0_pred, xt, t, sched)
     if t == 0:
         return mu
-    if var_pred is None:
-        return mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-    log_var, _ = learned_log_variance(var_pred, var, t, sched)
-    return mu + np.exp(0.5 * log_var) * rng.standard_normal(mu.shape)
+    return mu + np.sqrt(var) * rng.standard_normal(mu.shape)

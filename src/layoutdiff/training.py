@@ -3,14 +3,15 @@
 Every training step runs AdamW with the published moment decays BETA1 and
 BETA2, its gradients clipped to a global norm of GRAD_CLIP.
 
-The checkpoint container is a single file: a magic string, a 4-byte
-little-endian manifest length, a human-readable JSON manifest, then the data
-section up to the end of the file. The model config fixes the data section's
-layout: the parameters, then AdamW's first and second moments, each group
-holding the arrays of M.param_shapes in sorted name order, back to back as
-raw little-endian blocks of the one dtype the manifest names, `<f4` or
-`<f8`. Besides the configs, the schedule, the step and the RNG state, the
-manifest holds only that dtype and the zlib CRC-32 of each block.
+The checkpoint container is a single file: a magic string, the manifest's
+length and its zlib CRC-32 as two 4-byte little-endian integers, a
+human-readable JSON manifest, then the data section up to the end of the
+file. The model config fixes the data section's layout: the parameters, then
+AdamW's first and second moments, each group holding the arrays of
+M.param_shapes in sorted name order, back to back as raw little-endian
+blocks of the one dtype the manifest names, `<f4` or `<f8`. Besides the
+configs, the schedule, the step and the RNG state, the manifest holds only
+that dtype and the zlib CRC-32 of each block.
 The loader reads only this format, front to back. Reloading restores the
 exact training state, so a resumed run reproduces the original loss
 trajectory bit for bit in single-threaded mode.
@@ -35,7 +36,7 @@ from . import schedule as S
 from .core import DatasetConfig
 
 CKPT_MAGIC = b"LAYOUTDIFF-CKPT\n"
-CKPT_VERSION = 5
+CKPT_VERSION = 6
 
 # AdamW's moment decays as published (Loshchilov & Hutter, arXiv:1711.05101)
 BETA1 = 0.9
@@ -206,12 +207,8 @@ def train_step_nonar(state: TrainState, batch, snapshot_dir=None) -> float:
     """One noising draw, one forward/backward, one AdamW update. The grads
     handed to AdamW alias state.workspace, which the next step overwrites."""
     xt, t, eps = _draw_noising(state, batch)
-    loss, grads = M.nonar_loss_and_grads(
-        state.params, state.model_cfg, xt, t, eps,
-        sched=state.sched if state.model_cfg.variance_head else None,
-        x0=np.asarray(batch, dtype=np.float64) if state.model_cfg.variance_head else None,
-        ws=state.workspace,
-    )
+    loss, grads = M.nonar_loss_and_grads(state.params, state.model_cfg, xt, t, eps,
+                                         ws=state.workspace)
     _check_finite(loss, state, snapshot_dir)
     adamw_update(state, grads)
     return loss
@@ -308,7 +305,7 @@ def save_checkpoint(path: str, state: TrainState) -> None:
     try:
         with open(tmp, "wb") as f:
             f.write(CKPT_MAGIC)
-            f.write(struct.pack("<I", len(payload)))
+            f.write(struct.pack("<II", len(payload), zlib.crc32(payload)))
             f.write(payload)
             for arr in arrays:
                 f.write(arr)  # the buffer itself, counted in bytes
@@ -329,24 +326,29 @@ def _is_count(x) -> bool:
 
 
 def _read_manifest(path, f, file_size):
-    """Read the magic, the length field and the manifest from the start of
-    f; return the manifest and the file offset of the data section."""
-    start = len(CKPT_MAGIC) + 4
+    """Read the magic, the length and crc32 fields and the manifest from the
+    start of f; return the manifest and the file offset of the data section."""
+    start = len(CKPT_MAGIC) + 8
     head = f.read(start)
     if head[:len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
     if len(head) < start:
         raise ValueError(f"{path}: file ends at byte {len(head)}, inside the manifest "
-                         f"length field at bytes {len(CKPT_MAGIC)}-{start}")
-    (mlen,) = struct.unpack_from("<I", head, len(CKPT_MAGIC))
+                         f"length field and crc32 at bytes {len(CKPT_MAGIC)}-{start}")
+    mlen, crc = struct.unpack_from("<II", head, len(CKPT_MAGIC))
     blob_start = start + mlen
     where = (f"{path}: manifest at bytes {start}-{blob_start} does not parse "
              f"({file_size} bytes in file)")
     # the length field is checked against the file before it sizes a read
     if blob_start > file_size:
         raise ValueError(f"{where}: the file ends inside it")
+    raw = f.read(mlen)
+    # a changed digit in a config, the step or the RNG state parses as well
+    if zlib.crc32(raw) != crc:
+        raise ValueError(f"{path}: manifest at bytes {start}-{blob_start} does not "
+                         f"match its crc32 {crc}")
     try:
-        manifest = json.loads(f.read(mlen).decode("utf-8"))
+        manifest = json.loads(raw.decode("utf-8"))
     except ValueError as e:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise ValueError(f"{where}: {e}") from e
     if not isinstance(manifest, dict):
@@ -367,12 +369,12 @@ def _read_manifest(path, f, file_size):
 
 def load_checkpoint(path: str) -> TrainState:
     """Read a checkpoint back. A file that is not one, is truncated or
-    longer than its model config and dtype make it, whose manifest does not
-    parse, lacks a key or has one the writer does not write, whose config
-    groups, schedule, step, RNG state or dtype do not build, whose crc32
-    object does not name exactly the model config's arrays, or whose arrays
-    fail their crc32 raises one ValueError naming the path and the bad key,
-    group, array or byte offset.
+    longer than its model config and dtype make it, whose manifest fails its
+    crc32, does not parse, lacks a key or has one the writer does not write,
+    whose config groups, schedule, step, RNG state or dtype do not build,
+    whose crc32 object does not name exactly the model config's arrays, or
+    whose arrays fail their crc32 raises one ValueError naming the path and
+    the bad key, group, array or byte offset.
 
     Only the format save_checkpoint writes loads: no key is defaulted, and
     no array skips its crc32. The file size is checked before any array is

@@ -152,7 +152,7 @@ class TestSingleDeclaration:
             "synth": ["--n", "3", "--n-max", "4", "--style", "grid"],
             "convert": ["--src", str(annotations), "--num-categories", "3"],
             "train": ["--data", corpus, "--train-steps", "1", "--batch-size", "4",
-                      "--variance-head", "--lr", "1e-3", *small],
+                      "--lr", "1e-3", *small],
             "sample": ["--checkpoint", checkpoint, "--n", "1", "--method", "ddim"],
             "eval": ["--timing", "--n", "1", "--n-max", "4", *small],
             "render": ["--data", corpus],
@@ -235,10 +235,9 @@ class TestRecord:
         ("sample", ["--eta", "0.7"]),
         ("train", ["--train-steps", "-3"]),
         ("train", ["--train-steps", "2", "--checkpoint-every", "-1"]),
-        ("train", ["--variant", "ar", "--variance-head"]),
         ("eval", ["--timing", "--n", "0"]),
     ], ids=["n-0", "n-neg", "stride-0", "eta", "eta-ddpm", "train-steps-neg",
-            "checkpoint-every-neg", "ar-variance-head", "timing-n-0"])
+            "checkpoint-every-neg", "timing-n-0"])
     def test_rejected_argument_leaves_no_record(self, tmp_path, corpus, checkpoint,
                                                 capsys, command, args):
         """The input loads, but the run is refused before any output."""
@@ -456,6 +455,55 @@ class TestEval:
         assert code == 1 and err.count("\n") == 1
         assert err.startswith("error: ValueError: ")
         assert not out.exists()
+
+    def test_converted_corpus_scored_against_its_test_split(self, tmp_path, capsys):
+        """convert drops an oversize layout and one with a box outside its
+        image, naming both counts; train reads the train records and eval
+        scores against the test records alone."""
+        annotations = [{"image_id": i, "bbox": [i, 10.0, 20.0, 30.0], "category_id": 1 + i % 3}
+                       for i in range(20)]
+        # image 0's second box reaches 20 below its 100-high image
+        annotations.append({"image_id": 0, "bbox": [10.0, 90.0, 20.0, 30.0], "category_id": 1})
+        # image 1 holds three boxes, over n_max 2
+        annotations += [{"image_id": 1, "bbox": [40.0, y, 10.0, 10.0], "category_id": 2}
+                        for y in (50.0, 70.0)]
+        src = tmp_path / "annotations.json"
+        src.write_text(json.dumps({
+            "images": [{"id": i, "height": 100.0, "width": 80.0} for i in range(20)],
+            "annotations": annotations}))
+        converted = tmp_path / "converted.jsonl"
+        code, printed, err = run(capsys, "convert", "--src", str(src), "--n-max", "2",
+                                 "--num-categories", "3", "--out", str(converted))
+        assert code == 0, err
+        assert "wrote 18 records" in printed
+        assert "(dropped 1 oversize, 1 outside_image)" in printed
+        splits = [json.loads(l).get("split") for l in converted.read_text().splitlines()[1:]]
+        n_test = splits.count("test")
+        assert 0 < n_test < len(splits) == 18
+        small = ["--steps", "10", "--layers", "1", "--heads", "2", "--hidden", "8"]
+        run_dir, samples, out = tmp_path / "run", tmp_path / "samples", tmp_path / "eval"
+        for argv in (["train", "--data", str(converted), "--out", str(run_dir),
+                      "--train-steps", "2", "--batch-size", "4", *small],
+                     ["sample", "--checkpoint", str(run_dir / "model.ckpt"), "--n", "3",
+                      "--out", str(samples)],
+                     ["eval", "--generated", str(samples / "samples.jsonl"),
+                      "--reference", str(converted), "--out", str(out)]):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+        meta = json.load(open(out / "report.json"))["report"]["meta"]
+        assert meta["n_reference"] == n_test and meta["n_generated"] == 3
+
+    def test_reference_with_nothing_to_score_against_fails(self, tmp_path, corpus, capsys):
+        """A reference whose records are all train or val names the file."""
+        cfg, records = synth_layout_corpus(0, 3, n_max=4)
+        reference = tmp_path / "held_in.jsonl"
+        save_canonical(str(reference), cfg, records, splits=["train", "val", "train"])
+        out = tmp_path / "eval"
+        code, _, err = run(capsys, "eval", "--generated", corpus, "--reference",
+                           str(reference), "--out", str(out))
+        assert err == (f"error: ValueError: {reference} has no test or untagged records "
+                       "to score against\n")
+        assert code == 1 and not out.exists()
 
     def test_timing_reports_both_variants(self, tmp_path, capsys):
         out = tmp_path / "timing"

@@ -198,9 +198,19 @@ class TestConverter:
     def test_oversize_layouts_dropped_and_counted(self):
         cfg, layouts, tags, dropped = convert_publaynet_like(
             detection_fixture(), n_max=2)
-        assert dropped == 1
+        assert dropped == {"oversize": 1, "outside_image": 0}
         assert len(layouts) == 2
         assert len(tags) == 2
+
+    def test_layout_with_box_outside_its_image_dropped_and_counted(self):
+        """bbox [10, 90, 20, 30] reaches 20 below its 100-high image (y = -20).
+        The layout is dropped whole, not clipped, so the rest converts."""
+        fixture = detection_fixture()
+        fixture["annotations"][0]["bbox"] = [10.0, 90.0, 20.0, 30.0]
+        cfg, layouts, tags, dropped = convert_publaynet_like(fixture, n_max=2)
+        assert dropped == {"oversize": 1, "outside_image": 1}
+        assert [l.H for l in layouts] == [80.0] and len(tags) == 1
+        serialize_canonical(cfg, layouts, tags)
 
     def test_scene_max_dims(self):
         cfg, _, _, _ = convert_publaynet_like(detection_fixture(), n_max=2)

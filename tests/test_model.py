@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +26,7 @@ from layoutdiff.model import (
     timestep_modulations,
     train_adapter,
 )
-from layoutdiff.schedule import ConfigError, build_schedule, q_sample
+from layoutdiff.schedule import ConfigError
 
 TINY = ModelConfig(layers=2, heads=2, hidden=8, n_max=3)
 TINY_AR = ModelConfig(layers=2, heads=2, hidden=8, n_max=3, ar_mode=True)
@@ -89,10 +88,6 @@ class TestConfig:
         h, n = TINY.hidden, TINY.n_max
         assert param_count(TINY_AR) == base + (n + 1) * h + h + 3 * h
 
-    def test_variance_head_doubles_out_dim(self):
-        cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=2, variance_head=True)
-        assert cfg.out_dim == 32
-
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
             ModelConfig(layers=0, heads=2, hidden=8, n_max=2)
@@ -108,8 +103,6 @@ class TestConfig:
                 ("layers", True, "must be an integer, got True")):
             with pytest.raises(ConfigError, match=f"^{field} {message}$"):
                 ModelConfig(**{"layers": 1, "heads": 2, "hidden": 8, "n_max": 2, field: value})
-        with pytest.raises(ConfigError, match="ar_mode and variance_head"):
-            ModelConfig(layers=1, heads=2, hidden=8, n_max=2, ar_mode=True, variance_head=True)
 
 
 class TestForwardNonAR:
@@ -140,13 +133,6 @@ class TestForwardNonAR:
         params = random_params(TINY, 5)
         with pytest.raises(ValueError):
             forward_nonar(params, TINY, np.zeros((2, 4, 16)), np.array([0, 0]))
-
-    def test_variance_head_coef_in_unit_interval(self):
-        cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=2, variance_head=True)
-        params = random_params(cfg, 6, scale=0.3)
-        pred = forward_nonar(params, cfg, np.zeros((2, 2, 16)), np.array([3, 8]))
-        assert pred.var_coef.shape == (2, 2, 16)
-        assert np.all(pred.var_coef > 0) and np.all(pred.var_coef < 1)
 
     def test_rejects_ar_mode(self):
         """An AR model's params also hold the first n_max positions, so the
@@ -188,50 +174,9 @@ class TestGradients:
             params, grads, seed=15)
         assert errs.max() < 1e-3
 
-    def test_variance_head_gradcheck(self):
-        cfg = ModelConfig(layers=2, heads=2, hidden=8, n_max=3, variance_head=True)
-        sched = build_schedule(100)
-        params = random_params(cfg, 16)
-        rng = np.random.default_rng(17)
-        x0 = rng.uniform(-1, 1, (2, 3, 16))
-        eps = rng.standard_normal((2, 3, 16))
-        kw = dict(sched=sched, x0=x0)
-        # t = 0, where beta_tilde_0 = 0, takes the collapsed variance range
-        for t in (np.array([5, 60]), np.array([0, 60])):
-            xt = q_sample(x0, t, eps, sched)
-            _, grads = nonar_loss_and_grads(params, cfg, xt, t, eps, **kw)
-            errs = relative_errors(
-                lambda p: nonar_loss_and_grads(p, cfg, xt, t, eps, **kw)[0],
-                params, grads, seed=18, n_coords=300)
-            # the KL term's gradients can sit near the finite-difference noise
-            # floor (~1e-8); the 1e-6 denominator floor absorbs that
-            assert errs.max() < 2e-3, t
-
-
-def test_variance_loss_at_t0_on_the_scale_of_t1():
-    """beta_tilde_0 = 0 collapses the learned variance's range to beta_0, so a
-    batch at t = 0 scores like the same batch at t = 1 instead of dividing by
-    a floored zero variance."""
-    cfg = ModelConfig(layers=2, heads=2, hidden=8, n_max=3, variance_head=True)
-    sched = build_schedule(100)
-    params = random_params(cfg, 16)
-    rng = np.random.default_rng(17)
-    x0 = rng.uniform(-1, 1, (2, 3, 16))
-    eps = rng.standard_normal((2, 3, 16))
-
-    def loss_at(t):
-        t = np.array([t, t])
-        xt = q_sample(x0, t, eps, sched)
-        return nonar_loss_and_grads(params, cfg, xt, t, eps, sched=sched, x0=x0)[0]
-
-    at0, at1 = loss_at(0), loss_at(1)
-    assert at1 / 10 < at0 < 10 * at1
-
 
 class TestGradDict:
-    @pytest.mark.parametrize("cfg", [
-        TINY, TINY_AR, ModelConfig(layers=2, heads=2, hidden=8, n_max=3, variance_head=True),
-    ], ids=["nonar", "ar", "variance_head"])
+    @pytest.mark.parametrize("cfg", [TINY, TINY_AR], ids=["nonar", "ar"])
     def test_one_grad_per_param(self, cfg):
         """The core and embedding grads together cover every parameter once."""
         params = random_params(cfg, 30, dtype=np.float32)
@@ -242,10 +187,7 @@ class TestGradDict:
         if cfg.ar_mode:
             _, grads = ar_loss_and_grads(params, cfg, xt, t, eps)
         else:
-            kw = {}
-            if cfg.variance_head:
-                kw = dict(sched=build_schedule(100), x0=rng.uniform(-1, 1, (2, 3, 16)))
-            _, grads = nonar_loss_and_grads(params, cfg, xt, t, eps, **kw)
+            _, grads = nonar_loss_and_grads(params, cfg, xt, t, eps)
         assert sorted(grads) == sorted(param_shapes(cfg))
         for name, shape in param_shapes(cfg).items():
             assert grads[name].shape == shape and grads[name].dtype == np.float32, name
@@ -324,20 +266,19 @@ class TestModulationTable:
     TOL = [(np.float32, 1e-6), (np.float64, 1e-12)]
 
     @pytest.mark.parametrize("dtype, tol", TOL)
-    @pytest.mark.parametrize("variance_head", [False, True], ids=["plain", "variance_head"])
-    def test_forward_nonar_with_row_matches_without(self, variance_head, dtype, tol):
-        cfg = dataclasses.replace(TINY, variance_head=variance_head)
-        params = random_params(cfg, 40, dtype=dtype)
-        table, cache = timestep_modulations(params, cfg, np.arange(self.T))
-        assert table.shape == (self.T, 6 * cfg.layers + 2, cfg.hidden)
+    @pytest.mark.parametrize("shape", [(2, 3, 16), (3, 16)], ids=["plain", "single"])
+    def test_forward_nonar_with_row_matches_without(self, shape, dtype, tol):
+        """A batch, or one unbatched sample."""
+        params = random_params(TINY, 40, dtype=dtype)
+        table, cache = timestep_modulations(params, TINY, np.arange(self.T))
+        assert table.shape == (self.T, 6 * TINY.layers + 2, TINY.hidden)
         assert table.dtype == dtype and cache is None
-        x = np.random.default_rng(41).standard_normal((2, 3, 16))
+        x = np.random.default_rng(41).standard_normal(shape)
         for t in self.TS:
-            want = forward_nonar(params, cfg, x, t)
-            got = forward_nonar(params, cfg, x, t, mods=modulation_row(table, t))
+            want = forward_nonar(params, TINY, x, t)
+            got = forward_nonar(params, TINY, x, t, mods=modulation_row(table, t))
+            assert got.eps_hat.shape == shape
             np.testing.assert_allclose(got.eps_hat, want.eps_hat, rtol=0, atol=tol)
-            if variance_head:
-                np.testing.assert_allclose(got.var_coef, want.var_coef, rtol=0, atol=tol)
 
     @pytest.mark.parametrize("dtype, tol", TOL)
     def test_cached_forward_ar_with_row_matches_without(self, dtype, tol):

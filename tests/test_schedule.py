@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,17 +185,6 @@ class TestReverseSteps:
         mu, _ = posterior_moments(predict_x0(xt, eps_hat, 0, s), xt, 0, s)
         assert np.array_equal(out, mu)
 
-    def test_ddpm_t0_with_var_pred_is_posterior_mean(self):
-        s = build_schedule(100)
-        rng = np.random.default_rng(6)
-        xt = rng.standard_normal(8)
-        eps_hat = rng.standard_normal(8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = ddpm_step(xt, eps_hat, 0, s, rng, var_pred=np.full(8, 0.5))
-        mu, _ = posterior_moments(predict_x0(xt, eps_hat, 0, s), xt, 0, s)
-        assert np.array_equal(out, mu)
-
     def test_ddpm_seeded_determinism(self):
         s = build_schedule(100)
         xt = np.linspace(-1, 1, 8)
@@ -205,19 +192,6 @@ class TestReverseSteps:
         a = ddpm_step(xt, eps_hat, 50, s, np.random.default_rng(7))
         b = ddpm_step(xt, eps_hat, 50, s, np.random.default_rng(7))
         assert np.array_equal(a, b)
-
-    def test_ddpm_var_pred_interpolates(self):
-        s = build_schedule(100)
-        xt = np.zeros(4)
-        eps_hat = np.zeros(4)
-        t = 30
-        _, var_tilde = posterior_moments(predict_x0(xt, eps_hat, t, s), xt, t, s)
-        for v, expect_var in [(0.0, var_tilde), (1.0, s.beta[t])]:
-            draws = np.stack([
-                ddpm_step(xt, eps_hat, t, s, np.random.default_rng(i), var_pred=v)
-                for i in range(4000)
-            ])
-            assert np.allclose(draws.var(axis=0), expect_var, rtol=0.12)
 
     def test_ddpm_range_check(self):
         s = build_schedule(100)

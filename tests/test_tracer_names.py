@@ -38,3 +38,10 @@ def test_forward_core_rows_come_from_h0(spans):
     assert list(inspect.signature(model._forward_core).parameters)[2] == "h0"
     h0 = np.zeros((3, 5, 8))
     assert spans.ROW_COUNTERS["model.forward_core"]((None, None, h0), None) == 15
+
+
+def test_forward_nonar_rows_come_from_eps_hat(spans):
+    cfg = model.ModelConfig(layers=1, heads=2, hidden=8, n_max=3)
+    params = model.init_params(cfg, seed=0)
+    out = model.forward_nonar(params, cfg, np.zeros((2, 3, 16)), np.array([1, 5]))
+    assert spans.ROW_COUNTERS["model.forward_nonar"]((params, cfg), out) == 2 * 3

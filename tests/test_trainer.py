@@ -34,6 +34,14 @@ from layoutdiff.training import (
 TINY = ModelConfig(layers=2, heads=2, hidden=16, n_max=4)
 TINY_AR = ModelConfig(layers=2, heads=2, hidden=16, n_max=4, ar_mode=True)
 DCFG = DatasetConfig(n_max=4, num_categories=5, h_max=256.0, w_max=256.0)
+# a checkpoint's header: the magic, then the manifest's length and crc32
+HEADER = len(CKPT_MAGIC) + 8
+
+
+def split_checkpoint(data):
+    """The manifest bytes and the data section of a checkpoint file's bytes."""
+    mlen = int.from_bytes(data[len(CKPT_MAGIC):len(CKPT_MAGIC) + 4], "little")
+    return data[HEADER:HEADER + mlen], data[HEADER + mlen:]
 
 
 def corpus_tokens(n_max=4, n=16):
@@ -270,7 +278,6 @@ class TestWorkspace:
 
     KINDS = {
         "onepass": TINY,
-        "variance": ModelConfig(layers=2, heads=2, hidden=16, n_max=4, variance_head=True),
         "ar": TINY_AR,
     }
 
@@ -409,12 +416,12 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), state)
         data = path.read_bytes()
-        magic = b"LAYOUTDIFF-CKPT\n"
-        mlen = int.from_bytes(data[len(magic):len(magic) + 4], "little")
-        blob_start = len(magic) + 4 + mlen
+        manifest, _ = split_checkpoint(data)
+        blob_start = HEADER + len(manifest)
         cuts = [
-            (len(magic) + 2, "length field"),
-            (len(magic) + 4 + mlen // 2, "manifest .* does not parse"),
+            (len(CKPT_MAGIC) + 2, "length field"),
+            (len(CKPT_MAGIC) + 6, "length field and crc32"),
+            (HEADER + len(manifest) // 2, "manifest .* does not parse"),
             (blob_start - 1, "manifest .* does not parse"),
             ((blob_start + len(data)) // 2, self.SIZE_ERROR.format("<f4")),
             (len(data) - 1, self.SIZE_ERROR.format("<f4")),
@@ -457,15 +464,14 @@ class TestCheckpoint:
 
     @staticmethod
     def rewrite_manifest(path, edit):
-        """Apply edit(manifest) to a checkpoint file's manifest in place."""
-        data = path.read_bytes()
-        magic = b"LAYOUTDIFF-CKPT\n"
-        mlen = int.from_bytes(data[len(magic):len(magic) + 4], "little")
-        manifest = json.loads(data[len(magic) + 4:len(magic) + 4 + mlen])
+        """Apply edit(manifest) to a checkpoint file's manifest in place, with
+        the manifest's new length and crc32."""
+        raw, blob = split_checkpoint(path.read_bytes())
+        manifest = json.loads(raw)
         edit(manifest)
         payload = json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8")
-        path.write_bytes(magic + len(payload).to_bytes(4, "little") + payload
-                         + data[len(magic) + 4 + mlen:])
+        path.write_bytes(CKPT_MAGIC + len(payload).to_bytes(4, "little")
+                         + zlib.crc32(payload).to_bytes(4, "little") + payload + blob)
 
     def test_entry_dtype_checked(self, tmp_path):
         """The manifest's one dtype is every entry's: another value, or one
@@ -573,9 +579,9 @@ class TestCheckpoint:
         monkeypatch.setattr(training, "open", lambda p, mode: Recording(io.FileIO(p)),
                             raising=False)
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: manifest at bytes "
-                                             r"20-4294967060 does not parse .*ends inside"):
+                                             r"24-4294967064 does not parse .*ends inside"):
             load_checkpoint(str(path))
-        assert reached and max(reached) <= len(CKPT_MAGIC) + 4, reached
+        assert reached and max(reached) <= HEADER, reached
 
     def test_short_read_names_entry_and_offset(self, tmp_path, monkeypatch):
         """A file that ends early although its size said otherwise (it
@@ -655,8 +661,9 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), state)
         data = path.read_bytes()
-        mlen = int.from_bytes(data[len(CKPT_MAGIC):len(CKPT_MAGIC) + 4], "little")
-        manifest = json.loads(data[len(CKPT_MAGIC) + 4:len(CKPT_MAGIC) + 4 + mlen])
+        raw, blob = split_checkpoint(data)
+        assert data[len(CKPT_MAGIC) + 4:HEADER] == zlib.crc32(raw).to_bytes(4, "little")
+        manifest = json.loads(raw)
         assert len(MANIFEST_KEYS) == 9 and sorted(manifest) == sorted(MANIFEST_KEYS)
         assert manifest["dtype"] == {"float32": "<f4", "float64": "<f8"}[kind]
         for group, cls in (("model_cfg", ModelConfig), ("data_cfg", DatasetConfig),
@@ -666,7 +673,7 @@ class TestCheckpoint:
         order = [(group, name) for group in ("params", "adam_m", "adam_v")
                  for name in sorted(M.param_shapes(TINY))]
         blocks = [getattr(state, group)[name].tobytes() for group, name in order]
-        assert data[len(CKPT_MAGIC) + 4 + mlen:] == b"".join(blocks)
+        assert blob == b"".join(blocks)
         assert manifest["crc32"] == {f"{group.replace('params', 'param')}/{name}":
                                      zlib.crc32(b) for (group, name), b in zip(order, blocks)}
         again = tmp_path / "again.ckpt"
@@ -698,11 +705,12 @@ class TestCheckpoint:
         (lambda m: m["model_cfg"].update(hidden=16.0),
          r"model_cfg .*hidden must be an integer, got 16\.0$"),
         # what files from before the current format carried is refused
-        (lambda m: m.update(version=1), r"checkpoint version 1 is not 5"),
-        (lambda m: m.update(version=2), r"checkpoint version 2 is not 5"),
-        (lambda m: m.update(version=3), r"checkpoint version 3 is not 5"),
+        (lambda m: m.update(version=1), r"checkpoint version 1 is not 6"),
+        (lambda m: m.update(version=2), r"checkpoint version 2 is not 6"),
+        (lambda m: m.update(version=3), r"checkpoint version 3 is not 6"),
         (lambda m: [m.update(version=4, entries=[]), m.pop("dtype"), m.pop("crc32")],
-         r"checkpoint version 4 is not 5$"),
+         r"checkpoint version 4 is not 6$"),
+        (lambda m: m.update(version=5), r"checkpoint version 5 is not 6$"),
         (lambda m: m["train_cfg"].update(ema_decay=0.99), r"train_cfg .*'ema_decay'"),
         (lambda m: m["model_cfg"].update(gelu="tanh"),
          r"model_cfg .*unexpected keyword argument 'gelu'"),
@@ -719,14 +727,38 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
             load_checkpoint(str(path))
 
+    def test_changed_manifest_digit_fails_its_crc32(self, tmp_path):
+        """A digit that no array shape depends on still parses, so only the
+        manifest's crc32 tells the changed file from a 4-head model."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=23), TINY, DCFG))
+        data = path.read_bytes()
+        assert data.count(b'"heads": 2') == 1
+        path.write_bytes(data.replace(b'"heads": 2', b'"heads": 4'))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: manifest at bytes "
+                                             r"24-\d+ does not match its crc32 \d+$"):
+            load_checkpoint(str(path))
+
+    def test_format_5_file_refused_naming_path(self, tmp_path):
+        """A version-5 file has no crc32 field: its header is the magic and
+        the length, and the manifest follows at byte 20."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=23), TINY, DCFG))
+        raw, blob = split_checkpoint(path.read_bytes())
+        payload = raw.replace(b'"version": 6', b'"version": 5')
+        path.write_bytes(CKPT_MAGIC + len(payload).to_bytes(4, "little") + payload + blob)
+        with pytest.raises(ValueError) as e:
+            load_checkpoint(str(path))
+        assert str(e.value).startswith(f"{path}: ") and "\n" not in str(e.value)
+
     @pytest.fixture(scope="class")
     def small_checkpoint(self, tmp_path_factory):
         """Bytes of a saved TINY state, and where its data blocks start."""
         path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
         save_checkpoint(str(path), init_state(TrainConfig(seed=22), TINY, DCFG))
         data = path.read_bytes()
-        mlen = int.from_bytes(data[len(CKPT_MAGIC):len(CKPT_MAGIC) + 4], "little")
-        return data, len(CKPT_MAGIC) + 4 + mlen
+        manifest, _ = split_checkpoint(data)
+        return data, HEADER + len(manifest)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
