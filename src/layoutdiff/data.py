@@ -180,10 +180,11 @@ def convert_publaynet_like(annotations: dict, n_max=16, num_categories=5, seed=0
     Expects {"images": [{"id", "height", "width"}], "annotations":
     [{"image_id", "bbox": [x, y, w, h] (top-left origin), "category_id"}]}.
     Source boxes are flipped to a bottom-left origin. A layout with more
-    than n_max elements, or with a box that the canonical format refuses (a
-    field outside its image, as normalize_box checks), is dropped whole and
-    counted, never truncated or clipped. The kept layouts are tagged train /
-    val / test in the SPLITS shares, in a seeded random order.
+    than n_max elements, or with a box that does not lie inside its image (a
+    field outside it, as normalize_box checks, or a right or top edge past
+    it), is dropped whole and counted, never truncated or clipped. The kept
+    layouts are tagged train / val / test in the SPLITS shares, in a seeded
+    random order.
 
     Returns (DatasetConfig, layouts, split_tags, dropped), where dropped maps
     each reason, "oversize" and "outside_image", to its count.
@@ -211,8 +212,12 @@ def convert_publaynet_like(annotations: dict, n_max=16, num_categories=5, seed=0
             continue
         H, W = float(im["height"]), float(im["width"])
         boxes = []
+        # normalize_box bounds each field alone; the far edges are checked
+        # here, on the source values, since sampled boxes may cross them
+        inside = True
         for ann in anns:
             x, y_top, w, h = (float(v) for v in ann["bbox"])
+            inside = inside and x + w <= W and y_top >= 0.0
             boxes.append(
                 BoundingBox(x=x, y=H - (y_top + h), h=h, w=w, c=int(ann["category_id"]))
             )
@@ -221,6 +226,8 @@ def convert_publaynet_like(annotations: dict, n_max=16, num_categories=5, seed=0
             for b in boxes:
                 normalize_box(b, layout)
         except ValidationError:
+            inside = False
+        if not inside:
             dropped["outside_image"] += 1
             continue
         layouts.append(layout)

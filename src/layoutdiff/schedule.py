@@ -16,11 +16,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-step beta/alpha arrays; immutable and shareable across threads."""
+    """Per-step beta and alpha_bar arrays; immutable and shareable across threads."""
 
     T: int
     beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
 
     def abar(self, t) -> np.ndarray:
@@ -37,9 +36,8 @@ def build_schedule(T: int) -> Schedule:
     scale = 1000.0 / T
     beta = np.linspace(1e-4 * scale, 0.02 * scale, T, dtype=np.float64)
     beta = np.clip(beta, 1e-8, 0.999)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    return Schedule(T=int(T), beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+    alpha_bar = np.cumprod(1.0 - beta)
+    return Schedule(T=int(T), beta=beta, alpha_bar=alpha_bar)
 
 
 def _gather(arr, t, ndim):
@@ -69,31 +67,24 @@ def predict_x0(xt, eps_hat, t, sched: Schedule):
     return (xt - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
 
 
-def posterior_moments(x0, xt, t, sched: Schedule):
-    """Mean and variance beta_tilde_t of q(x_{t-1} | x_t, x_0), a diagonal
-    Gaussian. The variance is one value per step, broadcastable to the mean."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    xt = np.asarray(xt, dtype=np.float64)
-    ab_t = _gather(sched.alpha_bar, t, x0.ndim)
-    ab_prev = np.asarray(sched.abar(np.asarray(t) - 1))
-    ab_prev = ab_prev.reshape(ab_prev.shape + (1,) * (x0.ndim - ab_prev.ndim))
-    beta_t = _gather(sched.beta, t, x0.ndim)
-    alpha_t = _gather(sched.alpha, t, x0.ndim)
-    denom = 1.0 - ab_t
-    mu = (np.sqrt(ab_prev) * beta_t / denom) * x0 + (
-        np.sqrt(alpha_t) * (1.0 - ab_prev) / denom
-    ) * xt
-    return mu, (1.0 - ab_prev) / denom * beta_t
-
-
 def ddim_step(xt, eps_hat, t, t_prev, eta, sched: Schedule, rng=None):
-    """One deterministic-by-default reverse step; t_prev = -1 emits x0_pred."""
-    if not (t > t_prev >= -1):
-        raise ValueError(f"ddim_step requires t > t_prev >= -1, got t={t}, t_prev={t_prev}")
+    """One deterministic-by-default reverse step; t_prev = -1 emits x0_pred.
+
+    eps_hat must broadcast to xt's shape. At eta = 1 with t_prev = t - 1 this
+    is the DDPM step with the posterior variance beta_tilde_t (Song et al.,
+    arXiv:2010.02502 section 4.1)."""
+    if not (sched.T > t > t_prev >= -1):
+        raise ValueError(
+            f"ddim_step requires T > t > t_prev >= -1, got T={sched.T}, t={t}, t_prev={t_prev}"
+        )
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     xt = np.asarray(xt, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
+    if np.broadcast_shapes(xt.shape, eps_hat.shape) != xt.shape:
+        raise ValueError(
+            f"eps_hat shape {eps_hat.shape} does not broadcast to xt shape {xt.shape}"
+        )
     ab_t = float(sched.alpha_bar[t])
     ab_prev = float(sched.abar(t_prev))
     x0_pred = predict_x0(xt, eps_hat, t, sched)
@@ -113,16 +104,7 @@ def ddim_step(xt, eps_hat, t, t_prev, eta, sched: Schedule, rng=None):
 
 
 def ddpm_step(xt, eps_hat, t, sched: Schedule, rng):
-    """One stochastic reverse step with the posterior variance beta_tilde_t;
-    no noise is added at t = 0."""
-    if not (0 <= t < sched.T):
-        raise ValueError(f"t={t} outside [0, {sched.T})")
-    xt = np.asarray(xt, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if xt.shape != eps_hat.shape:
-        raise ValueError(f"xt shape {xt.shape} != eps_hat shape {eps_hat.shape}")
-    x0_pred = predict_x0(xt, eps_hat, t, sched)
-    mu, var = posterior_moments(x0_pred, xt, t, sched)
-    if t == 0:
-        return mu
-    return mu + np.sqrt(var) * rng.standard_normal(mu.shape)
+    """One stochastic reverse step with the posterior variance beta_tilde_t,
+    which is DDIM at eta = 1 between adjacent steps; no noise is added at
+    t = 0."""
+    return ddim_step(xt, eps_hat, t, t - 1, 1.0, sched, rng)

@@ -212,6 +212,26 @@ class TestConverter:
         assert [l.H for l in layouts] == [80.0] and len(tags) == 1
         serialize_canonical(cfg, layouts, tags)
 
+    @pytest.mark.parametrize("bbox", [
+        [190.0, 10.0, 20.0, 30.0],  # right edge 210 in a 200-wide image
+        [10.0, -5.0, 20.0, 30.0],  # top edge 105 in a 100-high image
+    ])
+    def test_box_past_the_right_or_top_edge_dropped_and_counted(self, bbox):
+        """Every field of these boxes lies in its own bound, which is all that
+        normalize_box checks, but the box ends outside its image."""
+        fixture = detection_fixture()
+        fixture["annotations"][0]["bbox"] = bbox
+        _, layouts, _, dropped = convert_publaynet_like(fixture, n_max=2)
+        assert dropped == {"oversize": 1, "outside_image": 1}
+        assert [l.H for l in layouts] == [80.0]
+
+    def test_box_touching_every_edge_kept(self):
+        fixture = detection_fixture()
+        fixture["annotations"][0]["bbox"] = [0.0, 0.0, 200.0, 100.0]
+        _, layouts, _, dropped = convert_publaynet_like(fixture, n_max=2)
+        assert dropped == {"oversize": 1, "outside_image": 0}
+        assert layouts[1].boxes[0] == BoundingBox(x=0.0, y=0.0, h=100.0, w=200.0, c=1)
+
     def test_scene_max_dims(self):
         cfg, _, _, _ = convert_publaynet_like(detection_fixture(), n_max=2)
         assert cfg.h_max == 100.0 and cfg.w_max == 200.0

@@ -297,6 +297,17 @@ class TestModelSamplers:
         np.testing.assert_allclose(three[0], one[0], rtol=0, atol=1e-9)
         assert not np.allclose(three[0], three[1])
 
+    @pytest.mark.parametrize("ar", [False, True])
+    def test_ddpm_samples_as_ddim_at_eta_1(self, ar):
+        cfg = ModelConfig(layers=2, heads=2, hidden=16, n_max=4, ar_mode=ar)
+        params = random_params(cfg, seed=19, scale=0.05)
+        sampler = sample_ar if ar else sample_nonar
+        cond = mask_from_layout(make_layout(), DCFG, "cate")
+        _, ddpm, _ = sampler(params, cfg, SCHED, DCFG, 3, seed=20, mask=cond, method="ddpm")
+        _, ddim, _ = sampler(params, cfg, SCHED, DCFG, 3, seed=20, mask=cond,
+                             method="ddim", eta=1.0)
+        assert ddpm.tobytes() == ddim.tobytes()
+
     def test_batched_ar_trajectories_split_per_sample(self):
         cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=2, ar_mode=True)
         dcfg = DatasetConfig(n_max=2, num_categories=5, h_max=256.0, w_max=256.0)

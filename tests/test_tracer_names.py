@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from layoutdiff import model
+from layoutdiff import model, schedule
+from layoutdiff.sampling import sample_tokens
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "spans.py")
 
@@ -45,3 +46,20 @@ def test_forward_nonar_rows_come_from_eps_hat(spans):
     params = model.init_params(cfg, seed=0)
     out = model.forward_nonar(params, cfg, np.zeros((2, 3, 16)), np.array([1, 5]))
     assert spans.ROW_COUNTERS["model.forward_nonar"]((params, cfg), out) == 2 * 3
+
+
+def test_ddpm_sampling_calls_ddpm_step_by_attribute(monkeypatch):
+    """The `schedule.ddpm_step` span sees the DDPM steps only while the sampler
+    calls that module attribute, once per step."""
+    calls = []
+    step = schedule.ddpm_step
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(schedule, "ddpm_step", counting)
+    sched = schedule.build_schedule(20)
+    sample_tokens(lambda x, t: np.zeros_like(x), sched, (2, 16),
+                  np.random.default_rng(0), method="ddpm")
+    assert calls == list(range(sched.T - 1, -1, -1))
