@@ -163,21 +163,6 @@ def _load_mask(mask_kind, cond_data, checkpoint, dcfg, index=0):
     return SMP.mask_from_layout(records[index], dcfg, mask_kind)
 
 
-def _fold_categories(layout, dcfg: DatasetConfig):
-    """Map sampled 8-bit category codes into the dataset vocabulary.
-
-    Undertrained models can emit codes above num_categories; the canonical
-    format rejects those, so fold them the same way the render palette does.
-    """
-    from .core import BoundingBox, Layout
-
-    boxes = tuple(
-        BoundingBox(b.x, b.y, b.h, b.w, (b.c - 1) % dcfg.num_categories + 1)
-        for b in layout.boxes
-    )
-    return Layout(H=layout.H, W=layout.W, boxes=boxes)
-
-
 def _cmd_sample(cfg) -> int:
     resolved = _announce("sample", cfg)
     state = TR.load_checkpoint(cfg["checkpoint"])
@@ -194,8 +179,6 @@ def _cmd_sample(cfg) -> int:
     )
     # the sampler checks its own arguments
     _record(resolved)
-    if dcfg.mode == "layout":
-        items = [_fold_categories(lay, dcfg) for lay in items]
     out_file = os.path.join(cfg["out"], "samples.jsonl")
     D.save_canonical(out_file, dcfg, items)
     if trajs:

@@ -26,6 +26,7 @@ MAX_CATEGORY = 255
 
 # index layout of a token row
 BOX_SLICE = slice(0, 4)
+SIZE_SLICE = slice(2, 4)  # the box's (h, w)
 SCENE_H_IDX = 4
 SCENE_W_IDX = 5
 FILLER_SLICE = slice(6, 8)
@@ -155,16 +156,18 @@ def normalize_box(box: BoundingBox, layout: Layout) -> np.ndarray:
     )
 
 
+def _scene_units(v, H: float, W: float) -> np.ndarray:
+    """Box entries (x, y, h, w) in [-1, 1] in the units of an H x W scene; an
+    (n, 4) stack of boxes comes back as the four columns."""
+    return ((np.asarray(v, dtype=float) + 1.0) * (W, H, H, W) / 2.0).T
+
+
 def denormalize_box(v, layout_h: float, layout_w: float, c: int) -> BoundingBox:
-    """Inverse of normalize_box; expects v already clamped to [-1, 1]."""
-    v = np.asarray(v, dtype=float)
-    return BoundingBox(
-        x=float((v[0] + 1.0) * layout_w / 2.0),
-        y=float((v[1] + 1.0) * layout_h / 2.0),
-        h=float((v[2] + 1.0) * layout_h / 2.0),
-        w=float((v[3] + 1.0) * layout_w / 2.0),
-        c=c,
-    )
+    """Inverse of normalize_box; expects v already clamped to [-1, 1]. A box
+    past the scene's far edge keeps its decoded h and w and is moved inside:
+    x = min(x, W - w), y = min(y, H - h). As w <= W, x stays >= 0."""
+    x, y, h, w = _scene_units(v, layout_h, layout_w).tolist()
+    return BoundingBox(x=min(x, layout_w - w), y=min(y, layout_h - h), h=h, w=w, c=c)
 
 
 def encode_category(c: int) -> np.ndarray:
@@ -220,9 +223,12 @@ def _median(col) -> float:
 def detokenize_layout(m, cfg: DatasetConfig) -> Layout:
     """Decode an (n_max, 16) matrix back to a layout.
 
-    Total by design: out-of-range entries are clamped to [-1, 1] (their count
-    is logged at debug level), categories are sign-thresholded, and rows
-    decoding to the PAD category are dropped.
+    Total by design: out-of-range entries are clamped to [-1, 1], categories
+    are sign-thresholded, rows decoding to the PAD category are dropped, any
+    other code c is folded into the vocabulary as (c - 1) % num_categories + 1,
+    and a box past its scene's far edge is moved inside (see denormalize_box).
+    The counts of clamped entries, folded codes and moved boxes are logged at
+    debug level.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (cfg.n_max, TOKEN_DIM):
@@ -230,8 +236,6 @@ def detokenize_layout(m, cfg: DatasetConfig) -> Layout:
             f"token matrix shape {m.shape} != ({cfg.n_max}, {TOKEN_DIM})"
         )
     n_clamped = int(np.sum((m[:, :6] < -1.0) | (m[:, :6] > 1.0)))
-    if n_clamped:
-        logger.debug("detokenize_layout clamped %d entries", n_clamped)
     geo = np.clip(m[:, :6], -1.0, 1.0)
     # the scene dims are replicated on every row; the median is exact on clean
     # data and robust on generated data
@@ -239,12 +243,21 @@ def detokenize_layout(m, cfg: DatasetConfig) -> Layout:
     W = (_median(geo[:, SCENE_W_IDX]) + 1.0) * cfg.w_max / 2.0
     H = max(H, 1e-6 * cfg.h_max)
     W = max(W, 1e-6 * cfg.w_max)
+    x, y, h, w = _scene_units(geo[:, BOX_SLICE], H, W)
+    moved = (x > W - w) | (y > H - h)
     boxes = []
+    n_folded = n_moved = 0
     for i in range(cfg.n_max):
-        c = decode_category(m[i, CAT_SLICE])
-        if c == PAD_CATEGORY:
+        code = decode_category(m[i, CAT_SLICE])
+        if code == PAD_CATEGORY:
             continue
+        c = (code - 1) % cfg.num_categories + 1
         boxes.append(denormalize_box(geo[i, BOX_SLICE], H, W, c))
+        n_folded += c != code
+        n_moved += moved[i]
+    if n_clamped or n_folded or n_moved:
+        logger.debug("detokenize_layout clamped %d entries, folded %d category codes, "
+                     "moved %d boxes inside the scene", n_clamped, n_folded, n_moved)
     return Layout(H=H, W=W, boxes=tuple(boxes))
 
 

@@ -16,6 +16,7 @@ from . import model as M
 from . import schedule as S
 from .core import (
     CAT_SLICE,
+    SIZE_SLICE,
     DatasetConfig,
     detokenize_layout,
     detokenize_segments,
@@ -58,8 +59,7 @@ def mask_from_layout(layout, cfg: DatasetConfig, kind: str) -> ConditionMask:
     mask = np.zeros_like(tokens, dtype=bool)
     mask[:, CAT_SLICE] = True
     if kind == "cate_size":
-        mask[:, 2] = True
-        mask[:, 3] = True
+        mask[:, SIZE_SLICE] = True
     elif kind != "cate":
         raise ValueError(f"unknown mask kind {kind!r}")
     return ConditionMask(mask=mask, values=tokens)

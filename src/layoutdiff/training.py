@@ -325,6 +325,14 @@ def _is_count(x) -> bool:
     return type(x) is int and x >= 0  # JSON true/false are bools, not counts
 
 
+def _check_version(path, manifest) -> None:
+    """A file of another version is named by its version, not by its keys."""
+    if isinstance(manifest, dict) and manifest.get("version", CKPT_VERSION) != CKPT_VERSION:
+        raise ValueError(
+            f"{path}: checkpoint version {manifest['version']!r} is not {CKPT_VERSION}"
+        )
+
+
 def _read_manifest(path, f, file_size):
     """Read the magic, the length and crc32 fields and the manifest from the
     start of f; return the manifest and the file offset of the data section."""
@@ -345,6 +353,11 @@ def _read_manifest(path, f, file_size):
     raw = f.read(mlen)
     # a changed digit in a config, the step or the RNG state parses as well
     if zlib.crc32(raw) != crc:
+        # format 5 had no crc32 field, so its manifest starts 4 bytes earlier
+        try:
+            _check_version(path, json.loads((head[-4:] + raw[:-4]).decode("utf-8")))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            pass
         raise ValueError(f"{path}: manifest at bytes {start}-{blob_start} does not "
                          f"match its crc32 {crc}")
     try:
@@ -353,11 +366,7 @@ def _read_manifest(path, f, file_size):
         raise ValueError(f"{where}: {e}") from e
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest is not a JSON object")
-    # a file of another version is named by its version, not by its keys
-    if manifest.get("version", CKPT_VERSION) != CKPT_VERSION:
-        raise ValueError(
-            f"{path}: checkpoint version {manifest['version']!r} is not {CKPT_VERSION}"
-        )
+    _check_version(path, manifest)
     missing = [k for k in MANIFEST_KEYS if k not in manifest]
     if missing:
         raise ValueError(f"{path}: manifest has no {', '.join(map(repr, missing))}")
@@ -368,9 +377,10 @@ def _read_manifest(path, f, file_size):
 
 
 def load_checkpoint(path: str) -> TrainState:
-    """Read a checkpoint back. A file that is not one, is truncated or
-    longer than its model config and dtype make it, whose manifest fails its
-    crc32, does not parse, lacks a key or has one the writer does not write,
+    """Read a checkpoint back. A file that is not one, is of another version
+    (a format-5 file included, though its header has no crc32 field), is
+    truncated or longer than its model config and dtype make it, whose
+    manifest fails its crc32, does not parse, lacks a key or has one the writer does not write,
     whose config groups, schedule, step, RNG state or dtype do not build,
     whose crc32 object does not name exactly the model config's arrays, or
     whose arrays fail their crc32 raises one ValueError naming the path and

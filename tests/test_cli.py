@@ -3,11 +3,22 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import layoutdiff
 from layoutdiff.cli import cli
-from layoutdiff.data import load_canonical, save_canonical, synth_layout_corpus
+from layoutdiff.data import (
+    load_canonical,
+    save_canonical,
+    serialize_canonical,
+    synth_layout_corpus,
+)
+from layoutdiff.model import ModelConfig, param_shapes
+from layoutdiff.render import render_svg
+from layoutdiff.sampling import sample_nonar
+from layoutdiff.schedule import build_schedule
+from layoutdiff.training import TrainConfig, init_state, load_checkpoint, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -34,6 +45,21 @@ def checkpoint(tmp_path, corpus, capsys):
         "--hidden", "8", "--batch-size", "4")
     assert code == 0, err
     return str(out / "model.ckpt")
+
+
+@pytest.fixture()
+def random_checkpoint(tmp_path):
+    """A one-pass model whose every weight is 0.3 N(0, 1): its samples carry
+    codes past the vocabulary and boxes past their scene's far edge."""
+    dcfg, _ = synth_layout_corpus(0, 1, n_max=6)
+    mcfg = ModelConfig(layers=1, heads=2, hidden=16, n_max=6)
+    state = init_state(TrainConfig(seed=0), mcfg, dcfg, build_schedule(20))
+    rng = np.random.default_rng(0)
+    for name, shape in param_shapes(mcfg).items():
+        state.params[name][...] = 0.3 * rng.standard_normal(shape)
+    path = tmp_path / "random.ckpt"
+    save_checkpoint(str(path), state)
+    return str(path)
 
 
 class TestSynth:
@@ -359,6 +385,34 @@ class TestSample:
         names = sorted(os.listdir(tdir))
         # T=10, stride 5 -> snapshots at 0, 5, 10 steps done
         assert names == ["step_0000.svg", "step_0005.svg", "step_0010.svg"]
+
+    def test_trajectory_ends_at_its_sample_inside_the_scene(self, tmp_path,
+                                                            random_checkpoint, capsys):
+        """Trajectory frames and samples.jsonl come from one decode, which
+        keeps every box inside its scene."""
+        out = tmp_path / "traj"
+        code, _, err = run(capsys, "sample", "--checkpoint", random_checkpoint,
+                           "--out", str(out), "--n", "8", "--capture-stride", "10")
+        assert code == 0, err
+        _, samples = load_canonical(str(out / "samples.jsonl"))
+        assert len(samples) == 8
+        for i, lay in enumerate(samples):
+            assert (out / f"trajectory_{i:03d}" / "step_0020.svg").read_text() == \
+                render_svg(lay)
+            for b in lay.boxes:
+                assert b.x + b.w <= lay.W * (1 + 1e-12)
+                assert b.y + b.h <= lay.H * (1 + 1e-12)
+
+    def test_writes_the_sampler_records(self, tmp_path, random_checkpoint, capsys):
+        out = tmp_path / "s"
+        code, _, err = run(capsys, "sample", "--checkpoint", random_checkpoint,
+                           "--out", str(out), "--n", "4", "--seed", "5")
+        assert code == 0, err
+        state = load_checkpoint(random_checkpoint)
+        items, _, _ = sample_nonar(state.params, state.model_cfg, state.sched,
+                                   state.data_cfg, n_samples=4, seed=5)
+        assert (out / "samples.jsonl").read_bytes() == \
+            serialize_canonical(state.data_cfg, items).encode("utf-8")
 
     def test_conditioning_flags(self, tmp_path, corpus, checkpoint, capsys):
         out = tmp_path / "cond"

@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -135,6 +136,35 @@ class TestLayoutCodec:
         back = detokenize_layout(m2, CFG)
         m[0, 2] = 1.0
         assert back == detokenize_layout(m, CFG)
+
+    def test_code_past_the_vocabulary_is_folded(self):
+        """A sampled code past num_categories folds into the vocabulary, and a
+        PAD row is still dropped."""
+        m = tokenize_layout(dyadic_layout(np.random.default_rng(4), 3), CFG)
+        m[1, 8:] = encode_category(CFG.num_categories + 2)
+        back = detokenize_layout(m, CFG)
+        assert [b.c for b in back.boxes] == [decode_category(m[0, 8:]), 2,
+                                              decode_category(m[2, 8:])]
+
+    def test_box_past_far_edge_moved_inside_at_its_size(self):
+        m = tokenize_layout(Layout(H=256.0, W=256.0), CFG)
+        m[0, :4] = [0.8, -0.5, 0.0, 0.0]
+        m[0, 8:] = encode_category(1)
+        (box,) = detokenize_layout(m, CFG).boxes
+        assert (box.w, box.h) == (128.0, 128.0)  # decoded as they are
+        assert (box.x, box.y) == (256.0 - 128.0, 64.0)  # only x moves
+
+    def test_decode_counts_logged_at_debug(self, caplog):
+        m = tokenize_layout(dyadic_layout(np.random.default_rng(5), 3), CFG)
+        with caplog.at_level(logging.DEBUG, logger="layoutdiff.core"):
+            detokenize_layout(m, CFG)  # a clean matrix logs nothing
+            m[0, :4] = [0.8, 0.9, 0.0, 1.4]
+            m[1, 8:] = encode_category(CFG.num_categories + 1)
+            m[2, 8:] = encode_category(CFG.num_categories + 3)
+            detokenize_layout(m, CFG)
+        assert caplog.messages == [
+            "detokenize_layout clamped 1 entries, folded 2 category codes, "
+            "moved 1 boxes inside the scene"]
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)

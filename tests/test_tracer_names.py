@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from layoutdiff import model, schedule
+from layoutdiff import model, sampling, schedule
+from layoutdiff.core import DatasetConfig
 from layoutdiff.sampling import sample_tokens
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "spans.py")
@@ -63,3 +64,21 @@ def test_ddpm_sampling_calls_ddpm_step_by_attribute(monkeypatch):
     sample_tokens(lambda x, t: np.zeros_like(x), sched, (2, 16),
                   np.random.default_rng(0), method="ddpm")
     assert calls == list(range(sched.T - 1, -1, -1))
+
+
+def test_sampler_decodes_through_the_sampling_alias(monkeypatch):
+    """The `core.detokenize_layout` span sees a sampler's decodes only while
+    it calls `sampling.detokenize_layout`, once per sample."""
+    calls = []
+    decode = sampling.detokenize_layout
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "detokenize_layout", counting)
+    cfg = model.ModelConfig(layers=1, heads=2, hidden=8, n_max=3)
+    dcfg = DatasetConfig(n_max=3, h_max=256.0, w_max=256.0)
+    sampling.sample_nonar(model.init_params(cfg, seed=0), cfg, schedule.build_schedule(5),
+                          dcfg, n_samples=3, seed=0)
+    assert len(calls) == 3
