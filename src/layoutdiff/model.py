@@ -304,8 +304,8 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
     each block's activations as it goes.
 
     With step, an ARStepCache, the call is one of a diffusion step's cached
-    AR calls: it stores each layer's K/V, and the rows of later calls attend
-    to every stored position as well as to their own.
+    AR calls and goes to _decode_step; attn_bias, for_backward and ws are
+    then not read.
 
     With ws, a training step's workspace (see _buf), every array the cache
     holds is written into it, each block's into its own. The activations
@@ -313,6 +313,10 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
     merged, the residual stream and the attention branch's sum) share one
     array each across blocks.
     """
+    # cached calls enter here too: perfbench's model.forward_core span and
+    # its row count read this boundary
+    if step is not None:
+        return _decode_step(params, cfg, h0, mods, step), None
     nh, dh = cfg.heads, cfg.hidden // cfg.heads
     B, S, H = h0.shape
 
@@ -336,13 +340,7 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
         qkv = _matmul_rows(xm1, params[p + "attn.wqkv"], out=buf(p + "qkv", (B * S, 3 * H)))
         qkv += params[p + "attn.bqkv"]
         q, k, v = qkv.reshape(B, S, 3, nh, dh).transpose(2, 0, 3, 1, 4)
-        if step is not None:
-            if i in step.kv:
-                k = np.concatenate([step.kv[i][0], k], axis=2)
-                v = np.concatenate([step.kv[i][1], v], axis=2)
-            step.kv[i] = (k, v)
-        probs = np.matmul(q, k.transpose(0, 1, 3, 2),
-                          out=buf(p + "probs", (B, nh, S, k.shape[2])))
+        probs = np.matmul(q, k.transpose(0, 1, 3, 2), out=buf(p + "probs", (B, nh, S, S)))
         probs *= scale
         if attn_bias is not None:
             probs += attn_bias
@@ -564,20 +562,111 @@ def _embed_noise(params, noise, first_pos):
 class ARStepCache:
     """What the token-by-token forward_ar calls of one diffusion step share.
 
-    The step's first call runs the data+START prefix and stores each layer's
-    K/V. Every later call embeds and runs only the newest noise row, which
-    attends to all stored positions and adds its own K/V. Under _ar_bias the
-    prefix never attends to noise rows, so its stored K/V stay valid for the
-    whole step. One cache serves one (tokens, t) pair: make a new one for
-    each diffusion step.
+    The step's first call runs the data+START prefix; every later call embeds
+    and runs only the newest noise row, which attends to all held positions
+    and to itself. Under _ar_bias the prefix never attends to noise rows, so
+    its K/V stay valid for the whole step. The first call allocates, per
+    layer, one K and one V buffer of shape (B, heads, 2 * n_max, head_dim) in
+    the params' dtype, the most a step holds (n_max + 1 prefix rows and
+    n_max - 1 noise rows), and looks up each block's weights. Each call
+    writes its rows' K/V at [positions, positions + rows). One cache serves
+    one (params, tokens, t) and one batch size: make a new one for each
+    diffusion step.
     """
 
-    # layer index -> (K, V), each (B, heads, positions, head_dim)
-    kv: dict = field(default_factory=dict)
+    positions: int = 0
+    # per layer: the K and V buffers, and (wqkv, bqkv, wo, bo, w1, b1, w2, b2)
+    k: list = field(default_factory=list)
+    v: list = field(default_factory=list)
+    blocks: list = field(default_factory=list)
 
-    @property
-    def positions(self) -> int:
-        return self.kv[0][0].shape[2] if self.kv else 0
+
+_BLOCK_WEIGHTS = ("attn.wqkv", "attn.bqkv", "attn.wo", "attn.bo",
+                  "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
+
+
+def _decode_step(params, cfg: ModelConfig, h0, mods, step: ARStepCache):
+    """_forward_core for one cached AR call: the blocks over h0's new rows only.
+
+    Each layer writes the rows' K/V into step's buffers and attends over the
+    first positions + rows of them. It needs no attention bias: on the
+    prefix call _ar_bias(n_max, 0) is all zeros, and a later call's one noise
+    row sees every held position and itself. The arithmetic is the general
+    forward's, with no workspace, so the output bytes are the same. Returns
+    (B, rows, token_dim).
+    """
+    nh, dh = cfg.heads, cfg.hidden // cfg.heads
+    B, S, H = h0.shape
+    if not step.blocks:
+        # positions before heads in memory, as in qkv: OpenBLAS gemv rounds
+        # differently under another row stride, and this layout keeps the
+        # bytes of concatenating the K/V on each call
+        shape = (B, 2 * cfg.n_max, nh, dh)
+        dtype = params["in_proj.w"].dtype
+        step.k = [np.empty(shape, dtype).transpose(0, 2, 1, 3) for _ in range(cfg.layers)]
+        step.v = [np.empty(shape, dtype).transpose(0, 2, 1, 3) for _ in range(cfg.layers)]
+        step.blocks = [tuple(params[f"blocks.{i}.{w}"] for w in _BLOCK_WEIGHTS)
+                       for i in range(cfg.layers)]
+    start, end = step.positions, step.positions + S
+    batch, capacity = step.k[0].shape[0], step.k[0].shape[2]
+    if B != batch or end > capacity:
+        raise ValueError(
+            f"the step cache holds batch {batch} with room for {capacity} positions, "
+            f"but this call has batch {B} and would fill positions {start} to {end}"
+        )
+
+    # the rows stay flat, (B * S, hidden), so each GEMM is one 2-D matmul as
+    # in _matmul_rows; a modulation row per sample is repeated over its rows
+    mods = mods.transpose(1, 0, 2)
+    if mods.shape[1] > 1 and S > 1:
+        mods = np.repeat(mods, S, axis=1)
+    scale = 1.0 / math.sqrt(dh)
+    x = h0.reshape(B * S, H)
+    for i, (wqkv, bqkv, wo, bo, w1, b1, w2, b2) in enumerate(step.blocks):
+        sh1, sc1, g1, sh2, sc2, g2 = mods[6 * i : 6 * i + 6]
+        xm1, _ = _layernorm(x)
+        xm1 *= sc1
+        xm1 += sh1
+        qkv = xm1 @ wqkv
+        qkv += bqkv
+        q, k, v = qkv.reshape(B, S, 3, nh, dh).transpose(2, 0, 3, 1, 4)
+        K, V = step.k[i], step.v[i]
+        K[:, :, start:end] = k
+        V[:, :, start:end] = v
+        probs = q @ K[:, :, :end].transpose(0, 1, 3, 2)
+        probs *= scale
+        probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+        # with one row the transposed heads are already contiguous, and
+        # reshape makes no copy
+        ctx = (probs @ V[:, :, :end]).transpose(0, 2, 1, 3).reshape(B * S, H)
+        attn_out = ctx @ wo
+        attn_out += bo
+        x2 = g1 * attn_out
+        x2 += x
+
+        xm2, _ = _layernorm(x2)
+        xm2 *= sc2
+        xm2 += sh2
+        um = xm2 @ w1
+        um += b1
+        am, _ = _gelu(um)
+        mlp_out = am @ w2
+        mlp_out += b2
+        x = g2 * mlp_out
+        x += x2
+    step.positions = end
+
+    sh_f, sc_f = mods[-2:]
+    xmf, _ = _layernorm(x)
+    xmf *= sc_f
+    xmf += sh_f
+    # every new row, not the last only: a one-row GEMM at B = 1 goes to gemv,
+    # which rounds differently
+    out = xmf @ params["head.w"]
+    out += params["head.b"]
+    return out.reshape(B, S, -1)
 
 
 def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t,
@@ -588,10 +677,11 @@ def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t,
     the prediction shape follows the input.
 
     With a cache, the calls of one diffusion step must come in order,
-    i = 0, 1, ..., with the same tokens and t; call i runs only the data+START
-    prefix (i = 0) or noise row i - 1, and its result equals the uncached
-    call's to float rounding. mods are as in forward_nonar; passing the same
-    rows to every call of a step computes them once.
+    i = 0, 1, ..., with the same tokens, batch size and t; call i runs only
+    the data+START prefix (i = 0) or noise row i - 1, through the cache's
+    K/V buffers and with no attention bias, and its result equals the
+    uncached call's to float rounding. mods are as in forward_nonar; passing
+    the same rows to every call of a step computes them once.
     """
     if not cfg.ar_mode:
         raise UnsupportedModeError("model config does not enable ar_mode")
@@ -615,11 +705,11 @@ def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t,
         )
     if cache is None or k == 0:
         h0 = _embed_ar(params, cfg, tokens, noise_prefix)
-        bias = _ar_bias(n, k, h0.dtype)
     else:
         dtype = params["in_proj.w"].dtype
         h0 = _embed_noise(params, noise_prefix[:, -1:].astype(dtype), n + k)
-        bias = None
+    # a cached call needs no bias (see _decode_step)
+    bias = None if cache is not None else _ar_bias(n, k, h0.dtype)
     if mods is None:
         mods, _ = timestep_modulations(params, cfg, t)
     out, _ = _forward_core(params, cfg, h0, mods, attn_bias=bias, step=cache,

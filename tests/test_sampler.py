@@ -1,8 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
+from layoutdiff import model as M
 from layoutdiff.core import BoundingBox, DatasetConfig, Layout, decode_category
 from layoutdiff.model import ARStepCache, ModelConfig, forward_ar, init_params, param_shapes
 from layoutdiff.sampling import (
@@ -348,3 +350,103 @@ class TestARCache:
         forward_ar(params, cfg, x, np.zeros((0, 16)), 5, cache=cache)
         with pytest.raises(ValueError, match="holds 4 positions"):
             forward_ar(params, cfg, x, np.zeros((2, 16)), 5, cache=cache)
+
+    def test_batch_change_refused(self):
+        """numpy would fail deep in the attention with a broadcast error."""
+        cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=3, ar_mode=True)
+        params = random_params(cfg, seed=23)
+        cache = ARStepCache()
+        forward_ar(params, cfg, np.zeros((2, 3, 16)), np.zeros((2, 0, 16)), 5, cache=cache)
+        with pytest.raises(ValueError, match=r"^the step cache holds batch 2 with room for 6 "
+                           r"positions, but this call has batch 3 and would fill positions 4 to 5$"):
+            forward_ar(params, cfg, np.zeros((3, 3, 16)), np.zeros((3, 1, 16)), 5, cache=cache)
+
+    def test_rows_past_capacity_refused(self):
+        cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=3, ar_mode=True)
+        params = random_params(cfg, seed=23)
+        cache = ARStepCache()
+        forward_ar(params, cfg, np.zeros((2, 3, 16)), np.zeros((2, 0, 16)), 5, cache=cache)
+        mods, _ = M.timestep_modulations(params, cfg, 5)
+        with pytest.raises(ValueError, match=r"^the step cache holds batch 2 with room for 6 "
+                           r"positions, but this call has batch 2 and would fill positions 4 to 7$"):
+            M._forward_core(params, cfg, np.zeros((2, 3, 8)), mods, step=cache)
+
+
+def concat_core(params, cfg, h0, mods, held, bias):
+    """A cached AR call as the step cache first ran it: each layer
+    concatenates its held K/V with the new rows' and attends over the
+    result, with bias added on the prefix call."""
+    nh, dh = cfg.heads, cfg.hidden // cfg.heads
+    B, S, H = h0.shape
+    mods = mods.transpose(1, 0, 2)[:, :, None, :]
+    x = h0
+    for i in range(cfg.layers):
+        w = {name: params[f"blocks.{i}.{name}"] for name in M._BLOCK_WEIGHTS}
+        sh1, sc1, g1, sh2, sc2, g2 = mods[6 * i : 6 * i + 6]
+        qkv = M._matmul_rows(M._layernorm(x)[0] * sc1 + sh1, w["attn.wqkv"]) + w["attn.bqkv"]
+        q, k, v = qkv.reshape(B, S, 3, nh, dh).transpose(2, 0, 3, 1, 4)
+        if i in held:
+            k = np.concatenate([held[i][0], k], axis=2)
+            v = np.concatenate([held[i][1], v], axis=2)
+        held[i] = (k, v)
+        probs = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
+        if bias is not None:
+            probs += bias
+        probs = np.exp(probs - probs.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, S, H)
+        x2 = g1 * (M._matmul_rows(ctx, w["attn.wo"]) + w["attn.bo"]) + x
+        um = M._matmul_rows(M._layernorm(x2)[0] * sc2 + sh2, w["mlp.w1"]) + w["mlp.b1"]
+        x = g2 * (M._matmul_rows(M._gelu(um)[0], w["mlp.w2"]) + w["mlp.b2"]) + x2
+    sh_f, sc_f = mods[-2:]
+    return M._matmul_rows(M._layernorm(x)[0] * sc_f + sh_f, params["head.w"]) + params["head.b"]
+
+
+def concat_predictor(params, cfg, table=None):
+    """ar_predictor over concat_core."""
+    n, dtype = cfg.n_max, params["in_proj.w"].dtype
+
+    def predictor(x, t):
+        mods = (M.timestep_modulations(params, cfg, t)[0] if table is None
+                else M.modulation_row(table, t))
+        held = {}
+        eps = np.zeros(x.shape)
+        for i in range(n):
+            if i == 0:
+                h0, bias = M._embed_ar(params, cfg, x, eps[:, :0]), M._ar_bias(n, 0, dtype)
+            else:
+                h0, bias = M._embed_noise(params, eps[:, i - 1 : i].astype(dtype), n + i), None
+            eps[:, i] = concat_core(params, cfg, h0, mods, held, bias)[:, -1]
+        return eps
+
+    return predictor
+
+
+class TestDecodeEqualsConcat:
+    """The step cache's preallocated buffers and bias-free decode give the
+    bytes of concatenating the K/V on every call."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_table", [False, True], ids=["no_table", "table"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("n_max", [1, 5])
+    def test_ar_predictor_bytes(self, n_max, batch, with_table, dtype):
+        cfg = ModelConfig(layers=3, heads=4, hidden=32, n_max=n_max, ar_mode=True)
+        params = random_params(cfg, seed=24, dtype=dtype, scale=0.1)
+        table = M.timestep_modulations(params, cfg, np.arange(50))[0] if with_table else None
+        x = np.random.default_rng(25).standard_normal((batch, n_max, 16))
+        got, want = ar_predictor(params, cfg, table), concat_predictor(params, cfg, table)
+        for t in (0, 17, 49):
+            assert got(x, t).tobytes() == want(x, t).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_modulation_row_per_sample(self, dtype):
+        """A t per sample gives each sample its own modulation row, which the
+        prefix call repeats over the sample's n_max + 1 rows."""
+        cfg = ModelConfig(layers=3, heads=4, hidden=32, n_max=5, ar_mode=True)
+        params = random_params(cfg, seed=26, dtype=dtype, scale=0.1)
+        x = np.random.default_rng(27).standard_normal((3, 5, 16))
+        t = np.array([3, 40, 7])
+        got = ar_predictor(params, cfg)(x, t)
+        assert got.tobytes() == concat_predictor(params, cfg)(x, t).tobytes()
+        assert not np.array_equal(got[0], ar_predictor(params, cfg)(x, 40)[0])
