@@ -201,6 +201,11 @@ def _cmd_eval(cfg) -> int:
         if not ref:
             raise ValueError(f"{cfg['reference']} has no test or untagged records "
                              f"to score against")
+        # the feature distance fits a Gaussian to each side
+        for path, records in ((cfg["generated"], gen), (cfg["reference"], ref)):
+            if len(records) < 2:
+                raise ValueError(f"{path} has {len(records)} scored records; eval "
+                                 f"needs at least 2 in each corpus")
         if gcfg.mode != rcfg.mode:
             raise ValueError("generated and reference corpora have different modes")
     result = {}
@@ -208,8 +213,9 @@ def _cmd_eval(cfg) -> int:
         result["timing"] = _timing_report(cfg)
         print(json.dumps(result["timing"], indent=2, sort_keys=True))
     if corpora:
-        images_g = [R.rasterize(item) for item in gen]
-        images_r = [R.rasterize(item) for item in ref]
+        # rendered as the feature distance reads them, a batch at a time
+        images_g = (R.rasterize(item) for item in gen)
+        images_r = (R.rasterize(item) for item in ref)
         if gcfg.mode == "layout":
             report = MET.evaluate_layout_corpora(gen, ref, images_g, images_r)
         else:

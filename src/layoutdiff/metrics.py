@@ -1,8 +1,9 @@
 """Evaluation metrics: alignment, overlap, MaxIoU, DocSim, the two-level
 segment Difference score, the assignment wrapper they share, and a Frechet
 feature distance standing in for FID. Its features are one fixed-seed
-Gaussian random projection of the renders (project_features), streamed in
-row blocks over all renders at once and never held whole.
+Gaussian random projection of the renders (project_features), drawn once per
+call and applied to the renders a fixed batch at a time, so the renders of a
+corpus are never held whole.
 
 All box-level formulas operate on per-layout normalized coordinates in [0, 1].
 """
@@ -10,6 +11,7 @@ All box-level formulas operate on per-layout normalized coordinates in [0, 1].
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -56,8 +58,21 @@ def max_weight_matching(weights) -> tuple[list[tuple[int, int]], float]:
 
 def _best_matching(weights, na: int, nb: int) -> float:
     """Best max-weight matching total over max(na, nb) among the (na, nb)
-    matrices of a (k, na, nb) stack: one assignment per matrix."""
-    return max(max_weight_matching(w)[1] / max(na, nb) for w in weights)
+    matrices of a (k, na, nb) stack, solving only the matrices that can win.
+
+    A matrix's total is at most the sum of its row maxima, rows taken as
+    max_weight_matching hands them to hungarian (the shorter side) and
+    summed in the order of the numpy sum that gives hungarian's total: float
+    addition is monotone, so no partial sum of the total exceeds the bound's.
+    The matrices are solved in descending bound order until a bound is no
+    more than the best total found, so the result is that of solving all."""
+    bounds = weights.max(axis=-2 if na > nb else -1).sum(axis=-1)
+    best = -np.inf
+    for j in np.argsort(-bounds, kind="stable"):
+        if bounds[j] <= best:
+            break
+        best = max(best, max_weight_matching(weights[j])[1])
+    return best / max(na, nb)
 
 
 # ---------------------------------------------------------------------------
@@ -273,37 +288,66 @@ def difference_score(set_a, set_b) -> float:
 # Frechet feature distance
 
 
-# Rows of the projection drawn and applied at a time: 16384 x 32 float64 is
-# 4 MiB, where the whole projection of a 256 px render is 48 MiB.
+# Rows of the projection drawn, and summed over by one GEMM, at a time: the
+# block boundaries fix the order of the sums, and so the features' bytes.
 PROJECTION_BLOCK_ROWS = 16384
+# Renders projected at a time, so a call holds at most 2 * IMAGE_BATCH - 1 of
+# them. The last batch takes the remainder, so no GEMM has fewer rows unless
+# there are fewer images. OpenBLAS 0.3.31 then gives each row the bytes of
+# one GEMM over every image whenever both calls take its large-matrix
+# kernel: at 64 and 256 px always, but not for a short last block (32 or
+# 80 px renders), where a GEMM of few multiply-adds takes the small-matrix
+# kernel and a feature can move by up to about 1e-14.
+IMAGE_BATCH = 8
 # a report's config_hash covers both
 FEATURE_DIM = 32
 FEATURE_SEED = 0
 
 
+def _project_batch(flats, blocks) -> np.ndarray:
+    """(len(flats), FEATURE_DIM) unscaled projections of flattened images,
+    one GEMM per block of projection rows."""
+    out = np.zeros((len(flats), FEATURE_DIM))
+    lo = 0
+    for block in blocks:
+        out += np.stack([flat[lo:lo + len(block)] for flat in flats]) @ block
+        lo += len(block)
+    return out
+
+
 def project_features(images) -> np.ndarray:
-    """(n, FEATURE_DIM) features of n images of one size: a Gaussian
-    projection of each flattened image. Deterministic; NOT comparable with
-    Inception FID. Raises ValueError naming the first image whose size
-    differs from image 0's, or whose features are not finite.
+    """(n, FEATURE_DIM) features of an iterable of n images of one size: a
+    Gaussian projection of each flattened image. Deterministic; NOT
+    comparable with Inception FID. Raises ValueError naming the first image
+    whose size differs from image 0's, or whose features are not finite.
 
     The (D, FEATURE_DIM) projection is drawn from default_rng(FEATURE_SEED)
-    and scaled by 1/sqrt(D), PROJECTION_BLOCK_ROWS rows at a time, in one
-    pass for a whole batch of images, and never held whole. Successive draws
-    from one generator give the numbers of one whole draw, so the blocks are
-    the rows of the same matrix."""
-    flats = [np.asarray(im, dtype=np.float64).ravel() for im in images]
-    size = flats[0].size if flats else 0
-    for i, flat in enumerate(flats):
-        if flat.size != size:
-            raise ValueError(f"image {i} has {flat.size} values, image 0 has {size}")
-    rng = np.random.default_rng(FEATURE_SEED)
-    out = np.zeros((len(flats), FEATURE_DIM))
+    once per call, PROJECTION_BLOCK_ROWS rows at a time (successive draws
+    from one generator give the numbers of one whole draw), held for the
+    call (3 MiB for a 64 px render, 48 MiB at 256 px) and scaled by
+    1/sqrt(D). The images are read as they come and projected IMAGE_BATCH
+    at a time, so a generator of renders is never held whole."""
+    blocks, parts, batch = [], [], []
+    size = 0
     # overflow and NaN pixels show as non-finite features, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, size, PROJECTION_BLOCK_ROWS):
-            block = rng.standard_normal((min(PROJECTION_BLOCK_ROWS, size - lo), FEATURE_DIM))
-            out += np.stack([flat[lo:lo + len(block)] for flat in flats]) @ block
+        for i, im in enumerate(images):
+            flat = np.asarray(im, dtype=np.float64).ravel()
+            if i == 0:
+                size = flat.size
+                rng = np.random.default_rng(FEATURE_SEED)
+                blocks = [rng.standard_normal((min(PROJECTION_BLOCK_ROWS, size - lo),
+                                               FEATURE_DIM))
+                          for lo in range(0, size, PROJECTION_BLOCK_ROWS)]
+            elif flat.size != size:
+                raise ValueError(f"image {i} has {flat.size} values, image 0 has {size}")
+            batch.append(flat)
+            if len(batch) == 2 * IMAGE_BATCH:
+                parts.append(_project_batch(batch[:IMAGE_BATCH], blocks))
+                del batch[:IMAGE_BATCH]
+        if batch:
+            parts.append(_project_batch(batch, blocks))
+    out = np.concatenate(parts) if parts else np.zeros((0, FEATURE_DIM))
     out /= np.sqrt(size)
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
@@ -336,13 +380,20 @@ def frechet_gaussian_distance(feats_a, feats_b) -> float:
 
 def feature_distance(generated_images, reference_images) -> float:
     """Frechet distance between the project_features populations of two
-    render sets. Both sets go through one project_features call, generated
-    first, so the projection is drawn once and an image index in its errors
-    counts the reference images after the generated ones."""
-    generated_images = list(generated_images)
-    feats = project_features(generated_images + list(reference_images))
-    n = len(generated_images)
-    return frechet_gaussian_distance(feats[:n], feats[n:])
+    render sets, each any iterable of renders. Both sets go through one
+    project_features call, generated first, so the projection is drawn once
+    and an image index in its errors counts the reference images after the
+    generated ones."""
+    n_generated = 0
+
+    def generated():
+        nonlocal n_generated
+        for image in generated_images:
+            n_generated += 1
+            yield image
+
+    feats = project_features(itertools.chain(generated(), reference_images))
+    return frechet_gaussian_distance(feats[:n_generated], feats[n_generated:])
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +433,13 @@ def _finish_report(report, generated, reference, images_generated,
         missing = "images_generated" if images_generated is None else "images_reference"
         raise ValueError(f"renders were given for one side only: {missing} is missing")
     if images_generated is not None:
-        images_generated = list(images_generated)
-        report.scalars["feature_distance"] = feature_distance(images_generated,
-                                                              images_reference)
-        # feature_distance has checked that every render has image 0's size
-        meta["render_shape"] = inputs["render_shape"] = list(np.shape(images_generated[0]))
+        images_generated = iter(images_generated)
+        first = list(itertools.islice(images_generated, 1))
+        report.scalars["feature_distance"] = feature_distance(
+            itertools.chain(first, images_generated), images_reference)
+        # feature_distance has checked that every render has image 0's size,
+        # and needs 2 renders a side, so `first` holds one
+        meta["render_shape"] = inputs["render_shape"] = list(np.shape(first[0]))
         inputs["extractor"] = {"dim": FEATURE_DIM, "seed": FEATURE_SEED}
     meta["config_hash"] = hashlib.sha256(_dump(inputs).encode()).hexdigest()[:12]
     report.meta = meta

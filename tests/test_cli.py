@@ -559,6 +559,29 @@ class TestEval:
                        "to score against\n")
         assert code == 1 and not out.exists()
 
+    @pytest.mark.parametrize("side, n_records", [("--generated", 0), ("--reference", 1)],
+                             ids=["header-only-generated", "one-record-reference"])
+    def test_corpus_under_two_records_names_its_file(self, tmp_path, corpus, capsys,
+                                                     monkeypatch, side, n_records):
+        """The feature distance fits a Gaussian to each side, so a corpus of
+        fewer than 2 records is refused, naming the file, before anything is
+        rasterized or scored."""
+        cfg, records = synth_layout_corpus(0, 1, n_max=4)
+        small = tmp_path / "small.jsonl"
+        save_canonical(str(small), cfg, records[:n_records])
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("eval scored a corpus it should refuse")
+        monkeypatch.setattr(layoutdiff.render, "rasterize", unexpected)
+        monkeypatch.setattr(layoutdiff.metrics, "evaluate_layout_corpora", unexpected)
+        corpora = {"--generated": corpus, "--reference": corpus, side: str(small)}
+        out = tmp_path / "eval"
+        code, _, err = run(capsys, "eval", *[a for kv in corpora.items() for a in kv],
+                           "--out", str(out))
+        assert err == (f"error: ValueError: {small} has {n_records} scored records; "
+                       "eval needs at least 2 in each corpus\n")
+        assert code == 1 and not out.exists()
+
     def test_timing_reports_both_variants(self, tmp_path, capsys):
         out = tmp_path / "timing"
         code, printed, err = run(

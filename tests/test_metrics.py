@@ -408,7 +408,8 @@ class TestDifference:
 
 
 # The per-pair code the bulk metrics replaced, kept as oracles: the bulk
-# paths must give the same floats and make the same hungarian calls.
+# paths must give the same floats, and may skip assignments the pairwise
+# code solves but never make more.
 
 
 def _iou_matrix_pair(a, b):
@@ -493,8 +494,10 @@ def with_hungarian_calls(fn, *args):
 
 def assert_bulk_equals_pairwise(generated, reference):
     for bulk, pairwise in ((max_iou, max_iou_pairwise), (docsim, docsim_pairwise)):
-        assert with_hungarian_calls(bulk, generated, reference) == with_hungarian_calls(
-            pairwise, generated, reference)
+        value, calls = with_hungarian_calls(bulk, generated, reference)
+        expected, pairwise_calls = with_hungarian_calls(pairwise, generated, reference)
+        assert value == expected
+        assert calls <= pairwise_calls
 
 
 COORD = st.floats(0.0, 200.0)
@@ -542,6 +545,75 @@ class TestBulkEqualsPairwise:
         assert max_iou([empty], [empty, one]) == 1.0
         assert max_iou([empty], [one]) == 0.0
         assert docsim([empty], [empty, one]) == 0.0
+
+    def test_duplicate_references_tie_their_bounds(self):
+        """Copies of one reference share a bound. A layout matched with
+        itself takes every row's maximum, so its total meets that bound and
+        the other copies are not solved."""
+        rng = np.random.default_rng(30)
+        layout = random_layout(rng, 5)
+        for metric in (max_iou, docsim):
+            value = metric([layout], [layout])
+            assert with_hungarian_calls(metric, [layout], [layout] * 4) == (value, 1)
+        others = [random_layout(rng, 5, categories=2) for _ in range(3)]
+        generated = [random_layout(rng, 5, categories=2) for _ in range(4)] + [layout]
+        assert_bulk_equals_pairwise(generated, others * 3 + [layout] * 2)
+
+    def test_best_matrix_visited_last(self, monkeypatch):
+        """A high bound need not mean a high total: the matrix whose row
+        maxima share a column is solved first and loses to the next one, and
+        a matrix whose bound is below the best total is never solved."""
+        weights = np.array([
+            [[0.9, 0.1], [0.9, 0.1]],  # bound 1.8, total 1.0
+            [[0.7, 0.0], [0.0, 0.7]],  # bound 1.4: pruned
+            [[0.8, 0.0], [0.0, 0.8]],  # bound 1.6, total 1.6, the best
+        ])
+        solved, solve = [], metrics.hungarian
+        monkeypatch.setattr(metrics, "hungarian", lambda cost: solved.append(cost) or solve(cost))
+        assert metrics._best_matching(weights, 2, 2) == 0.8
+        assert [c.tolist() for c in solved] == [(-weights[0]).tolist(), (-weights[2]).tolist()]
+
+    def test_tall_matrices_bound_by_column_maxima(self):
+        """With more rows than columns max_weight_matching solves the
+        transpose, so the bound sums column maxima, which is tighter here
+        than the row maxima: the second matrix is pruned."""
+        weights = np.array([
+            [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],  # bound 2.0 = total
+            [[0.9, 0.0], [0.0, 0.9], [0.9, 0.9]],  # bound 1.8 (row maxima: 2.7)
+        ])
+        assert with_hungarian_calls(metrics._best_matching, weights, 3, 2) == (2.0 / 3, 1)
+
+    def test_nine_to_sixteen_boxes(self):
+        """numpy sums 8 or more values as 8 interleaved partial sums, in the
+        bound as in hungarian's total; the bound's per-row sums along the
+        last axis are the sums of each row alone."""
+        rng = np.random.default_rng(31)
+        for n in range(1, 41):
+            maxima = rng.uniform(0.0, 1.0, (5, n))
+            assert np.array_equal(maxima.sum(axis=-1), [row.copy().sum() for row in maxima])
+        reference = [random_layout(rng, int(n), categories=2) for n in rng.integers(9, 17, 24)]
+        # copies of references reach their own bound exactly
+        generated = [random_layout(rng, int(n), categories=2) for n in rng.integers(9, 17, 6)]
+        assert_bulk_equals_pairwise(generated + reference[:3], reference)
+
+    def test_all_pool_fallback(self):
+        """A layout whose category multiset no reference has is scored
+        against every box-count group, each pruned on its own."""
+        rng = np.random.default_rng(32)
+        reference = [random_layout(rng, n, categories=2) for n in (1, 2, 3, 3, 5, 9, 9, 12, 12)]
+        generated = [Layout(H=256.0, W=256.0, boxes=tuple(
+            BoundingBox(b.x, b.y, b.h, b.w, 3) for b in random_layout(rng, n).boxes))
+            for n in (2, 3, 9, 14)]
+        assert_bulk_equals_pairwise(generated, reference)
+
+    def test_synthetic_corpus_takes_fewer_solves(self):
+        _, reference = synth_layout_corpus(33, 32, style="grid")
+        generated = [moved(r, random_layout(np.random.default_rng(i), 8).boxes)
+                     for i, r in enumerate(reference[:8])]
+        for bulk, pairwise in ((max_iou, max_iou_pairwise), (docsim, docsim_pairwise)):
+            (value, calls), (expected, pairwise_calls) = (
+                with_hungarian_calls(fn, generated, reference) for fn in (bulk, pairwise))
+            assert value == expected and calls < pairwise_calls
 
     @given(st.integers(0, 6), st.integers(0, 6), st.data())
     @settings(max_examples=60, deadline=None)
@@ -666,6 +738,44 @@ class TestRandomProjection:
                 feature_distance(images[:2], images[2:])
 
 
+    def test_generator_equals_list(self):
+        images = list(np.random.default_rng(25).uniform(0, 1, (19, 16, 16, 3)))
+        assert np.array_equal(project_features(iter(images)), project_features(images))
+        assert feature_distance(iter(images[:9]), iter(images[9:])) == feature_distance(
+            images[:9], images[9:])
+
+    @pytest.mark.parametrize("wrap", [list, iter], ids=["list", "generator"])
+    def test_errors_name_the_global_index(self, wrap):
+        """An error's image index counts every image before it, across
+        batches and, in feature_distance, the generated images before the
+        reference ones."""
+        rng = np.random.default_rng(26)
+        images = [rng.uniform(0, 1, (16, 16, 3)) for _ in range(20)]
+        mixed = images[:17] + [rng.uniform(0, 1, (8, 8, 3))] + images[18:]
+        with pytest.raises(ValueError, match=r"^image 17 has 192 values, image 0 has 768$"):
+            project_features(wrap(mixed))
+        with pytest.raises(ValueError, match=r"^image 17 has 192 values, image 0 has 768$"):
+            feature_distance(wrap(mixed[:10]), wrap(mixed[10:]))
+        bad = [im.copy() for im in images]
+        bad[17][:] = np.nan
+        with pytest.raises(ValueError, match=r"^image 17 has non-finite features$"):
+            project_features(wrap(bad))
+        with pytest.raises(ValueError, match=r"^image 17 has non-finite features$"):
+            feature_distance(wrap(bad[:10]), wrap(bad[10:]))
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 15, 17, 40, 41])
+    def test_batches_equal_one_gemm(self, n):
+        """At the 64 px render size, one projection block, the features of
+        n images projected IMAGE_BATCH or more at a time equal those of one
+        GEMM over all n: OpenBLAS 0.3.31's GEMM gives a row the same bytes
+        whatever the other rows, once a call has 3 rows or more at this K."""
+        images = np.random.default_rng(27).uniform(0, 1, (n, 64, 64, 3))
+        size = 64 * 64 * 3
+        projection = np.random.default_rng(FEATURE_SEED).standard_normal((size, FEATURE_DIM))
+        expected = images.reshape(n, size) @ projection / np.sqrt(size)
+        assert np.array_equal(project_features(iter(images)), expected)
+
+
 class TestReports:
     def test_layout_report_fields(self):
         _, layouts = synth_layout_corpus(5, 6, style="columns")
@@ -748,6 +858,17 @@ class TestReports:
         assert small["render_shape"] == [32, 32, 3]
         assert small["config_hash"] != meta([rasterize(l, size=64) for l in layouts])["config_hash"]
         assert "render_shape" not in evaluate_layout_corpora(layouts, layouts).meta
+
+    def test_render_shape_from_a_generator(self):
+        from layoutdiff.render import rasterize
+        _, layouts = synth_layout_corpus(10, 4, style="grid")
+
+        def renders():
+            return (rasterize(l, size=32) for l in layouts)
+        from_generators = evaluate_layout_corpora(layouts, layouts, renders(), renders())
+        from_lists = evaluate_layout_corpora(layouts, layouts, list(renders()), list(renders()))
+        assert from_generators.meta["render_shape"] == [32, 32, 3]
+        assert from_generators.to_json() == from_lists.to_json()
 
     def test_report_json_roundtrip(self):
         import json
