@@ -233,6 +233,13 @@ def _layernorm(x, eps=1e-6, y=None, inv=None):
     return xc, inv
 
 
+def _modulate(xn, sh, sc, out=None):
+    """The adaptive layer norm's xn * sc + sh, written into out when given."""
+    xm = np.multiply(xn, sc, out=out)
+    xm += sh
+    return xm
+
+
 def _layernorm_grad(dy, y, inv):
     m1 = _mean_last(dy)
     m2 = _mean_last(dy * y)
@@ -299,9 +306,17 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
 
     mods are the timestep_modulations rows of the batch: one per sample, or
     one row shared by all. Returns (out, cache); out is (B, S, token_dim).
-    cache holds the intermediates _backward_core needs, less the timestep
+    cache holds what _backward_core cannot rebuild cheaply, less the timestep
     path's, or is None when for_backward is False, so that inference frees
     each block's activations as it goes.
+
+    Per block the cache keeps the outputs of the GEMMs and the softmax (qkv,
+    probs, ctx, attn_out, um, mlp_out), both layer norms' outputs and
+    inverse deviations, and views of the block's modulations. It does not
+    keep the modulated layer norms xm1 and xm2 or the MLP's GELU: backward
+    rebuilds them from xn1, xn2 and um with this function's own statements
+    (_modulate, _gelu), on the same inputs, so they have the same bytes as
+    the arrays this forward made.
 
     With step, an ARStepCache, the call is one of a diffusion step's cached
     AR calls and goes to _decode_step; attn_bias, for_backward and ws are
@@ -309,9 +324,10 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
 
     With ws, a training step's workspace (see _buf), every array the cache
     holds is written into it, each block's into its own. The activations
-    that backward does not read (the attention context before its heads are
-    merged, the residual stream and the attention branch's sum) share one
-    array each across blocks.
+    that backward does not read or rebuilds (xm1 and xm2, the GELU and its
+    tanh, the attention context before its heads are merged, the residual
+    stream and the attention branch's sum) share one array each across
+    blocks.
     """
     # cached calls enter here too: perfbench's model.forward_core span and
     # its row count read this boundary
@@ -334,8 +350,7 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
         sh1, sc1, g1, sh2, sc2, g2 = mods[6 * i : 6 * i + 6]
 
         xn1, inv1 = _layernorm(x, y=buf(p + "xn1", x.shape), inv=buf(p + "inv1", (B, S, 1)))
-        xm1 = np.multiply(xn1, sc1, out=buf(p + "xm1", x.shape))
-        xm1 += sh1
+        xm1 = _modulate(xn1, sh1, sc1, out=buf("xm", x.shape))
 
         qkv = _matmul_rows(xm1, params[p + "attn.wqkv"], out=buf(p + "qkv", (B * S, 3 * H)))
         qkv += params[p + "attn.bqkv"]
@@ -358,23 +373,22 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
         x2 += x
 
         xn2, inv2 = _layernorm(x2, y=buf(p + "xn2", x.shape), inv=buf(p + "inv2", (B, S, 1)))
-        xm2 = np.multiply(xn2, sc2, out=buf(p + "xm2", x.shape))
-        xm2 += sh2
+        xm2 = _modulate(xn2, sh2, sc2, out=buf("xm", x.shape))
         um = _matmul_rows(xm2, params[p + "mlp.w1"], out=buf(p + "um", (B * S, 4 * H)))
         um += params[p + "mlp.b1"]
-        am, gelu_aux = _gelu(um, out=buf(p + "am", um.shape),
-                             aux=buf(p + "gelu_aux", um.shape))
+        # nothing reads the tanh here, so the GELU overwrites it in place
+        am_buf = buf("am", um.shape)
+        am, _ = _gelu(um, out=am_buf, aux=am_buf)
         mlp_out = _matmul_rows(am, params[p + "mlp.w2"], out=buf(p + "mlp_out", (B * S, H)))
         mlp_out += params[p + "mlp.b2"]
 
         if cache is not None:
             cache["blocks"].append({
-                "xn1": xn1, "inv1": inv1, "xm1": xm1,
+                "xn1": xn1, "inv1": inv1,
                 "q": q, "k": k, "v": v, "probs": probs, "ctx": ctx,
                 "attn_out": attn_out, "xn2": xn2, "inv2": inv2,
-                "xm2": xm2, "um": um, "gelu_aux": gelu_aux, "am": am,
-                "mlp_out": mlp_out,
-                "sc1": sc1, "g1": g1, "sc2": sc2, "g2": g2,
+                "um": um, "mlp_out": mlp_out,
+                "sh1": sh1, "sc1": sc1, "g1": g1, "sh2": sh2, "sc2": sc2, "g2": g2,
             })
         # x is dead once x2 holds it, so one residual array serves every block
         x = np.multiply(g2, mlp_out, out=buf("x", x.shape))
@@ -382,8 +396,7 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
 
     sh_f, sc_f = mods[-2:]
     xnf, invf = _layernorm(x, y=buf("xnf", x.shape), inv=buf("invf", (B, S, 1)))
-    xmf = np.multiply(xnf, sc_f, out=buf("xmf", x.shape))
-    xmf += sh_f
+    xmf = _modulate(xnf, sh_f, sc_f, out=buf("xmf", x.shape))
     out = _matmul_rows(xmf, params["head.w"])
     out += params["head.b"]
     if cache is not None:
@@ -393,12 +406,28 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
 
 def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
     """Backprop through _forward_core and, from cache["timestep"], through
-    timestep_modulations; returns (grads, dh0). With ws, a training step's
-    workspace (see _buf), the grads and the MLP branch's 4 * hidden wide
-    temporaries are written into it."""
+    timestep_modulations; returns (grads, dh0).
+
+    Each block first rebuilds what the forward cache does not keep (see
+    _forward_core): the GELU and its tanh from um with _gelu, and xm2, then
+    xm1, with _modulate, each right before the weight grad that reads it.
+    These are the forward's statements on the forward's inputs, so the
+    rebuilt arrays, and every grad, have the bytes a cache of the forward's
+    own arrays would give. The GELU's grad is then written over the GELU,
+    which mlp.w2's grad has read.
+
+    With ws, a training step's workspace (see _buf), the grads and the
+    temporaries backward makes per block are written into it: the rebuilt
+    activations, the MLP branch's 4 * hidden wide temporaries and the
+    attention grads (dctx, dprobs, dlogits and dqkv), one array each shared
+    by every block.
+    """
     nh, dh = cfg.heads, cfg.hidden // cfg.heads
     B, S, H = dout.shape[0], dout.shape[1], cfg.hidden
     dtype = dout.dtype
+
+    def buf(key, shape):
+        return _buf(ws, key, shape, dtype)
 
     grads = {}
 
@@ -432,14 +461,13 @@ def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
         # mlp branch: x3 = x2 + g2 * mlp_out
         dg2 = (dx * bc["mlp_out"]).sum(axis=1)
         dmlp_out = dx * bc["g2"]
-        linear(p + "mlp.w2", p + "mlp.b2", bc["am"], dmlp_out)
         um = bc["um"]
-        dum = _matmul_rows(dmlp_out, params[p + "mlp.w2"].T,
-                           out=_buf(ws, "dam", (B * S, 4 * H), dtype))
-        dum *= _gelu_grad(um, bc["gelu_aux"],
-                          out=_buf(ws, "gelu_grad", um.shape, dtype),
-                          tmp=_buf(ws, "gelu_grad_tmp", um.shape, dtype))
-        linear(p + "mlp.w1", p + "mlp.b1", bc["xm2"], dum)
+        am, gelu_aux = _gelu(um, out=buf("am", um.shape), aux=buf("gelu_aux", um.shape))
+        linear(p + "mlp.w2", p + "mlp.b2", am, dmlp_out)
+        dum = _matmul_rows(dmlp_out, params[p + "mlp.w2"].T, out=buf("dam", (B * S, 4 * H)))
+        dum *= _gelu_grad(um, gelu_aux, out=am, tmp=buf("gelu_grad_tmp", um.shape))
+        xm = _modulate(bc["xn2"], bc["sh2"], bc["sc2"], out=buf("xm", (B, S, H)))
+        linear(p + "mlp.w1", p + "mlp.b1", xm, dum)
         dxm2 = _matmul_rows(dum, params[p + "mlp.w1"].T)
         dxn2 = dxm2 * bc["sc2"]
         dsc2 = (dxm2 * bc["xn2"]).sum(axis=1)
@@ -450,18 +478,29 @@ def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
         dg1 = (dx2 * bc["attn_out"]).sum(axis=1)
         dattn_out = dx2 * bc["g1"]
         linear(p + "attn.wo", p + "attn.bo", bc["ctx"], dattn_out)
-        dctx = _matmul_rows(dattn_out, params[p + "attn.wo"].T).reshape(B, S, nh, dh).transpose(0, 2, 1, 3)
+        dctx = _matmul_rows(dattn_out, params[p + "attn.wo"].T, out=buf("dctx", (B * S, H)))
+        dctx = dctx.reshape(B, S, nh, dh).transpose(0, 2, 1, 3)
         probs = bc["probs"]
-        dprobs = dctx @ bc["v"].transpose(0, 1, 3, 2)
-        dv = probs.transpose(0, 1, 3, 2) @ dctx
-        dlogits = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-        dq = (dlogits @ bc["k"]) * scale
-        dk = (dlogits.transpose(0, 1, 3, 2) @ bc["q"]) * scale
-        dqkv = np.concatenate(
-            [a.transpose(0, 2, 1, 3).reshape(B, S, H) for a in (dq, dk, dv)],
-            axis=-1,
-        )
-        linear(p + "attn.wqkv", p + "attn.bqkv", bc["xm1"], dqkv)
+        dprobs = np.matmul(dctx, bc["v"].transpose(0, 1, 3, 2), out=buf("dprobs", probs.shape))
+        # dq, dk and dv go straight into their (B, S, 3, heads, head_dim)
+        # places, the layout of qkv, so dqkv needs no concatenate
+        dqkv = buf("dqkv", (B, S, 3, nh, dh))
+        if dqkv is None:
+            dqkv = np.empty((B, S, 3, nh, dh), dtype)
+        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(probs.transpose(0, 1, 3, 2), dctx, out=dv)
+        # the softmax grad, probs * (dprobs - rowsum(dprobs * probs)); the
+        # dlogits array holds dprobs * probs until its row sums are taken
+        dlogits = np.multiply(dprobs, probs, out=buf("dlogits", probs.shape))
+        dprobs -= dlogits.sum(axis=-1, keepdims=True)
+        dlogits = np.multiply(probs, dprobs, out=dlogits)
+        np.matmul(dlogits, bc["k"], out=dq)
+        dq *= scale
+        np.matmul(dlogits.transpose(0, 1, 3, 2), bc["q"], out=dk)
+        dk *= scale
+        dqkv = dqkv.reshape(B, S, 3 * H)
+        xm = _modulate(bc["xn1"], bc["sh1"], bc["sc1"], out=buf("xm", (B, S, H)))
+        linear(p + "attn.wqkv", p + "attn.bqkv", xm, dqkv)
         dxm1 = _matmul_rows(dqkv, params[p + "attn.wqkv"].T)
         dxn1 = dxm1 * bc["sc1"]
         dsc1 = (dxm1 * bc["xn1"]).sum(axis=1)

@@ -88,9 +88,15 @@ class TrainState:
     data_cfg: DatasetConfig
     train_cfg: TrainConfig
     sched: S.Schedule
-    # the train steps' workspace: the forward cache, the grads and the
-    # backward's widest temporaries, kept across steps so that each step
-    # reuses the last one's memory (see model._buf); not checkpointed
+    # the train steps' workspace, kept across steps so that each step
+    # reuses the last one's memory (see model._buf); not checkpointed. It
+    # holds the modulation table, the forward cache (per block the GEMM and
+    # softmax outputs and the layer norms' outputs; see model._forward_core),
+    # the grads, and one array per key shared by every block for what
+    # backward rebuilds (the modulated layer norms, the GELU and its tanh)
+    # and for its temporaries (the MLP branch's 4 * hidden wide ones and the
+    # attention grads). The rebuilt arrays repeat the forward's statements
+    # on its inputs, so every byte is the one a full cache would give
     workspace: dict = field(default_factory=dict, repr=False)
 
 

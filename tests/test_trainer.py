@@ -352,6 +352,19 @@ class TestWorkspace:
             tracemalloc.stop()
         assert rises[2] <= rises[0] / 3, rises
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_blocks_keep_no_rebuilt_activation(self, kind):
+        """Backward rebuilds the GELU, its tanh and the modulated layer
+        norms, and writes the GELU grad over the GELU, so no block keeps
+        its own copy of them and there is no GELU grad array."""
+        state, _ = self.train(kind, np.float32, [8])
+        rebuilt = {"am", "xm1", "xm2", "gelu_aux", "gelu_grad"}
+        kept = [k for k in state.workspace
+                if k.startswith("blocks.") and k.rsplit(".", 1)[1] in rebuilt]
+        assert kept == []
+        assert "gelu_grad" not in state.workspace
+        assert {"am", "gelu_aux", "xm"} <= state.workspace.keys()
+
     def test_checkpoint_holds_no_workspace(self, tmp_path):
         state, _ = self.train("onepass", np.float32, [8])
         path = str(tmp_path / "ws.ckpt")
