@@ -493,7 +493,7 @@ def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
         # dlogits array holds dprobs * probs until its row sums are taken
         dlogits = np.multiply(dprobs, probs, out=buf("dlogits", probs.shape))
         dprobs -= dlogits.sum(axis=-1, keepdims=True)
-        dlogits = np.multiply(probs, dprobs, out=dlogits)
+        np.multiply(probs, dprobs, out=dlogits)
         np.matmul(dlogits, bc["k"], out=dq)
         dq *= scale
         np.matmul(dlogits.transpose(0, 1, 3, 2), bc["q"], out=dk)
