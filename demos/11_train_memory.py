@@ -10,12 +10,16 @@ another checkout, put its src/ first on PYTHONPATH. Each shape runs in its
 own child process, so its `ru_maxrss` is that shape's alone: the state is
 built and warmed by two steps, then each repeat times a block of steps as
 ms per step (median and quartiles over the repeats); after that the child
-reads `ru_maxrss`, and last it traces one more warm step with tracemalloc
-and records its peak above the step's start. The workspace is the summed
-bytes of TrainState.workspace's arrays. Each shape also records the sha256
-of its losses and of its parameters and AdamW moments after the last step,
-so two versions can be checked for equal bytes. One BLAS thread. Takes
-about two minutes.
+reads `ru_maxrss`, counts the minor page faults of one more warm step (its
+`ru_minflt` delta), and last it traces one more warm step with tracemalloc
+and records its peak above the step's start. Before the counted step,
+glibc's malloc_trim(0) hands the heap's free pages back to the kernel, so
+each fault is a page the step allocates afresh; without it, a step would
+reuse the pages the step before it freed and take no fault. The workspace
+is the summed bytes of TrainState.workspace's arrays. Each shape also
+records the sha256 of its losses and of its parameters and AdamW moments
+after the last step, so two versions can be checked for equal bytes. One
+BLAS thread; Linux with glibc. Takes about two minutes.
 """
 
 import os
@@ -24,6 +28,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
@@ -87,6 +92,10 @@ def measure(name, repeats):
             step()
         step_ms.append((time.perf_counter() - t0) * 1e3 / spec["steps_per_repeat"])
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    ctypes.CDLL(None).malloc_trim(0)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -101,7 +110,8 @@ def measure(name, repeats):
             digest.update(group[key].tobytes())
     return {**spec, "steps": len(losses),
             "workspace_mib": workspace / MIB, "workspace_arrays": len(state.workspace),
-            "warm_step_traced_peak_mib": traced / MIB, "ru_maxrss_mib": maxrss,
+            "warm_step_traced_peak_mib": traced / MIB, "warm_step_minor_faults": faults,
+            "ru_maxrss_mib": maxrss,
             "ms_per_step": quartiles(step_ms), "state_sha256": digest.hexdigest()}
 
 
@@ -131,7 +141,8 @@ def main():
         row = rows[name] = json.loads(proc.stdout)
         ms = row["ms_per_step"]
         print(f"{name:14s} workspace {row['workspace_mib']:7.1f} MiB   "
-              f"warm step peak {row['warm_step_traced_peak_mib']:6.2f} MiB   "
+              f"warm step peak {row['warm_step_traced_peak_mib']:6.2f} MiB, "
+              f"{row['warm_step_minor_faults']:5d} faults   "
               f"maxrss {row['ru_maxrss_mib']:6.1f} MiB   "
               f"{ms['median']:8.2f} ms/step [{ms['q1']:.2f}, {ms['q3']:.2f}]")
     record = {

@@ -170,11 +170,10 @@ def _cmd_sample(cfg) -> int:
     mask = _load_mask(cfg["mask"], cfg["cond_data"], cfg["checkpoint"], dcfg,
                       cfg["cond_index"])
     is_ar = state.model_cfg.ar_mode
-    method = cfg["method"] or ("ddim" if is_ar else "ddpm")
     sampler = SMP.sample_ar if is_ar else SMP.sample_nonar
     items, _, trajs = sampler(
         state.params, state.model_cfg, state.sched, dcfg,
-        n_samples=cfg["n"], seed=cfg["seed"], mask=mask, method=method,
+        n_samples=cfg["n"], seed=cfg["seed"], mask=mask, method=cfg["method"] or "ddpm",
         eta=cfg["eta"], capture_stride=cfg["capture_stride"],
     )
     # the sampler checks its own arguments

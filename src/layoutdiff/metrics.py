@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -31,7 +32,11 @@ def hungarian(cost) -> tuple[list[tuple[int, int]], float]:
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
-    if not np.isfinite(cost).all():
+    # a finite sum of squares means every entry is finite; only when it is
+    # not (a non-finite entry, or an overflow) does the exact test run.
+    # np.vdot checks no floating-point flags, so an overflow or inf - inf
+    # raises no RuntimeWarning, and it is faster than isfinite + all
+    if not math.isfinite(np.vdot(cost, cost)) and not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
     n, m = cost.shape
     if n > m:

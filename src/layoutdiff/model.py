@@ -156,7 +156,8 @@ def _gelu(x, out=None, aux=None):
 
 def _gelu_grad(x, aux, out=None, tmp=None):
     """GELU'(x) from _gelu's aux, written into out when given; tmp, when
-    given, holds the one other x-sized intermediate."""
+    given, holds the one other x-sized intermediate. tmp may be x itself:
+    x is last read by the fourth statement, before tmp is first written."""
     # 0.5 (1 + th) + 0.5 x (1 - th^2) GELU_C (1 + 3 GELU_A x^2)
     d = np.multiply(x, x, out=out)
     d *= 3.0 * GELU_C * GELU_A
@@ -204,11 +205,13 @@ def _grad_buf(ws, params, name):
 
 def _matmul_rows(x, w, out=None):
     """x (..., k) @ w (k, n) as one 2-D GEMM over the flattened rows of x,
-    written into out, a (rows, n) array, when given.
+    written into out, a contiguous array of rows * n entries, when given.
 
     numpy runs a 3-D activation times a transposed 2-D weight as a stacked
     product; flattening sends it through a single BLAS call instead.
     """
+    if out is not None:
+        out = out.reshape(-1, w.shape[-1])
     y = np.matmul(x.reshape(-1, x.shape[-1]), w, out=out)
     return y.reshape(*x.shape[:-1], w.shape[-1])
 
@@ -240,10 +243,18 @@ def _modulate(xn, sh, sc, out=None):
     return xm
 
 
-def _layernorm_grad(dy, y, inv):
+def _layernorm_grad(dy, y, inv, out=None, tmp=None):
+    """The grad of _layernorm's input from its output y, inv and the output's
+    grad dy, written into out when given; tmp, when given, holds the
+    products dy * y and y * m2. The statements compute
+    inv * (dy - m1 - y * m2) in that expression's order, so out and tmp
+    change no byte."""
     m1 = _mean_last(dy)
-    m2 = _mean_last(dy * y)
-    return inv * (dy - m1 - y * m2)
+    m2 = _mean_last(np.multiply(dy, y, out=tmp))
+    dx = np.subtract(dy, m1, out=out)
+    dx -= np.multiply(y, m2, out=tmp)
+    dx *= inv
+    return dx
 
 
 def timestep_features(t, dim) -> np.ndarray:
@@ -327,7 +338,10 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
     that backward does not read or rebuilds (xm1 and xm2, the GELU and its
     tanh, the attention context before its heads are merged, the residual
     stream and the attention branch's sum) share one array each across
-    blocks.
+    blocks. Backward writes its hidden-wide temporaries over the last
+    three and over xmf once head.w's grad has read it (see _backward_core),
+    so no block's cache may hold the residual stream, the branch sum or the
+    unmerged heads.
     """
     # cached calls enter here too: perfbench's model.forward_core span and
     # its row count read this boundary
@@ -414,13 +428,27 @@ def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
     These are the forward's statements on the forward's inputs, so the
     rebuilt arrays, and every grad, have the bytes a cache of the forward's
     own arrays would give. The GELU's grad is then written over the GELU,
-    which mlp.w2's grad has read.
+    which mlp.w2's grad has read, and its temporary over the block's um,
+    which nothing reads after it: backward overwrites the cache's um, so
+    one cache serves one backward.
 
     With ws, a training step's workspace (see _buf), the grads and the
     temporaries backward makes per block are written into it: the rebuilt
     activations, the MLP branch's 4 * hidden wide temporaries and the
     attention grads (dctx, dprobs, dlogits and dqkv), one array each shared
-    by every block.
+    by every block. The hidden-wide temporaries go into four arrays that the
+    forward leaves dead, each viewed as (B, S, hidden):
+    * the residual stream x holds dx, and each block's dx2 is written over
+      it in place, so the returned dh0 is ws's x;
+    * xmf, once head.w's grad has read it, holds the branch grads (dxmf,
+      then per block dmlp_out, dxm2, dattn_out and dxm1) and the blocks'
+      layer norm grads;
+    * x2 holds dxnf, dxn2 and dxn1;
+    * the unmerged heads hold the products summed into dsc* and dg*, and
+      the layer norm grads' products.
+    So a warm step's backward allocates no hidden-wide array. Every product
+    keeps its operands and their order, so the bytes are those of fresh
+    arrays, which these are without ws.
     """
     nh, dh = cfg.heads, cfg.hidden // cfg.heads
     B, S, H = dout.shape[0], dout.shape[1], cfg.hidden
@@ -428,6 +456,11 @@ def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
 
     def buf(key, shape):
         return _buf(ws, key, shape, dtype)
+
+    def dead(key, shape=(B, S, H)):
+        """A (B, S, hidden) view of ws[key], an array the forward leaves dead."""
+        a = buf(key, shape)
+        return None if a is None else a.reshape(B, S, H)
 
     grads = {}
 
@@ -444,14 +477,17 @@ def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
 
     # final layer
     linear("head.w", "head.b", cache["xmf"], dout)
-    dxmf = _matmul_rows(dout, params["head.w"].T)
-    dxnf = dxmf * cache["sc_f"]
-    dsc_f = (dxmf * cache["xnf"]).sum(axis=1)
+    # xmf is dead from here on
+    dx_buf, dbranch, dnorm = dead("x"), dead("xmf"), dead("x2")
+    prod = dead("heads", (B, nh, S, dh))
+    dxmf = _matmul_rows(dout, params["head.w"].T, out=dbranch)
+    dxnf = np.multiply(dxmf, cache["sc_f"], out=dnorm)
+    dsc_f = np.multiply(dxmf, cache["xnf"], out=prod).sum(axis=1)
     dsh_f = dxmf.sum(axis=1)
     dmod_f = np.concatenate([dsh_f, dsc_f], axis=-1)
     linear("final.mod.w", "final.mod.b", c, dmod_f)
     dc += dmod_f @ params["final.mod.w"].T
-    dx = _layernorm_grad(dxnf, cache["xnf"], cache["invf"])
+    dx = _layernorm_grad(dxnf, cache["xnf"], cache["invf"], out=dx_buf, tmp=prod)
 
     scale = 1.0 / math.sqrt(dh)
     for i in reversed(range(cfg.layers)):
@@ -459,24 +495,25 @@ def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
         bc = cache["blocks"][i]
 
         # mlp branch: x3 = x2 + g2 * mlp_out
-        dg2 = (dx * bc["mlp_out"]).sum(axis=1)
-        dmlp_out = dx * bc["g2"]
+        dg2 = np.multiply(dx, bc["mlp_out"], out=prod).sum(axis=1)
+        dmlp_out = np.multiply(dx, bc["g2"], out=dbranch)
         um = bc["um"]
         am, gelu_aux = _gelu(um, out=buf("am", um.shape), aux=buf("gelu_aux", um.shape))
         linear(p + "mlp.w2", p + "mlp.b2", am, dmlp_out)
         dum = _matmul_rows(dmlp_out, params[p + "mlp.w2"].T, out=buf("dam", (B * S, 4 * H)))
-        dum *= _gelu_grad(um, gelu_aux, out=am, tmp=buf("gelu_grad_tmp", um.shape))
+        dum *= _gelu_grad(um, gelu_aux, out=am, tmp=um)
         xm = _modulate(bc["xn2"], bc["sh2"], bc["sc2"], out=buf("xm", (B, S, H)))
         linear(p + "mlp.w1", p + "mlp.b1", xm, dum)
-        dxm2 = _matmul_rows(dum, params[p + "mlp.w1"].T)
-        dxn2 = dxm2 * bc["sc2"]
-        dsc2 = (dxm2 * bc["xn2"]).sum(axis=1)
+        dxm2 = _matmul_rows(dum, params[p + "mlp.w1"].T, out=dbranch)
+        dxn2 = np.multiply(dxm2, bc["sc2"], out=dnorm)
+        dsc2 = np.multiply(dxm2, bc["xn2"], out=prod).sum(axis=1)
         dsh2 = dxm2.sum(axis=1)
-        dx2 = dx + _layernorm_grad(dxn2, bc["xn2"], bc["inv2"])
+        dx2 = np.add(dx, _layernorm_grad(dxn2, bc["xn2"], bc["inv2"], out=dbranch, tmp=prod),
+                     out=dx_buf)
 
         # attention branch: x2 = x + g1 * attn_out
-        dg1 = (dx2 * bc["attn_out"]).sum(axis=1)
-        dattn_out = dx2 * bc["g1"]
+        dg1 = np.multiply(dx2, bc["attn_out"], out=prod).sum(axis=1)
+        dattn_out = np.multiply(dx2, bc["g1"], out=dbranch)
         linear(p + "attn.wo", p + "attn.bo", bc["ctx"], dattn_out)
         dctx = _matmul_rows(dattn_out, params[p + "attn.wo"].T, out=buf("dctx", (B * S, H)))
         dctx = dctx.reshape(B, S, nh, dh).transpose(0, 2, 1, 3)
@@ -501,11 +538,12 @@ def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
         dqkv = dqkv.reshape(B, S, 3 * H)
         xm = _modulate(bc["xn1"], bc["sh1"], bc["sc1"], out=buf("xm", (B, S, H)))
         linear(p + "attn.wqkv", p + "attn.bqkv", xm, dqkv)
-        dxm1 = _matmul_rows(dqkv, params[p + "attn.wqkv"].T)
-        dxn1 = dxm1 * bc["sc1"]
-        dsc1 = (dxm1 * bc["xn1"]).sum(axis=1)
+        dxm1 = _matmul_rows(dqkv, params[p + "attn.wqkv"].T, out=dbranch)
+        dxn1 = np.multiply(dxm1, bc["sc1"], out=dnorm)
+        dsc1 = np.multiply(dxm1, bc["xn1"], out=prod).sum(axis=1)
         dsh1 = dxm1.sum(axis=1)
-        dx = dx2 + _layernorm_grad(dxn1, bc["xn1"], bc["inv1"])
+        dx = np.add(dx2, _layernorm_grad(dxn1, bc["xn1"], bc["inv1"], out=dbranch, tmp=prod),
+                    out=dx_buf)
 
         dmod = np.concatenate([dsh1, dsc1, dg1, dsh2, dsc2, dg2], axis=-1)
         linear(p + "mod.w", p + "mod.b", c, dmod)

@@ -414,6 +414,26 @@ class TestSample:
         assert (out / "samples.jsonl").read_bytes() == \
             serialize_canonical(state.data_cfg, items).encode("utf-8")
 
+    def test_ar_checkpoint_samples_with_ddpm_by_default(self, tmp_path, capsys):
+        dcfg, _ = synth_layout_corpus(0, 1, n_max=3)
+        mcfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=3, ar_mode=True)
+        state = init_state(TrainConfig(seed=0, variant="ar"), mcfg, dcfg, build_schedule(10))
+        rng = np.random.default_rng(1)
+        for name, shape in param_shapes(mcfg).items():
+            state.params[name][...] = 0.05 * rng.standard_normal(shape)
+        ckpt = str(tmp_path / "ar.ckpt")
+        save_checkpoint(ckpt, state)
+        written = {}
+        for name, flags in (("default", []), ("ddpm", ["--method", "ddpm"]),
+                            ("ddim", ["--method", "ddim"])):
+            out = tmp_path / name
+            code, _, err = run(capsys, "sample", "--checkpoint", ckpt, "--out", str(out),
+                               "--n", "3", "--seed", "4", *flags)
+            assert code == 0, err
+            written[name] = (out / "samples.jsonl").read_bytes()
+        assert written["default"] == written["ddpm"]
+        assert written["default"] != written["ddim"]
+
     def test_conditioning_flags(self, tmp_path, corpus, checkpoint, capsys):
         out = tmp_path / "cond"
         code, _, err = run(capsys, "sample", "--checkpoint", checkpoint,

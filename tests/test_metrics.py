@@ -85,6 +85,21 @@ class TestHungarian:
         with pytest.raises(ValueError):
             hungarian(np.array([[np.nan, 1.0], [1.0, 2.0]]))
 
+    @pytest.mark.parametrize("entries", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
+                                         [np.nan, 1e308]])
+    def test_nonfinite_entries_refused_with_one_message(self, entries):
+        cost = np.ones((3, 4))
+        cost.flat[:len(entries)] = entries
+        with pytest.raises(ValueError, match="^cost matrix contains non-finite entries$"):
+            hungarian(cost)
+
+    def test_finite_matrix_whose_sum_overflows_is_solved(self):
+        """Finiteness is first tested on one reduction, which overflows
+        here; the matrix is still accepted, with no warning."""
+        cost = np.array([[1e308, 1e308, 1e308], [1e308, 0.0, 1e308]])
+        pairs, total = hungarian(cost)
+        assert pairs == [(0, 0), (1, 1)] and total == 1e308
+
     def test_max_weight_is_negated_min_cost(self):
         rng = np.random.default_rng(3)
         w = rng.uniform(0, 5, (3, 5))

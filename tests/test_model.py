@@ -11,6 +11,8 @@ from layoutdiff.model import (
     _forward_core,
     _gelu,
     _gelu_grad,
+    _layernorm,
+    _layernorm_grad,
     adapter_decode,
     adapter_encode,
     ar_loss_and_grads,
@@ -217,6 +219,41 @@ class TestGelu:
         scale = np.maximum(1.0, np.abs(ref))
         assert np.max(np.abs(y - ref[:, 0]) / scale[:, 0]) < tol
         assert np.max(np.abs(dy - ref[:, 1]) / scale[:, 1]) < tol
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grad_may_take_x_as_its_temporary(self, dtype):
+        """Backward hands _gelu_grad the block's spent um as tmp."""
+        x = self.X.astype(dtype)
+        _, aux = _gelu(x)
+        expected = _gelu_grad(x, aux)
+        spent = x.copy()
+        out = np.empty_like(x)
+        assert _gelu_grad(spent, aux, out=out, tmp=spent) is out
+        assert out.tobytes() == expected.tobytes()
+
+
+def expression_layernorm_grad(dy, y, inv):
+    """The layer norm's input grad as one expression, with fresh arrays."""
+    n = dy.shape[-1]
+    m1 = np.add.reduce(dy, axis=-1, keepdims=True)
+    m1 /= n
+    m2 = np.add.reduce(dy * y, axis=-1, keepdims=True)
+    m2 /= n
+    return inv * (dy - m1 - y * m2)
+
+
+class TestLayernormGrad:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_and_tmp_keep_the_expressions_bytes(self, dtype):
+        rng = np.random.default_rng(48)
+        y, inv = _layernorm(rng.standard_normal((3, 5, 40)).astype(dtype))
+        dy = rng.standard_normal(y.shape).astype(dtype)
+        expected = expression_layernorm_grad(dy, y, inv)
+        assert expected.dtype == dtype
+        out, tmp = np.empty_like(dy), np.empty_like(dy)
+        assert _layernorm_grad(dy, y, inv, out=out, tmp=tmp) is out
+        assert out.tobytes() == expected.tobytes()
+        assert _layernorm_grad(dy, y, inv).tobytes() == expected.tobytes()
 
 
 class TestForwardAR:

@@ -255,6 +255,17 @@ class TestModelSamplers:
         _, b, _ = sample_ar(params, cfg, SCHED, dcfg, 2, seed=15)
         assert np.array_equal(a, b)
 
+    def test_ar_default_is_ddpm(self):
+        """Both samplers default to DDPM; DDIM at eta 0 needs method="ddim"."""
+        cfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=2, ar_mode=True)
+        dcfg = DatasetConfig(n_max=2, num_categories=5, h_max=256.0, w_max=256.0)
+        params = random_params(cfg, seed=21, scale=0.05)
+        _, default, _ = sample_ar(params, cfg, SCHED, dcfg, 2, seed=22)
+        _, ddpm, _ = sample_ar(params, cfg, SCHED, dcfg, 2, seed=22, method="ddpm")
+        _, ddim, _ = sample_ar(params, cfg, SCHED, dcfg, 2, seed=22, method="ddim")
+        assert default.tobytes() == ddpm.tobytes()
+        assert default.tobytes() != ddim.tobytes()
+
     def test_n_max_1_ar_equals_nonar_sampling_loop(self):
         """With one token there is no prefix, so the AR predictor degenerates
         to a single full pass; driving both through the same DDIM loop with

@@ -353,6 +353,51 @@ class TestWorkspace:
         assert rises[2] <= rises[0] / 3, rises
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_warm_step_backward_allocates_nothing(self, kind):
+        """Backward writes its hidden-wide temporaries into arrays the
+        forward leaves dead, so a warm step's traced peak is within what
+        remains: one (B, S, hidden) array for the forward's layer norm, and
+        AdamW's float64 copy (the clipping norm's sum of squares) and
+        per-tensor temporary of its largest parameter."""
+        cfg = ModelConfig(layers=2, heads=2, hidden=64, n_max=8, ar_mode=kind == "ar")
+        dcfg = DatasetConfig(n_max=8, num_categories=5, h_max=256.0, w_max=256.0)
+        state = init_state(TrainConfig(seed=32, variant="ar" if cfg.ar_mode else "nonar"),
+                           cfg, dcfg)
+        step = train_step_ar if cfg.ar_mode else train_step_nonar
+        tokens = corpus_tokens(n_max=8)
+        for _ in range(2):
+            step(state, tokens)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            step(state, tokens)
+            rise = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        hidden_wide = state.workspace["x"]
+        largest = max(p.size for p in state.params.values())
+        bound = hidden_wide.nbytes + largest * (8 + hidden_wide.itemsize)
+        assert rise <= bound, (rise, bound)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_workspace_keys(self, kind):
+        """Backward's temporaries add no workspace key: the GELU grad's
+        temporary is the block's spent um, and the hidden-wide ones reuse
+        the forward's x, x2, heads and xmf."""
+        state, _ = self.train(kind, np.float32, [8])
+        cfg = self.KINDS[kind]
+        per_block = ("attn_out", "ctx", "inv1", "inv2", "mlp_out", "probs", "qkv", "um",
+                     "xn1", "xn2")
+        expected = {"am", "dam", "dctx", "dlogits", "dprobs", "dqkv", "gelu_aux", "heads",
+                    "invf", "mods", "x", "x2", "xm", "xmf", "xnf"}
+        expected |= {f"blocks.{i}.{key}" for i in range(cfg.layers) for key in per_block}
+        expected |= {"grad." + name for name in state.params}
+        if cfg.ar_mode:
+            expected.add("dout")
+        assert state.workspace.keys() == expected
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_blocks_keep_no_rebuilt_activation(self, kind):
         """Backward rebuilds the GELU, its tanh and the modulated layer
         norms, and writes the GELU grad over the GELU, so no block keeps
