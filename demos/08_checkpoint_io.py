@@ -1,5 +1,6 @@
 """Checkpoint save and load cost: the time and the peak memory of
-save_checkpoint and load_checkpoint at two model sizes, each call in a fresh
+save_checkpoint, load_checkpoint and load_params (the parameters alone, as
+`layoutdiff sample` reads them) at two model sizes, each call in a fresh
 process, recorded in BENCH_checkpoint_io.json at the root of the repository
 under a label, so runs of two versions sit side by side.
 
@@ -74,8 +75,10 @@ def child(op, shape, path):
     t0 = time.perf_counter()
     if op == "save":
         training.save_checkpoint(path, state)
-    else:
+    elif op == "load":
         training.load_checkpoint(path)
+    else:
+        training.load_params(path)
     ms = (time.perf_counter() - t0) * 1e3
     print(json.dumps({"ms": ms, "peak_rss_over_start_mib": status_mib("VmHWM") - before}))
 
@@ -98,7 +101,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="run")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--child", choices=["save", "load"], help=argparse.SUPPRESS)
+    parser.add_argument("--child", choices=["save", "load", "load_params"],
+                        help=argparse.SUPPRESS)
     parser.add_argument("--shape", choices=sorted(SHAPES), help=argparse.SUPPRESS)
     parser.add_argument("--path", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -109,7 +113,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for shape in SHAPES:
             path = os.path.join(tmp, f"{shape}.ckpt")
-            runs = {"save": [], "load": []}
+            runs = {"save": [], "load": [], "load_params": []}
             digests = set()
             for _ in range(args.repeats):
                 for op in runs:
@@ -127,7 +131,9 @@ def main():
             rows[shape] = row
             print(f"{shape:14s} {row['file_bytes'] / 2**20:7.1f} MiB   "
                   f"save {row['save_ms']:7.1f} ms +{row['save_peak_rss_over_start_mib']:6.1f} MiB   "
-                  f"load {row['load_ms']:7.1f} ms +{row['load_peak_rss_over_start_mib']:6.1f} MiB")
+                  f"load {row['load_ms']:7.1f} ms +{row['load_peak_rss_over_start_mib']:6.1f} MiB   "
+                  f"load_params {row['load_params_ms']:7.1f} ms "
+                  f"+{row['load_params_peak_rss_over_start_mib']:6.1f} MiB")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {
         "config": {"shapes": SHAPES, "T": T, "seed": SEED, "repeats": args.repeats,

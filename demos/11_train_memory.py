@@ -16,10 +16,12 @@ and records its peak above the step's start. Before the counted step,
 glibc's malloc_trim(0) hands the heap's free pages back to the kernel, so
 each fault is a page the step allocates afresh; without it, a step would
 reuse the pages the step before it freed and take no fault. The workspace
-is the summed bytes of TrainState.workspace's arrays. Each shape also
-records the sha256 of its losses and of its parameters and AdamW moments
-after the last step, so two versions can be checked for equal bytes. One
-BLAS thread; Linux with glibc. Takes about two minutes.
+is the summed bytes of TrainState.workspace's arrays; each row also gives
+it in MiB per key, the keys of every block summed under one `blocks.<i>.`
+key, so a change can see where the workspace goes. Each shape also records
+the sha256 of its losses and of its parameters and AdamW moments after the
+last step, so two versions can be checked for equal bytes. One BLAS
+thread; Linux with glibc. Takes about two minutes.
 """
 
 import os
@@ -31,6 +33,7 @@ import argparse  # noqa: E402
 import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -85,6 +88,10 @@ def measure(name, repeats):
     for _ in range(2):
         step()
     workspace = sum(a.nbytes for a in state.workspace.values())
+    by_key = {}
+    for key, a in state.workspace.items():
+        key = re.sub(r"blocks\.\d+\.", "blocks.<i>.", key)
+        by_key[key] = by_key.get(key, 0) + a.nbytes / MIB
     step_ms = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -110,6 +117,7 @@ def measure(name, repeats):
             digest.update(group[key].tobytes())
     return {**spec, "steps": len(losses),
             "workspace_mib": workspace / MIB, "workspace_arrays": len(state.workspace),
+            "workspace_mib_by_key": dict(sorted(by_key.items())),
             "warm_step_traced_peak_mib": traced / MIB, "warm_step_minor_faults": faults,
             "ru_maxrss_mib": maxrss,
             "ms_per_step": quartiles(step_ms), "state_sha256": digest.hexdigest()}

@@ -23,7 +23,8 @@ from .schedule import (
     q_sample,
 )
 from .model import ModelConfig, NoisePrediction, forward_ar, forward_nonar, init_params
-from .training import TrainConfig, TrainState, load_checkpoint, save_checkpoint, train_loop
+from .training import (TrainConfig, TrainState, load_checkpoint, load_params, save_checkpoint,
+                       train_loop)
 from .sampling import (
     ConditionMask,
     mask_from_layout,

@@ -164,8 +164,11 @@ def _load_mask(mask_kind, cond_data, checkpoint, dcfg, index=0):
 
 
 def _cmd_sample(cfg) -> int:
+    """Sample from a checkpoint's model. Only the configs, the schedule and
+    the parameters are read (training.load_params): AdamW's moments are not
+    loaded, so their crc32s are not checked."""
     resolved = _announce("sample", cfg)
-    state = TR.load_checkpoint(cfg["checkpoint"])
+    state = TR.load_params(cfg["checkpoint"])
     dcfg = state.data_cfg
     mask = _load_mask(cfg["mask"], cfg["cond_data"], cfg["checkpoint"], dcfg,
                       cfg["cond_index"])

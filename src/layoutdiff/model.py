@@ -243,6 +243,30 @@ def _modulate(xn, sh, sc, out=None):
     return xm
 
 
+def _attention_probs(q, k, scale, bias=None, out=None):
+    """softmax(q k^T * scale + bias) over the last axis, written into out
+    when given."""
+    probs = np.matmul(q, k.transpose(0, 1, 3, 2), out=out)
+    probs *= scale
+    if bias is not None:
+        probs += bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+def _merge_heads(heads, out=None):
+    """(B, heads, S, head_dim) heads as one (B, S, hidden) array, written
+    into out, a contiguous array of as many entries, when given."""
+    B, nh, S, dh = heads.shape
+    if out is not None:
+        out = out.reshape(B, S, nh, dh)
+    # np.positive is an exact copy that takes out=, and order="C" makes the
+    # array it allocates without out one reshape can view
+    return np.positive(heads.transpose(0, 2, 1, 3), order="C", out=out).reshape(B, S, nh * dh)
+
+
 def _layernorm_grad(dy, y, inv, out=None, tmp=None):
     """The grad of _layernorm's input from its output y, inv and the output's
     grad dy, written into out when given; tmp, when given, holds the
@@ -321,13 +345,15 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
     path's, or is None when for_backward is False, so that inference frees
     each block's activations as it goes.
 
-    Per block the cache keeps the outputs of the GEMMs and the softmax (qkv,
-    probs, ctx, attn_out, um, mlp_out), both layer norms' outputs and
-    inverse deviations, and views of the block's modulations. It does not
-    keep the modulated layer norms xm1 and xm2 or the MLP's GELU: backward
-    rebuilds them from xn1, xn2 and um with this function's own statements
-    (_modulate, _gelu), on the same inputs, so they have the same bytes as
-    the arrays this forward made.
+    Per block the cache keeps the outputs of the GEMMs (qkv, attn_out, um,
+    mlp_out), both layer norms' outputs and inverse deviations, and views of
+    the block's modulations; it also keeps the call's attn_bias. It does not
+    keep what backward rebuilds from these with this function's own
+    statements on the same inputs, so with the bytes this forward made: the
+    modulated layer norms xm1 and xm2 (_modulate, from xn1 and xn2), the
+    softmax (_attention_probs, from qkv's q and k and attn_bias), the merged
+    context (probs @ v, then _merge_heads) and the MLP's GELU (_gelu, from
+    um).
 
     With step, an ARStepCache, the call is one of a diffusion step's cached
     AR calls and goes to _decode_step; attn_bias, for_backward and ws are
@@ -335,13 +361,14 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
 
     With ws, a training step's workspace (see _buf), every array the cache
     holds is written into it, each block's into its own. The activations
-    that backward does not read or rebuilds (xm1 and xm2, the GELU and its
-    tanh, the attention context before its heads are merged, the residual
-    stream and the attention branch's sum) share one array each across
-    blocks. Backward writes its hidden-wide temporaries over the last
-    three and over xmf once head.w's grad has read it (see _backward_core),
-    so no block's cache may hold the residual stream, the branch sum or the
-    unmerged heads.
+    that backward does not read or rebuilds share one array each across
+    blocks: xm holds xm1, then the merged context (xm1 is dead once the QKV
+    GEMM has read it), then xm2; the softmax, the unmerged heads, the GELU
+    and its tanh, the residual stream and the attention branch's sum have
+    one array each. Backward writes its hidden-wide temporaries over the
+    last two, over the heads and over xmf once head.w's grad has read it
+    (see _backward_core), so no block's cache may hold the residual
+    stream, the branch sum or the unmerged heads.
     """
     # cached calls enter here too: perfbench's model.forward_core span and
     # its row count read this boundary
@@ -355,7 +382,7 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
 
     # (6 * layers + 2, rows, 1, hidden): each modulation broadcasts over positions
     mods = mods.transpose(1, 0, 2)[:, :, None, :]
-    cache = {"blocks": []} if for_backward else None
+    cache = {"blocks": [], "attn_bias": attn_bias, "spent": False} if for_backward else None
 
     x = h0
     scale = 1.0 / math.sqrt(dh)
@@ -369,18 +396,10 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
         qkv = _matmul_rows(xm1, params[p + "attn.wqkv"], out=buf(p + "qkv", (B * S, 3 * H)))
         qkv += params[p + "attn.bqkv"]
         q, k, v = qkv.reshape(B, S, 3, nh, dh).transpose(2, 0, 3, 1, 4)
-        probs = np.matmul(q, k.transpose(0, 1, 3, 2), out=buf(p + "probs", (B, nh, S, S)))
-        probs *= scale
-        if attn_bias is not None:
-            probs += attn_bias
-        probs -= probs.max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        probs = _attention_probs(q, k, scale, attn_bias, out=buf("probs", (B, nh, S, S)))
         heads = np.matmul(probs, v, out=buf("heads", (B, nh, S, dh)))
-        # merge the heads: np.positive is an exact copy that takes out=, and
-        # order="C" makes the array it allocates without ws one reshape can view
-        ctx = np.positive(heads.transpose(0, 2, 1, 3), order="C",
-                          out=buf(p + "ctx", (B, S, nh, dh))).reshape(B, S, H)
+        # xm1 is dead once the QKV GEMM has read it
+        ctx = _merge_heads(heads, out=buf("xm", x.shape))
         attn_out = _matmul_rows(ctx, params[p + "attn.wo"], out=buf(p + "attn_out", (B * S, H)))
         attn_out += params[p + "attn.bo"]
         x2 = np.multiply(g1, attn_out, out=buf("x2", x.shape))
@@ -398,10 +417,8 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
 
         if cache is not None:
             cache["blocks"].append({
-                "xn1": xn1, "inv1": inv1,
-                "q": q, "k": k, "v": v, "probs": probs, "ctx": ctx,
-                "attn_out": attn_out, "xn2": xn2, "inv2": inv2,
-                "um": um, "mlp_out": mlp_out,
+                "xn1": xn1, "inv1": inv1, "qkv": qkv, "attn_out": attn_out,
+                "xn2": xn2, "inv2": inv2, "um": um, "mlp_out": mlp_out,
                 "sh1": sh1, "sc1": sc1, "g1": g1, "sh2": sh2, "sc2": sc2, "g2": g2,
             })
         # x is dead once x2 holds it, so one residual array serves every block
@@ -423,33 +440,47 @@ def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
     timestep_modulations; returns (grads, dh0).
 
     Each block first rebuilds what the forward cache does not keep (see
-    _forward_core): the GELU and its tanh from um with _gelu, and xm2, then
-    xm1, with _modulate, each right before the weight grad that reads it.
-    These are the forward's statements on the forward's inputs, so the
-    rebuilt arrays, and every grad, have the bytes a cache of the forward's
-    own arrays would give. The GELU's grad is then written over the GELU,
-    which mlp.w2's grad has read, and its temporary over the block's um,
-    which nothing reads after it: backward overwrites the cache's um, so
-    one cache serves one backward.
+    _forward_core), each right before the first statement that reads it:
+    the GELU and its tanh from um with _gelu; xm2 with _modulate; the
+    softmax from q, k and the cache's attn_bias with _attention_probs, the
+    heads as probs @ v and the merged context with _merge_heads; and xm1
+    with _modulate. These are the forward's statements on the forward's
+    inputs, so the rebuilt arrays, and every grad, have the bytes a cache of
+    the forward's own arrays would give.
+
+    Grads go over arrays that are dead by then:
+    * the GELU's grad over the GELU once mlp.w2's grad has read it, its
+      temporary over the block's um, and the MLP's input grad over the
+      tanh, which the GELU's grad reads last;
+    * dctx over the merged context once attn.wo's grad has read it;
+    * dv over v in the block's qkv once dprobs has read v; dq and dk are
+      made and scaled in the spent heads and dctx, then copied over q and
+      k, so qkv holds dqkv.
+    So backward overwrites the cache's qkv and um: one cache serves one
+    backward, and a second backward on it raises ValueError.
 
     With ws, a training step's workspace (see _buf), the grads and the
     temporaries backward makes per block are written into it: the rebuilt
-    activations, the MLP branch's 4 * hidden wide temporaries and the
-    attention grads (dctx, dprobs, dlogits and dqkv), one array each shared
-    by every block. The hidden-wide temporaries go into four arrays that the
-    forward leaves dead, each viewed as (B, S, hidden):
+    activations and the softmax grads dprobs and dlogits, one array each
+    shared by every block. The hidden-wide temporaries go into four arrays
+    that the forward leaves dead, each viewed as (B, S, hidden):
     * the residual stream x holds dx, and each block's dx2 is written over
       it in place, so the returned dh0 is ws's x;
     * xmf, once head.w's grad has read it, holds the branch grads (dxmf,
       then per block dmlp_out, dxm2, dattn_out and dxm1) and the blocks'
       layer norm grads;
-    * x2 holds dxnf, dxn2 and dxn1;
-    * the unmerged heads hold the products summed into dsc* and dg*, and
-      the layer norm grads' products.
+    * x2 holds dxnf, dxn2 and dxn1, and in between the rebuilt context,
+      dctx and dk;
+    * the unmerged heads hold the products summed into dsc* and dg*, the
+      layer norm grads' products, and in between the rebuilt heads and dq.
     So a warm step's backward allocates no hidden-wide array. Every product
     keeps its operands and their order, so the bytes are those of fresh
     arrays, which these are without ws.
     """
+    if cache["spent"]:
+        raise ValueError("this forward cache was consumed by an earlier backward, which "
+                         "overwrote its qkv and um; run the forward again")
+    cache["spent"] = True
     nh, dh = cfg.heads, cfg.hidden // cfg.heads
     B, S, H = dout.shape[0], dout.shape[1], cfg.hidden
     dtype = dout.dtype
@@ -500,8 +531,9 @@ def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
         um = bc["um"]
         am, gelu_aux = _gelu(um, out=buf("am", um.shape), aux=buf("gelu_aux", um.shape))
         linear(p + "mlp.w2", p + "mlp.b2", am, dmlp_out)
-        dum = _matmul_rows(dmlp_out, params[p + "mlp.w2"].T, out=buf("dam", (B * S, 4 * H)))
-        dum *= _gelu_grad(um, gelu_aux, out=am, tmp=um)
+        dgelu = _gelu_grad(um, gelu_aux, out=am, tmp=um)
+        dum = _matmul_rows(dmlp_out, params[p + "mlp.w2"].T, out=gelu_aux)
+        dum *= dgelu
         xm = _modulate(bc["xn2"], bc["sh2"], bc["sc2"], out=buf("xm", (B, S, H)))
         linear(p + "mlp.w1", p + "mlp.b1", xm, dum)
         dxm2 = _matmul_rows(dum, params[p + "mlp.w1"].T, out=dbranch)
@@ -514,28 +546,32 @@ def _backward_core(params, cfg: ModelConfig, cache, dout, ws=None):
         # attention branch: x2 = x + g1 * attn_out
         dg1 = np.multiply(dx2, bc["attn_out"], out=prod).sum(axis=1)
         dattn_out = np.multiply(dx2, bc["g1"], out=dbranch)
-        linear(p + "attn.wo", p + "attn.bo", bc["ctx"], dattn_out)
-        dctx = _matmul_rows(dattn_out, params[p + "attn.wo"].T, out=buf("dctx", (B * S, H)))
-        dctx = dctx.reshape(B, S, nh, dh).transpose(0, 2, 1, 3)
-        probs = bc["probs"]
-        dprobs = np.matmul(dctx, bc["v"].transpose(0, 1, 3, 2), out=buf("dprobs", probs.shape))
-        # dq, dk and dv go straight into their (B, S, 3, heads, head_dim)
-        # places, the layout of qkv, so dqkv needs no concatenate
-        dqkv = buf("dqkv", (B, S, 3, nh, dh))
-        if dqkv is None:
-            dqkv = np.empty((B, S, 3, nh, dh), dtype)
-        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(probs.transpose(0, 1, 3, 2), dctx, out=dv)
+        qkv = bc["qkv"]
+        q, k, v = qkv.reshape(B, S, 3, nh, dh).transpose(2, 0, 3, 1, 4)
+        probs = _attention_probs(q, k, scale, cache["attn_bias"], out=buf("probs", (B, nh, S, S)))
+        heads = np.matmul(probs, v, out=buf("heads", (B, nh, S, dh)))
+        ctx = _merge_heads(heads, out=dnorm)
+        linear(p + "attn.wo", p + "attn.bo", ctx, dattn_out)
+        dctx = _matmul_rows(dattn_out, params[p + "attn.wo"].T, out=ctx)
+        dctx_heads = dctx.reshape(B, S, nh, dh).transpose(0, 2, 1, 3)
+        dprobs = np.matmul(dctx_heads, v.transpose(0, 1, 3, 2), out=buf("dprobs", probs.shape))
+        # v is dead once dprobs has read it; dq, dk and dv take their
+        # (B, S, 3, heads, head_dim) places in qkv, so dqkv is qkv
+        np.matmul(probs.transpose(0, 1, 3, 2), dctx_heads, out=v)
         # the softmax grad, probs * (dprobs - rowsum(dprobs * probs)); the
         # dlogits array holds dprobs * probs until its row sums are taken
         dlogits = np.multiply(dprobs, probs, out=buf("dlogits", probs.shape))
         dprobs -= dlogits.sum(axis=-1, keepdims=True)
         np.multiply(probs, dprobs, out=dlogits)
-        np.matmul(dlogits, bc["k"], out=dq)
+        # dq and dk are scaled in contiguous arrays, the spent heads and
+        # dctx, and copied into their places once dk has read q
+        dq = np.matmul(dlogits, k, out=heads)
         dq *= scale
-        np.matmul(dlogits.transpose(0, 1, 3, 2), bc["q"], out=dk)
+        dk = np.matmul(dlogits.transpose(0, 1, 3, 2), q, out=dctx.reshape(B, nh, S, dh))
         dk *= scale
-        dqkv = dqkv.reshape(B, S, 3 * H)
+        q[...] = dq
+        k[...] = dk
+        dqkv = qkv
         xm = _modulate(bc["xn1"], bc["sh1"], bc["sc1"], out=buf("xm", (B, S, H)))
         linear(p + "attn.wqkv", p + "attn.bqkv", xm, dqkv)
         dxm1 = _matmul_rows(dqkv, params[p + "attn.wqkv"].T, out=dbranch)

@@ -12,9 +12,10 @@ M.param_shapes in sorted name order, back to back as raw little-endian
 blocks of the one dtype the manifest names, `<f4` or `<f8`. Besides the
 configs, the schedule, the step and the RNG state, the manifest holds only
 that dtype and the zlib CRC-32 of each block.
-The loader reads only this format, front to back. Reloading restores the
-exact training state, so a resumed run reproduces the original loss
-trajectory bit for bit in single-threaded mode.
+The loaders read only this format, front to back: load_params stops after
+the parameters, and load_checkpoint reads the whole state. Reloading
+restores the exact training state, so a resumed run reproduces the original
+loss trajectory bit for bit in single-threaded mode.
 """
 
 from __future__ import annotations
@@ -90,13 +91,14 @@ class TrainState:
     sched: S.Schedule
     # the train steps' workspace, kept across steps so that each step
     # reuses the last one's memory (see model._buf); not checkpointed. It
-    # holds the modulation table, the forward cache (per block the GEMM and
-    # softmax outputs and the layer norms' outputs; see model._forward_core),
-    # the grads, and one array per key shared by every block for what
-    # backward rebuilds (the modulated layer norms, the GELU and its tanh)
-    # and for its temporaries (the MLP branch's 4 * hidden wide ones and the
-    # attention grads). The rebuilt arrays repeat the forward's statements
-    # on its inputs, so every byte is the one a full cache would give
+    # holds the modulation table, the forward cache (per block the GEMM
+    # outputs and the layer norms' outputs; see model._forward_core), the
+    # grads, and one array per key shared by every block for what backward
+    # rebuilds (the modulated layer norms and the merged attention context
+    # in turn, the softmax, the unmerged heads, the GELU and its tanh) and
+    # for the softmax grads. The rebuilt arrays repeat the forward's
+    # statements on its inputs, so every byte is the one a full cache would
+    # give; backward writes its other grads over arrays that are dead by then
     workspace: dict = field(default_factory=dict, repr=False)
 
 
@@ -382,45 +384,124 @@ def _read_manifest(path, f, file_size):
     return manifest, blob_start
 
 
-def load_checkpoint(path: str) -> TrainState:
-    """Read a checkpoint back. A file that is not one, is of another version
+@dataclass(frozen=True)
+class SavedModel:
+    """What load_params reads from a checkpoint: the configs, the schedule
+    and the parameters, without AdamW's moments, the step or the RNG state."""
+
+    params: dict
+    model_cfg: M.ModelConfig
+    data_cfg: DatasetConfig
+    train_cfg: TrainConfig
+    sched: S.Schedule
+
+
+def _read_group(path, f, manifest, shapes, group, offset):
+    """Read group's arrays, in sorted name order, from f, which stands at
+    file offset; return them and the offset after them."""
+    dtype, crc32 = manifest["dtype"], manifest["crc32"]
+    arrays = {}
+    for name in sorted(shapes):
+        key = f"{group}/{name}"
+        arr = np.empty(shapes[name], dtype)
+        got = f.readinto(arr)  # counted in bytes
+        if got != arr.nbytes:
+            raise ValueError(f"{path}: entry {key} at file offset {offset} ends after "
+                             f"{got} of its {arr.nbytes} bytes")
+        if crc32[key] != zlib.crc32(arr):
+            raise ValueError(f"{path}: entry {key} at file offset {offset} does not "
+                             f"match its crc32 {crc32[key]!r}")
+        arrays[name] = arr
+        offset += arr.nbytes
+    return arrays, offset
+
+
+def _read_params(path, f):
+    """load_params on the open file f; also returns the manifest and the
+    file offset after the parameters, where f stands."""
+    file_size = os.fstat(f.fileno()).st_size
+    manifest, blob_start = _read_manifest(path, f, file_size)
+    cfgs = {}
+    for group, cls in (("model_cfg", M.ModelConfig), ("data_cfg", DatasetConfig),
+                       ("train_cfg", TrainConfig)):
+        try:
+            fields = dict(manifest[group])
+            # a defaulted field need not be the value the weights were trained with
+            missing = [fd.name for fd in dataclasses.fields(cls) if fd.name not in fields]
+            if missing:
+                raise TypeError(f"missing field {', '.join(map(repr, missing))}")
+            cfgs[group] = cls(**fields)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: {group} is not a valid {cls.__name__}: {e}") from e
+    schedule = manifest["schedule"]
+    unknown = sorted(schedule.keys() - {"T"}) if isinstance(schedule, dict) else []
+    if unknown:
+        raise ValueError(f"{path}: schedule {schedule!r} has unknown key "
+                         f"{', '.join(map(repr, unknown))}")
+    try:
+        sched = S.build_schedule(schedule["T"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: schedule {schedule!r} does not build "
+                         f"a schedule: {e!r}") from e
+    dtype = manifest["dtype"]
+    if dtype not in ("<f4", "<f8"):
+        raise ValueError(f"{path}: dtype {dtype!r} is not '<f4' or '<f8'")
+    model_cfg = cfgs["model_cfg"]
+    shapes = M.param_shapes(model_cfg)
+    # the data section holds each group's arrays in sorted name order
+    keys = [f"{group}/{name}" for group in ("param", "adam_m", "adam_v")
+            for name in sorted(shapes)]
+    crc32 = manifest["crc32"]
+    if not isinstance(crc32, dict):
+        raise ValueError(f"{path}: crc32 is not a JSON object")
+    missing = [k for k in keys if k not in crc32]
+    if missing:
+        raise ValueError(f"{path}: crc32 has no {missing[0]!r}")
+    unknown = sorted(crc32.keys() - set(keys))
+    if unknown:
+        raise ValueError(f"{path}: crc32 has unknown key {unknown[0]!r}")
+    end = blob_start + 3 * np.dtype(dtype).itemsize * M.param_count(model_cfg)
+    if end != file_size:
+        raise ValueError(f"{path}: model_cfg and dtype {dtype} give a data section "
+                         f"ending at file offset {end}, the file has {file_size} bytes")
+    params, offset = _read_group(path, f, manifest, shapes, "param", blob_start)
+    saved = SavedModel(params=params, model_cfg=model_cfg, data_cfg=cfgs["data_cfg"],
+                       train_cfg=cfgs["train_cfg"], sched=sched)
+    return saved, manifest, offset
+
+
+def load_params(path: str) -> SavedModel:
+    """Read a checkpoint's configs, schedule and parameters, for a caller
+    that only runs the model. A file that is not one, is of another version
     (a format-5 file included, though its header has no crc32 field), is
     truncated or longer than its model config and dtype make it, whose
-    manifest fails its crc32, does not parse, lacks a key or has one the writer does not write,
-    whose config groups, schedule, step, RNG state or dtype do not build,
-    whose crc32 object does not name exactly the model config's arrays, or
-    whose arrays fail their crc32 raises one ValueError naming the path and
-    the bad key, group, array or byte offset.
+    manifest fails its crc32, does not parse, lacks a key or has one the
+    writer does not write, whose config groups, schedule or dtype do not
+    build, whose crc32 object does not name exactly the model config's
+    arrays, or whose parameters fail their crc32 raises one ValueError
+    naming the path and the bad key, group, array or byte offset.
+
+    It stops after the parameters, the first third of the data section:
+    AdamW's moments are neither read nor checked against their crc32, and
+    the step and the RNG state are not built. The file size is checked
+    before any array is allocated, and each parameter is read straight into
+    its own buffer."""
+    with open(path, "rb") as f:
+        return _read_params(path, f)[0]
+
+
+def load_checkpoint(path: str) -> TrainState:
+    """Read a whole training state back: load_params, then the step, the
+    RNG state and AdamW's moments. Besides load_params' errors, a step or
+    RNG state that does not build, or a moment that fails its crc32, raises
+    one ValueError naming the path and the bad key, array or byte offset.
 
     Only the format save_checkpoint writes loads: no key is defaulted, and
     no array skips its crc32. The file size is checked before any array is
     allocated, and each array is read straight into its own buffer, so a
     load holds one copy of the state."""
     with open(path, "rb") as f:
-        file_size = os.fstat(f.fileno()).st_size
-        manifest, blob_start = _read_manifest(path, f, file_size)
-        cfgs = {}
-        for group, cls in (("model_cfg", M.ModelConfig), ("data_cfg", DatasetConfig),
-                           ("train_cfg", TrainConfig)):
-            try:
-                fields = dict(manifest[group])
-                # a defaulted field need not be the value the weights were trained with
-                missing = [fd.name for fd in dataclasses.fields(cls) if fd.name not in fields]
-                if missing:
-                    raise TypeError(f"missing field {', '.join(map(repr, missing))}")
-                cfgs[group] = cls(**fields)
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"{path}: {group} is not a valid {cls.__name__}: {e}") from e
-        schedule = manifest["schedule"]
-        unknown = sorted(schedule.keys() - {"T"}) if isinstance(schedule, dict) else []
-        if unknown:
-            raise ValueError(f"{path}: schedule {schedule!r} has unknown key "
-                             f"{', '.join(map(repr, unknown))}")
-        try:
-            sched = S.build_schedule(schedule["T"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"{path}: schedule {schedule!r} does not build "
-                             f"a schedule: {e!r}") from e
+        saved, manifest, offset = _read_params(path, f)
         step = manifest["step"]
         if not _is_count(step):
             raise ValueError(f"{path}: step {step!r} is not a non-negative integer")
@@ -430,48 +511,17 @@ def load_checkpoint(path: str) -> TrainState:
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"{path}: rng_state is not a "
                              f"{type(rng.bit_generator).__name__} state: {e!r}") from e
-        dtype = manifest["dtype"]
-        if dtype not in ("<f4", "<f8"):
-            raise ValueError(f"{path}: dtype {dtype!r} is not '<f4' or '<f8'")
-        model_cfg = cfgs["model_cfg"]
-        shapes = M.param_shapes(model_cfg)
-        groups = {"param": {}, "adam_m": {}, "adam_v": {}}
-        # the data section holds each group's arrays in sorted name order
-        keys = [f"{group}/{name}" for group in groups for name in sorted(shapes)]
-        crc32 = manifest["crc32"]
-        if not isinstance(crc32, dict):
-            raise ValueError(f"{path}: crc32 is not a JSON object")
-        missing = [k for k in keys if k not in crc32]
-        if missing:
-            raise ValueError(f"{path}: crc32 has no {missing[0]!r}")
-        unknown = sorted(crc32.keys() - set(keys))
-        if unknown:
-            raise ValueError(f"{path}: crc32 has unknown key {unknown[0]!r}")
-        end = blob_start + 3 * np.dtype(dtype).itemsize * M.param_count(model_cfg)
-        if end != file_size:
-            raise ValueError(f"{path}: model_cfg and dtype {dtype} give a data section "
-                             f"ending at file offset {end}, the file has {file_size} bytes")
-        offset = blob_start
-        for key in keys:
-            group, name = key.split("/", 1)
-            arr = np.empty(shapes[name], dtype)
-            got = f.readinto(arr)  # counted in bytes
-            if got != arr.nbytes:
-                raise ValueError(f"{path}: entry {key} at file offset {offset} ends after "
-                                 f"{got} of its {arr.nbytes} bytes")
-            if crc32[key] != zlib.crc32(arr):
-                raise ValueError(f"{path}: entry {key} at file offset {offset} does not "
-                                 f"match its crc32 {crc32[key]!r}")
-            groups[group][name] = arr
-            offset += arr.nbytes
+        shapes = M.param_shapes(saved.model_cfg)
+        adam_m, offset = _read_group(path, f, manifest, shapes, "adam_m", offset)
+        adam_v, _ = _read_group(path, f, manifest, shapes, "adam_v", offset)
     return TrainState(
-        params=groups["param"],
-        adam_m=groups["adam_m"],
-        adam_v=groups["adam_v"],
+        params=saved.params,
+        adam_m=adam_m,
+        adam_v=adam_v,
         step=step,
         rng=rng,
-        model_cfg=model_cfg,
-        data_cfg=cfgs["data_cfg"],
-        train_cfg=cfgs["train_cfg"],
-        sched=sched,
+        model_cfg=saved.model_cfg,
+        data_cfg=saved.data_cfg,
+        train_cfg=saved.train_cfg,
+        sched=saved.sched,
     )

@@ -414,6 +414,22 @@ class TestSample:
         assert (out / "samples.jsonl").read_bytes() == \
             serialize_canonical(state.data_cfg, items).encode("utf-8")
 
+    def test_reads_only_the_parameters(self, tmp_path, random_checkpoint, capsys):
+        """sample loads only the parameters, so a corrupt AdamW moment at the
+        end of the file does not stop it or change its samples."""
+        data = bytearray(open(random_checkpoint, "rb").read())
+        data[-1] ^= 0xFF
+        corrupt = tmp_path / "corrupt.ckpt"
+        corrupt.write_bytes(bytes(data))
+        written = []
+        for name, ckpt in (("intact", random_checkpoint), ("corrupt", str(corrupt))):
+            out = tmp_path / name
+            code, _, err = run(capsys, "sample", "--checkpoint", ckpt, "--out", str(out),
+                               "--n", "2", "--seed", "5")
+            assert code == 0, err
+            written.append((out / "samples.jsonl").read_bytes())
+        assert written[0] == written[1]
+
     def test_ar_checkpoint_samples_with_ddpm_by_default(self, tmp_path, capsys):
         dcfg, _ = synth_layout_corpus(0, 1, n_max=3)
         mcfg = ModelConfig(layers=1, heads=2, hidden=8, n_max=3, ar_mode=True)

@@ -369,6 +369,22 @@ class TestModulationTable:
         assert h0.tobytes() == h0_bytes and mods.tobytes() == mods_bytes
         assert all(params[k].tobytes() == b for k, b in before.items())
 
+    @pytest.mark.parametrize("ws", [None, {}], ids=["fresh", "workspace"])
+    def test_second_backward_on_one_cache_refused(self, ws):
+        """Backward overwrites the cache's qkv and um, so a second backward
+        on one cache would return wrong grads; it raises instead."""
+        params = random_params(TINY, 47, dtype=np.float32)
+        rng = np.random.default_rng(48)
+        h0 = rng.standard_normal((2, TINY.n_positions, TINY.hidden)).astype(np.float32)
+        mods, tcache = timestep_modulations(params, TINY, np.array([3, 70]),
+                                            for_backward=True, ws=ws)
+        out, cache = _forward_core(params, TINY, h0, mods, ws=ws)
+        cache["timestep"] = tcache
+        _backward_core(params, TINY, cache, np.ones_like(out), ws=ws)
+        with pytest.raises(ValueError, match="consumed by an earlier backward.*run the "
+                                             "forward again"):
+            _backward_core(params, TINY, cache, np.ones_like(out), ws=ws)
+
 
 class TestAdapter:
     CFG = ModelConfig(layers=1, heads=2, hidden=8, n_max=2, adapter_latent=16)

@@ -25,6 +25,7 @@ from layoutdiff.training import (
     adamw_update,
     init_state,
     load_checkpoint,
+    load_params,
     save_checkpoint,
     train_loop,
     train_step_ar,
@@ -382,15 +383,16 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_workspace_keys(self, kind):
-        """Backward's temporaries add no workspace key: the GELU grad's
-        temporary is the block's spent um, and the hidden-wide ones reuse
-        the forward's x, x2, heads and xmf."""
+        """Backward's temporaries add no workspace key but dprobs and
+        dlogits: the GELU grad's temporary is the block's spent um, the MLP
+        input grad goes over the tanh, dq, dk and dv over the block's qkv,
+        dctx over the rebuilt context, and the hidden-wide ones reuse the
+        forward's x, x2, heads and xmf."""
         state, _ = self.train(kind, np.float32, [8])
         cfg = self.KINDS[kind]
-        per_block = ("attn_out", "ctx", "inv1", "inv2", "mlp_out", "probs", "qkv", "um",
-                     "xn1", "xn2")
-        expected = {"am", "dam", "dctx", "dlogits", "dprobs", "dqkv", "gelu_aux", "heads",
-                    "invf", "mods", "x", "x2", "xm", "xmf", "xnf"}
+        per_block = ("attn_out", "inv1", "inv2", "mlp_out", "qkv", "um", "xn1", "xn2")
+        expected = {"am", "dlogits", "dprobs", "gelu_aux", "heads", "invf", "mods", "probs",
+                    "x", "x2", "xm", "xmf", "xnf"}
         expected |= {f"blocks.{i}.{key}" for i in range(cfg.layers) for key in per_block}
         expected |= {"grad." + name for name in state.params}
         if cfg.ar_mode:
@@ -399,16 +401,17 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_blocks_keep_no_rebuilt_activation(self, kind):
-        """Backward rebuilds the GELU, its tanh and the modulated layer
-        norms, and writes the GELU grad over the GELU, so no block keeps
-        its own copy of them and there is no GELU grad array."""
+        """Backward rebuilds the GELU, its tanh, the modulated layer norms,
+        the softmax and the merged context, and writes the GELU grad over
+        the GELU, so no block keeps its own copy of them and there is no
+        GELU grad array."""
         state, _ = self.train(kind, np.float32, [8])
-        rebuilt = {"am", "xm1", "xm2", "gelu_aux", "gelu_grad"}
+        rebuilt = {"am", "xm1", "xm2", "gelu_aux", "gelu_grad", "probs", "ctx"}
         kept = [k for k in state.workspace
                 if k.startswith("blocks.") and k.rsplit(".", 1)[1] in rebuilt]
         assert kept == []
         assert "gelu_grad" not in state.workspace
-        assert {"am", "gelu_aux", "xm"} <= state.workspace.keys()
+        assert {"am", "gelu_aux", "xm", "probs"} <= state.workspace.keys()
 
     def test_checkpoint_holds_no_workspace(self, tmp_path):
         state, _ = self.train("onepass", np.float32, [8])
@@ -862,3 +865,54 @@ class TestCheckpoint:
             a, b = getattr(original, group), getattr(loaded, group)
             for k in a:
                 assert np.array_equal(a[k], b[k]), (group, k)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_load_params_reads_load_checkpoints_params(self, tmp_path, dtype):
+        state = init_state(TrainConfig(seed=24, variant="ar"), TINY_AR, DCFG, dtype=dtype)
+        train_step_ar(state, corpus_tokens())
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, state)
+        saved, full = load_params(path), load_checkpoint(path)
+        assert (saved.model_cfg, saved.data_cfg, saved.train_cfg, saved.sched.T) == (
+            full.model_cfg, full.data_cfg, full.train_cfg, full.sched.T)
+        assert sorted(saved.params) == sorted(full.params)
+        for k, a in full.params.items():
+            assert saved.params[k].dtype == a.dtype
+            assert saved.params[k].tobytes() == a.tobytes(), k
+
+    def test_corrupt_moment_loads_params_only(self, tmp_path):
+        """load_params stops after the parameters, so it does not see a
+        corrupt adam_v block; load_checkpoint reads it and refuses the file."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=25), TINY, DCFG))
+        data = bytearray(path.read_bytes())
+        # the data section ends with adam_v's last array
+        data[-1] ^= 0xFF
+        path.write_bytes(bytes(data))
+        load_params(str(path))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: entry adam_v/"
+                                             r"\S+ at file offset \d+ does not match its crc32"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("change", ["manifest", "param", "truncated"])
+    def test_load_params_refuses_what_load_checkpoint_refuses(self, tmp_path, change):
+        """A bad manifest, a bad parameter block or a wrong file size is
+        refused by load_params with load_checkpoint's message."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_state(TrainConfig(seed=26), TINY, DCFG))
+        data = path.read_bytes()
+        blob_start = HEADER + len(split_checkpoint(data)[0])
+        if change == "manifest":
+            data = data.replace(b'"heads": 2', b'"heads": 4')
+            message = r"manifest at bytes 24-\d+ does not match its crc32 \d+$"
+        elif change == "param":
+            data = data[:blob_start] + bytes([data[blob_start] ^ 0xFF]) + data[blob_start + 1:]
+            first = sorted(M.param_shapes(TINY))[0]
+            message = (rf"entry param/{re.escape(first)} at file offset {blob_start} does not "
+                       r"match its crc32")
+        else:
+            data = data[:-1]
+            message = self.SIZE_ERROR.format("<f4")
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_params(str(path))
