@@ -46,7 +46,8 @@ def hungarian(cost) -> tuple[list[tuple[int, int]], float]:
     from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(cost)
-    return list(zip(rows.tolist(), cols.tolist())), float(cost[rows, cols].sum())
+    # np.add.reduce is the sum ndarray.sum runs, without its Python wrapper
+    return list(zip(rows.tolist(), cols.tolist())), float(np.add.reduce(cost[rows, cols]))
 
 
 def max_weight_matching(weights) -> tuple[list[tuple[int, int]], float]:

@@ -245,14 +245,15 @@ def _modulate(xn, sh, sc, out=None):
 
 def _attention_probs(q, k, scale, bias=None, out=None):
     """softmax(q k^T * scale + bias) over the last axis, written into out
-    when given."""
+    when given. The row max and sum are the reductions ndarray.max and
+    ndarray.sum run, without their Python-level wrappers."""
     probs = np.matmul(q, k.transpose(0, 1, 3, 2), out=out)
     probs *= scale
     if bias is not None:
         probs += bias
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     return probs
 
 
@@ -341,23 +342,23 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
 
     mods are the timestep_modulations rows of the batch: one per sample, or
     one row shared by all. Returns (out, cache); out is (B, S, token_dim).
-    cache holds what _backward_core cannot rebuild cheaply, less the timestep
-    path's, or is None when for_backward is False, so that inference frees
-    each block's activations as it goes.
 
-    Per block the cache keeps the outputs of the GEMMs (qkv, attn_out, um,
-    mlp_out), both layer norms' outputs and inverse deviations, and views of
-    the block's modulations; it also keeps the call's attn_bias. It does not
-    keep what backward rebuilds from these with this function's own
-    statements on the same inputs, so with the bytes this forward made: the
-    modulated layer norms xm1 and xm2 (_modulate, from xn1 and xn2), the
-    softmax (_attention_probs, from qkv's q and k and attn_bias), the merged
-    context (probs @ v, then _merge_heads) and the MLP's GELU (_gelu, from
-    um).
+    An inference call, one with step (an ARStepCache) or with for_backward
+    False, goes to _infer and returns a None cache; ws is then not read.
+    Inference enters here because perfbench's model.forward_core span and
+    its row count read this call boundary. The rest of this function serves
+    training only.
 
-    With step, an ARStepCache, the call is one of a diffusion step's cached
-    AR calls and goes to _decode_step; attn_bias, for_backward and ws are
-    then not read.
+    cache holds what _backward_core cannot rebuild cheaply, less the
+    timestep path's. Per block it keeps the outputs of the GEMMs (qkv,
+    attn_out, um, mlp_out), both layer norms' outputs and inverse
+    deviations, and views of the block's modulations; it also keeps the
+    call's attn_bias. It does not keep what backward rebuilds from these
+    with this function's own statements on the same inputs, so with the
+    bytes this forward made: the modulated layer norms xm1 and xm2
+    (_modulate, from xn1 and xn2), the softmax (_attention_probs, from qkv's
+    q and k and attn_bias), the merged context (probs @ v, then
+    _merge_heads) and the MLP's GELU (_gelu, from um).
 
     With ws, a training step's workspace (see _buf), every array the cache
     holds is written into it, each block's into its own. The activations
@@ -370,10 +371,8 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
     (see _backward_core), so no block's cache may hold the residual
     stream, the branch sum or the unmerged heads.
     """
-    # cached calls enter here too: perfbench's model.forward_core span and
-    # its row count read this boundary
-    if step is not None:
-        return _decode_step(params, cfg, h0, mods, step), None
+    if step is not None or not for_backward:
+        return _infer(params, cfg, h0, mods, attn_bias, step), None
     nh, dh = cfg.heads, cfg.hidden // cfg.heads
     B, S, H = h0.shape
 
@@ -382,7 +381,7 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
 
     # (6 * layers + 2, rows, 1, hidden): each modulation broadcasts over positions
     mods = mods.transpose(1, 0, 2)[:, :, None, :]
-    cache = {"blocks": [], "attn_bias": attn_bias, "spent": False} if for_backward else None
+    cache = {"blocks": [], "attn_bias": attn_bias, "spent": False}
 
     x = h0
     scale = 1.0 / math.sqrt(dh)
@@ -415,12 +414,11 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
         mlp_out = _matmul_rows(am, params[p + "mlp.w2"], out=buf(p + "mlp_out", (B * S, H)))
         mlp_out += params[p + "mlp.b2"]
 
-        if cache is not None:
-            cache["blocks"].append({
-                "xn1": xn1, "inv1": inv1, "qkv": qkv, "attn_out": attn_out,
-                "xn2": xn2, "inv2": inv2, "um": um, "mlp_out": mlp_out,
-                "sh1": sh1, "sc1": sc1, "g1": g1, "sh2": sh2, "sc2": sc2, "g2": g2,
-            })
+        cache["blocks"].append({
+            "xn1": xn1, "inv1": inv1, "qkv": qkv, "attn_out": attn_out,
+            "xn2": xn2, "inv2": inv2, "um": um, "mlp_out": mlp_out,
+            "sh1": sh1, "sc1": sc1, "g1": g1, "sh2": sh2, "sc2": sc2, "g2": g2,
+        })
         # x is dead once x2 holds it, so one residual array serves every block
         x = np.multiply(g2, mlp_out, out=buf("x", x.shape))
         x += x2
@@ -430,8 +428,7 @@ def _forward_core(params, cfg: ModelConfig, h0, mods, attn_bias=None, step=None,
     xmf = _modulate(xnf, sh_f, sc_f, out=buf("xmf", x.shape))
     out = _matmul_rows(xmf, params["head.w"])
     out += params["head.b"]
-    if cache is not None:
-        cache.update({"xnf": xnf, "invf": invf, "xmf": xmf, "sc_f": sc_f})
+    cache.update({"xnf": xnf, "invf": invf, "xmf": xmf, "sc_f": sc_f})
     return out, cache
 
 
@@ -682,9 +679,9 @@ class ARStepCache:
     layer, one K and one V buffer of shape (B, heads, 2 * n_max, head_dim) in
     the params' dtype, the most a step holds (n_max + 1 prefix rows and
     n_max - 1 noise rows), and looks up each block's weights. Each call
-    writes its rows' K/V at [positions, positions + rows). One cache serves
-    one (params, tokens, t) and one batch size: make a new one for each
-    diffusion step.
+    (see _infer) writes its rows' K/V at [positions, positions + rows). One
+    cache serves one (params, tokens, t) and one batch size: make a new one
+    for each diffusion step.
     """
 
     positions: int = 0
@@ -698,86 +695,85 @@ _BLOCK_WEIGHTS = ("attn.wqkv", "attn.bqkv", "attn.wo", "attn.bo",
                   "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
 
 
-def _decode_step(params, cfg: ModelConfig, h0, mods, step: ARStepCache):
-    """_forward_core for one cached AR call: the blocks over h0's new rows only.
+def _infer(params, cfg: ModelConfig, h0, mods, bias=None, step: ARStepCache | None = None):
+    """The inference forward: _forward_core's block stack on h0 (B, S, hidden)
+    with no backward cache and no workspace; returns (B, S, token_dim).
 
-    Each layer writes the rows' K/V into step's buffers and attends over the
-    first positions + rows of them. It needs no attention bias: on the
-    prefix call _ar_bias(n_max, 0) is all zeros, and a later call's one noise
-    row sees every held position and itself. The arithmetic is the general
-    forward's, with no workspace, so the output bytes are the same. Returns
-    (B, rows, token_dim).
+    The rows stay flat, (B * S, hidden), so each projection is one 2-D GEMM
+    as in _matmul_rows and the heads merge by a reshape; a modulation row
+    per sample is repeated over its rows. The arithmetic is the training
+    forward's, operand for operand, so the output bytes are the same.
+
+    Without step the rows attend over their own K/V plus bias. With step,
+    an ARStepCache, the call is one of a diffusion step's cached AR calls:
+    each layer writes the rows' K/V into step's buffers and attends over the
+    first positions + rows of them plus bias, which such a call leaves None
+    (on the prefix call _ar_bias(n_max, 0) is all zeros, and a later call's
+    one noise row sees every held position and itself).
     """
     nh, dh = cfg.heads, cfg.hidden // cfg.heads
     B, S, H = h0.shape
-    if not step.blocks:
-        # positions before heads in memory, as in qkv: OpenBLAS gemv rounds
-        # differently under another row stride, and this layout keeps the
-        # bytes of concatenating the K/V on each call
-        shape = (B, 2 * cfg.n_max, nh, dh)
-        dtype = params["in_proj.w"].dtype
-        step.k = [np.empty(shape, dtype).transpose(0, 2, 1, 3) for _ in range(cfg.layers)]
-        step.v = [np.empty(shape, dtype).transpose(0, 2, 1, 3) for _ in range(cfg.layers)]
-        step.blocks = [tuple(params[f"blocks.{i}.{w}"] for w in _BLOCK_WEIGHTS)
-                       for i in range(cfg.layers)]
-    start, end = step.positions, step.positions + S
-    batch, capacity = step.k[0].shape[0], step.k[0].shape[2]
-    if B != batch or end > capacity:
-        raise ValueError(
-            f"the step cache holds batch {batch} with room for {capacity} positions, "
-            f"but this call has batch {B} and would fill positions {start} to {end}"
-        )
+    if step is None or not step.blocks:
+        blocks = [tuple(params[f"blocks.{i}.{w}"] for w in _BLOCK_WEIGHTS)
+                  for i in range(cfg.layers)]
+    if step is not None:
+        if not step.blocks:
+            # positions before heads in memory, as in qkv: OpenBLAS gemv
+            # rounds differently under another row stride, and this layout
+            # keeps the bytes of concatenating the K/V on each call
+            shape = (B, 2 * cfg.n_max, nh, dh)
+            dtype = params["in_proj.w"].dtype
+            step.k = [np.empty(shape, dtype).transpose(0, 2, 1, 3) for _ in range(cfg.layers)]
+            step.v = [np.empty(shape, dtype).transpose(0, 2, 1, 3) for _ in range(cfg.layers)]
+            step.blocks = blocks
+        blocks = step.blocks
+        start, end = step.positions, step.positions + S
+        batch, capacity = step.k[0].shape[0], step.k[0].shape[2]
+        if B != batch or end > capacity:
+            raise ValueError(
+                f"the step cache holds batch {batch} with room for {capacity} positions, "
+                f"but this call has batch {B} and would fill positions {start} to {end}"
+            )
 
-    # the rows stay flat, (B * S, hidden), so each GEMM is one 2-D matmul as
-    # in _matmul_rows; a modulation row per sample is repeated over its rows
     mods = mods.transpose(1, 0, 2)
     if mods.shape[1] > 1 and S > 1:
         mods = np.repeat(mods, S, axis=1)
     scale = 1.0 / math.sqrt(dh)
     x = h0.reshape(B * S, H)
-    for i, (wqkv, bqkv, wo, bo, w1, b1, w2, b2) in enumerate(step.blocks):
+    for i, (wqkv, bqkv, wo, bo, w1, b1, w2, b2) in enumerate(blocks):
         sh1, sc1, g1, sh2, sc2, g2 = mods[6 * i : 6 * i + 6]
-        xm1, _ = _layernorm(x)
-        xm1 *= sc1
-        xm1 += sh1
-        qkv = xm1 @ wqkv
+        xn1, _ = _layernorm(x)
+        qkv = _modulate(xn1, sh1, sc1, out=xn1) @ wqkv
         qkv += bqkv
         q, k, v = qkv.reshape(B, S, 3, nh, dh).transpose(2, 0, 3, 1, 4)
-        K, V = step.k[i], step.v[i]
-        K[:, :, start:end] = k
-        V[:, :, start:end] = v
-        probs = q @ K[:, :, :end].transpose(0, 1, 3, 2)
-        probs *= scale
-        probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+        if step is not None:
+            step.k[i][:, :, start:end] = k
+            step.v[i][:, :, start:end] = v
+            k, v = step.k[i][:, :, :end], step.v[i][:, :, :end]
+        probs = _attention_probs(q, k, scale, bias)
         # with one row the transposed heads are already contiguous, and
         # reshape makes no copy
-        ctx = (probs @ V[:, :, :end]).transpose(0, 2, 1, 3).reshape(B * S, H)
+        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B * S, H)
         attn_out = ctx @ wo
         attn_out += bo
         x2 = g1 * attn_out
         x2 += x
 
-        xm2, _ = _layernorm(x2)
-        xm2 *= sc2
-        xm2 += sh2
-        um = xm2 @ w1
+        xn2, _ = _layernorm(x2)
+        um = _modulate(xn2, sh2, sc2, out=xn2) @ w1
         um += b1
-        am, _ = _gelu(um)
-        mlp_out = am @ w2
+        mlp_out = _gelu(um)[0] @ w2
         mlp_out += b2
         x = g2 * mlp_out
         x += x2
-    step.positions = end
+    if step is not None:
+        step.positions = end
 
     sh_f, sc_f = mods[-2:]
-    xmf, _ = _layernorm(x)
-    xmf *= sc_f
-    xmf += sh_f
-    # every new row, not the last only: a one-row GEMM at B = 1 goes to gemv,
+    xnf, _ = _layernorm(x)
+    # every row, not the last only: a one-row GEMM at B = 1 goes to gemv,
     # which rounds differently
-    out = xmf @ params["head.w"]
+    out = _modulate(xnf, sh_f, sc_f, out=xnf) @ params["head.w"]
     out += params["head.b"]
     return out.reshape(B, S, -1)
 
@@ -793,8 +789,9 @@ def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t,
     i = 0, 1, ..., with the same tokens, batch size and t; call i runs only
     the data+START prefix (i = 0) or noise row i - 1, through the cache's
     K/V buffers and with no attention bias, and its result equals the
-    uncached call's to float rounding. mods are as in forward_nonar; passing
-    the same rows to every call of a step computes them once.
+    uncached call's to float rounding. Both modes run _infer. mods are as in
+    forward_nonar; passing the same rows to every call of a step computes
+    them once.
     """
     if not cfg.ar_mode:
         raise UnsupportedModeError("model config does not enable ar_mode")
@@ -821,7 +818,7 @@ def forward_ar(params, cfg: ModelConfig, tokens, noise_prefix, t,
     else:
         dtype = params["in_proj.w"].dtype
         h0 = _embed_noise(params, noise_prefix[:, -1:].astype(dtype), n + k)
-    # a cached call needs no bias (see _decode_step)
+    # a cached call needs no bias (see _infer)
     bias = None if cache is not None else _ar_bias(n, k, h0.dtype)
     if mods is None:
         mods, _ = timestep_modulations(params, cfg, t)

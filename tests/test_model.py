@@ -7,12 +7,16 @@ from layoutdiff.model import (
     ARStepCache,
     ModelConfig,
     UnsupportedModeError,
+    _ar_bias,
     _backward_core,
+    _embed_ar,
+    _embed_nonar,
     _forward_core,
     _gelu,
     _gelu_grad,
     _layernorm,
     _layernorm_grad,
+    _matmul_rows,
     adapter_decode,
     adapter_encode,
     ar_loss_and_grads,
@@ -384,6 +388,85 @@ class TestModulationTable:
         with pytest.raises(ValueError, match="consumed by an earlier backward.*run the "
                                              "forward again"):
             _backward_core(params, TINY, cache, np.ones_like(out), ws=ws)
+
+
+def general_forward(params, cfg, h0, mods, attn_bias=None):
+    """The inference forward as _forward_core ran it with ws None and
+    for_backward False: (B, S, hidden) activations, each modulation row
+    broadcast over positions, a 3-D _matmul_rows per projection and the
+    heads merged by an np.positive copy."""
+    nh, dh = cfg.heads, cfg.hidden // cfg.heads
+    B, S, H = h0.shape
+    mods = mods.transpose(1, 0, 2)[:, :, None, :]
+    x = h0
+    scale = 1.0 / math.sqrt(dh)
+    for i in range(cfg.layers):
+        p = f"blocks.{i}."
+        sh1, sc1, g1, sh2, sc2, g2 = mods[6 * i : 6 * i + 6]
+        xm1 = np.multiply(_layernorm(x)[0], sc1)
+        xm1 += sh1
+        qkv = _matmul_rows(xm1, params[p + "attn.wqkv"])
+        qkv += params[p + "attn.bqkv"]
+        q, k, v = qkv.reshape(B, S, 3, nh, dh).transpose(2, 0, 3, 1, 4)
+        probs = np.matmul(q, k.transpose(0, 1, 3, 2))
+        probs *= scale
+        if attn_bias is not None:
+            probs += attn_bias
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        heads = np.matmul(probs, v)
+        ctx = np.positive(heads.transpose(0, 2, 1, 3), order="C").reshape(B, S, H)
+        attn_out = _matmul_rows(ctx, params[p + "attn.wo"])
+        attn_out += params[p + "attn.bo"]
+        x2 = np.multiply(g1, attn_out)
+        x2 += x
+        xm2 = np.multiply(_layernorm(x2)[0], sc2)
+        xm2 += sh2
+        um = _matmul_rows(xm2, params[p + "mlp.w1"])
+        um += params[p + "mlp.b1"]
+        mlp_out = _matmul_rows(_gelu(um)[0], params[p + "mlp.w2"])
+        mlp_out += params[p + "mlp.b2"]
+        x = np.multiply(g2, mlp_out)
+        x += x2
+    sh_f, sc_f = mods[-2:]
+    xmf = np.multiply(_layernorm(x)[0], sc_f)
+    xmf += sh_f
+    out = _matmul_rows(xmf, params["head.w"])
+    out += params["head.b"]
+    return out
+
+
+class TestInferEqualsGeneralForward:
+    """forward_nonar and the uncached forward_ar run _infer's flat rows,
+    which give the bytes of the general forward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_table", [False, True], ids=["no_table", "table"])
+    @pytest.mark.parametrize("per_sample_t", [False, True], ids=["shared_t", "per_sample_t"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("n_max", [1, 5])
+    @pytest.mark.parametrize("ar", [False, True], ids=["nonar", "ar"])
+    def test_output_bytes(self, ar, n_max, batch, per_sample_t, with_table, dtype):
+        cfg = ModelConfig(layers=3, heads=4, hidden=32, n_max=n_max, ar_mode=ar)
+        params = random_params(cfg, 45, scale=0.1, dtype=dtype)
+        x = np.random.default_rng(46).standard_normal((batch, n_max, 16))
+        t = np.arange(batch) * 13 + 2 if per_sample_t else 17
+        mods = None
+        if with_table:
+            table, _ = timestep_modulations(params, cfg, np.arange(50))
+            mods = table[t] if per_sample_t else modulation_row(table, t)
+        want_mods = timestep_modulations(params, cfg, t)[0] if mods is None else mods
+        if not ar:
+            got = forward_nonar(params, cfg, x, t, mods=mods).eps_hat
+            want = general_forward(params, cfg, _embed_nonar(params, cfg, x), want_mods)
+            assert got.tobytes() == want.tobytes()
+            return
+        for k in range(n_max):
+            got = forward_ar(params, cfg, x, x[:, :k], t, mods=mods)
+            want = general_forward(params, cfg, _embed_ar(params, cfg, x, x[:, :k]), want_mods,
+                                   _ar_bias(n_max, k, dtype))[:, -1]
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAdapter:

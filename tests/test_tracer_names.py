@@ -101,3 +101,22 @@ def test_ar_sampling_calls_forward_core_by_attribute(monkeypatch):
     sampling.sample_ar(model.init_params(cfg, seed=0), cfg, schedule.build_schedule(4),
                        dcfg, n_samples=2, seed=0)
     assert rows == [2 * 4, 2, 2] * 4
+
+
+def test_onepass_sampling_calls_forward_core_by_attribute(monkeypatch):
+    """The `model.forward_core` span and its row count see the one-pass
+    sampler's calls only while forward_nonar calls that module attribute,
+    once per diffusion step over the whole batch's B n_max rows."""
+    rows = []
+    core = model._forward_core
+
+    def counting(*args, **kwargs):
+        rows.append(args[2].shape[0] * args[2].shape[1])
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_forward_core", counting)
+    cfg = model.ModelConfig(layers=1, heads=2, hidden=8, n_max=3)
+    dcfg = DatasetConfig(n_max=3, h_max=256.0, w_max=256.0)
+    sampling.sample_nonar(model.init_params(cfg, seed=0), cfg, schedule.build_schedule(4),
+                          dcfg, n_samples=2, seed=0)
+    assert rows == [2 * 3] * 4
