@@ -14,26 +14,16 @@ checkout, put its src/ first on PYTHONPATH. One BLAS thread, as in the
 benchmark. Takes under a minute.
 """
 
-import os
+import statistics
+import time
+import tracemalloc
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import _record  # before numpy: it pins the BLAS threads
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import statistics  # noqa: E402
-import time  # noqa: E402
-import tracemalloc  # noqa: E402
-from pathlib import Path  # noqa: E402
+from layoutdiff import metrics, render
+from layoutdiff.data import synth_layout_corpus, synth_segment_corpus
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-
-from layoutdiff import metrics, render  # noqa: E402
-from layoutdiff.data import synth_layout_corpus, synth_segment_corpus  # noqa: E402
-
-OUT = Path(__file__).resolve().parent.parent / "BENCH_eval_scaling.json"
+OUT = _record.ROOT / "BENCH_eval_scaling.json"
 # (generated, reference) layouts; the first is the benchmark's eval size.
 # The segment suite scores 2 x generated images on each side (16 at the
 # benchmark's size), 8 segments each.
@@ -88,10 +78,7 @@ def render_peak(n):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="run")
-    parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args()
+    args = _record.Parser(__doc__, repeats=5).parse_args()
     rows = []
     for n_gen, n_ref in SIZES:
         gen, ref = layouts(1, n_gen), layouts(2, n_ref)
@@ -112,25 +99,17 @@ def main():
     for n in MEMORY_SIZES:
         memory.append(render_peak(n))
         print(f"{n:4d} a side  rasterize + feature_distance peak {memory[-1]['peak_mib']:7.1f} MiB")
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    record = {
+    _record.write_run(OUT, args.label, {
         "config": {"sizes": SIZES, "k_segments": K_SEGMENTS, "repeats": args.repeats,
                    "statistic": "median ms per evaluate_* call, no renders; "
                                 "hungarian solves of one call",
                    "memory_sizes": MEMORY_SIZES,
                    "memory_statistic": "tracemalloc peak MiB of feature_distance on "
                                        "generators of 64 px renders, both sides"},
-        "blas": {"name": blas.get("name"), "version": blas.get("version"),
-                 "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"]},
-        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
-        "metrics_py_sha256": hashlib.sha256(Path(metrics.__file__).read_bytes()).hexdigest()[:12],
+        **_record.environment(metrics),
         "rows": rows,
         "memory": memory,
-    }
-    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else {}
-    runs[args.label] = record
-    OUT.write_text(json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n")
-    print(f"wrote run {args.label!r} to {OUT.name}")
+    })
 
 
 if __name__ == "__main__":

@@ -14,27 +14,20 @@ temporary directory, removed at the end. One BLAS thread. Takes about a
 minute, and a process holds up to about 700 MiB at the larger shape.
 """
 
+import argparse
+import hashlib
+import json
 import os
+import statistics
+import tempfile
+import time
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import _record  # before numpy: it pins the BLAS threads
+import numpy as np
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
+from layoutdiff import data, model, schedule, training
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-
-from layoutdiff import data, model, schedule, training  # noqa: E402
-
-OUT = Path(__file__).resolve().parent.parent / "BENCH_checkpoint_io.json"
+OUT = _record.ROOT / "BENCH_checkpoint_io.json"
 SHAPES = {
     # the benchmark's `sample` workload model
     "sample": {"layers": 4, "heads": 4, "hidden": 128, "n_max": 16},
@@ -83,24 +76,8 @@ def child(op, shape, path):
     print(json.dumps({"ms": ms, "peak_rss_over_start_mib": status_mib("VmHWM") - before}))
 
 
-def measure(op, shape, path):
-    proc = subprocess.run(
-        [sys.executable, __file__, "--child", op, "--shape", shape, "--path", path],
-        capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def git_describe():
-    """The commit of the checkout whose layoutdiff is imported, if it is one."""
-    proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"],
-                          cwd=Path(training.__file__).parent, capture_output=True, text=True)
-    return proc.stdout.strip() or None
-
-
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="run")
-    parser.add_argument("--repeats", type=int, default=5)
+    parser = _record.Parser(__doc__, repeats=5)
     parser.add_argument("--child", choices=["save", "load", "load_params"],
                         help=argparse.SUPPRESS)
     parser.add_argument("--shape", choices=sorted(SHAPES), help=argparse.SUPPRESS)
@@ -117,7 +94,8 @@ def main():
             digests = set()
             for _ in range(args.repeats):
                 for op in runs:
-                    runs[op].append(measure(op, shape, path))
+                    runs[op].append(_record.run_child(__file__, "--child", op,
+                                                      "--shape", shape, "--path", path))
                 with open(path, "rb") as f:
                     digests.add(hashlib.file_digest(f, "sha256").hexdigest())
             if len(digests) != 1:
@@ -134,23 +112,13 @@ def main():
                   f"load {row['load_ms']:7.1f} ms +{row['load_peak_rss_over_start_mib']:6.1f} MiB   "
                   f"load_params {row['load_params_ms']:7.1f} ms "
                   f"+{row['load_params_peak_rss_over_start_mib']:6.1f} MiB")
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    record = {
+    _record.write_run(OUT, args.label, {
         "config": {"shapes": SHAPES, "T": T, "seed": SEED, "repeats": args.repeats,
                    "statistic": "median over repeats, each call in a fresh process; "
                                 "peak RSS is VmHWM after the call minus VmRSS before it"},
-        "blas": {"name": blas.get("name"), "version": blas.get("version"),
-                 "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"]},
-        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
-        "git": git_describe(),
-        "training_py_sha256": hashlib.sha256(
-            Path(training.__file__).read_bytes()).hexdigest()[:12],
+        **_record.environment(training),
         "rows": rows,
-    }
-    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else {}
-    runs[args.label] = record
-    OUT.write_text(json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n")
-    print(f"wrote run {args.label!r} to {OUT.name}")
+    })
 
 
 if __name__ == "__main__":

@@ -17,26 +17,16 @@ are random (scale 0.02, float32), as in the benchmark's sampling workloads.
 One BLAS thread. Takes about two minutes.
 """
 
-import os
+import hashlib
+import time
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import _record  # before numpy: it pins the BLAS threads
+import numpy as np
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
+from layoutdiff import model, sampling, schedule
+from layoutdiff.data import synth_layout_corpus
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-
-from layoutdiff import model, sampling, schedule  # noqa: E402
-from layoutdiff.data import synth_layout_corpus  # noqa: E402
-
-OUT = Path(__file__).resolve().parent.parent / "BENCH_ar_sampling.json"
+OUT = _record.ROOT / "BENCH_ar_sampling.json"
 SHAPES = {
     # the benchmark's `sample_ar` workload
     "sample_ar": {"model": {"layers": 2, "heads": 4, "hidden": 64, "n_max": 8},
@@ -50,11 +40,6 @@ SHAPES = {
                     "batch": 8, "T": 10, "steps_per_repeat": 2},
 }
 SEED = 10
-
-
-def quartiles(values):
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return {"median": median, "q1": q1, "q3": q3}
 
 
 class Shape:
@@ -96,25 +81,14 @@ class Shape:
             raise SystemExit(f"{self.name}: two sample_ar runs of one seed differ")
 
     def row(self):
-        return {**self.spec, "predictor_step_ms": quartiles(self.step_ms),
-                "sample_ar_s_per_sample": quartiles(self.per_sample_s),
+        return {**self.spec, "predictor_step_ms": _record.quartiles(self.step_ms),
+                "sample_ar_s_per_sample": _record.quartiles(self.per_sample_s),
                 "tokens_sha256": hashlib.sha256(self.tokens.tobytes()).hexdigest()}
 
 
-def git_describe():
-    """The commit of the checkout whose layoutdiff is imported, if it is one."""
-    proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"],
-                          cwd=Path(model.__file__).parent, capture_output=True, text=True)
-    return proc.stdout.strip() or None
-
-
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="run")
-    parser.add_argument("--repeats", type=int, default=9)
+    parser = _record.Parser(__doc__, repeats=9, quartiles=True)
     args = parser.parse_args()
-    if args.repeats < 2:
-        parser.error("--repeats must be >= 2 for quartiles")
     shapes = [Shape(name) for name in SHAPES]
     # the shapes take turns, so a change in the host's speed during the run
     # reaches every shape alike
@@ -127,19 +101,12 @@ def main():
         step, per = row["predictor_step_ms"], row["sample_ar_s_per_sample"]
         print(f"{shape.name:12s} step {step['median']:8.2f} ms [{step['q1']:.2f}, {step['q3']:.2f}]   "
               f"sample_ar {per['median']:7.3f} s/sample [{per['q1']:.3f}, {per['q3']:.3f}]")
-    record = {
+    _record.write_run(OUT, args.label, {
         "config": {"seed": SEED, "repeats": args.repeats, "dtype": "float32",
                    "statistic": "median and quartiles over repeats, after one untimed call"},
-        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
-        "git": git_describe(),
-        "model_py_sha256": hashlib.sha256(Path(model.__file__).read_bytes()).hexdigest()[:12],
+        **_record.environment(model),
         "rows": rows,
-    }
-    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else {}
-    runs[args.label] = record
-    OUT.write_text(json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n")
-    print(f"wrote run {args.label!r} to {OUT.name}")
+    })
 
 
 if __name__ == "__main__":

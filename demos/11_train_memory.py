@@ -24,31 +24,22 @@ last step, so two versions can be checked for equal bytes. One BLAS
 thread; Linux with glibc. Takes about two minutes.
 """
 
-import os
+import argparse
+import ctypes
+import hashlib
+import json
+import re
+import resource
+import time
+import tracemalloc
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import _record  # before numpy: it pins the BLAS threads
+import numpy as np
 
-import argparse  # noqa: E402
-import ctypes  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import re  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-import tracemalloc  # noqa: E402
-from pathlib import Path  # noqa: E402
+from layoutdiff import core, model, schedule, training
+from layoutdiff.data import synth_layout_corpus
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-
-from layoutdiff import core, model, schedule, training  # noqa: E402
-from layoutdiff.data import synth_layout_corpus  # noqa: E402
-
-OUT = Path(__file__).resolve().parent.parent / "BENCH_train_memory.json"
+OUT = _record.ROOT / "BENCH_train_memory.json"
 SHAPES = {
     # the benchmark's `train` workload: its one-pass step and its AR step
     "train_onepass": {"model": {"layers": 4, "heads": 4, "hidden": 128, "n_max": 16},
@@ -61,11 +52,6 @@ SHAPES = {
 }
 SEED = 10
 MIB = 2.0**20
-
-
-def quartiles(values):
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return {"median": median, "q1": q1, "q3": q3}
 
 
 def measure(name, repeats):
@@ -120,54 +106,34 @@ def measure(name, repeats):
             "workspace_mib_by_key": dict(sorted(by_key.items())),
             "warm_step_traced_peak_mib": traced / MIB, "warm_step_minor_faults": faults,
             "ru_maxrss_mib": maxrss,
-            "ms_per_step": quartiles(step_ms), "state_sha256": digest.hexdigest()}
-
-
-def git_describe():
-    """The commit of the checkout whose layoutdiff is imported, if it is one."""
-    proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"],
-                          cwd=Path(model.__file__).parent, capture_output=True, text=True)
-    return proc.stdout.strip() or None
+            "ms_per_step": _record.quartiles(step_ms), "state_sha256": digest.hexdigest()}
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="run")
-    parser.add_argument("--repeats", type=int, default=5)
+    parser = _record.Parser(__doc__, repeats=5, quartiles=True)
     parser.add_argument("--shape", choices=sorted(SHAPES), help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.repeats < 2:
-        parser.error("--repeats must be >= 2 for quartiles")
     if args.shape:
         print(json.dumps(measure(args.shape, args.repeats)))
         return
     rows = {}
     for name in SHAPES:
-        proc = subprocess.run([sys.executable, __file__, "--shape", name,
-                               "--repeats", str(args.repeats)],
-                              capture_output=True, text=True, check=True)
-        row = rows[name] = json.loads(proc.stdout)
+        row = rows[name] = _record.run_child(__file__, "--shape", name,
+                                             "--repeats", args.repeats)
         ms = row["ms_per_step"]
         print(f"{name:14s} workspace {row['workspace_mib']:7.1f} MiB   "
               f"warm step peak {row['warm_step_traced_peak_mib']:6.2f} MiB, "
               f"{row['warm_step_minor_faults']:5d} faults   "
               f"maxrss {row['ru_maxrss_mib']:6.1f} MiB   "
               f"{ms['median']:8.2f} ms/step [{ms['q1']:.2f}, {ms['q3']:.2f}]")
-    record = {
+    _record.write_run(OUT, args.label, {
         "config": {"seed": SEED, "repeats": args.repeats, "dtype": "float32", "T": 100,
                    "corpus": "synth_layout_corpus columns x 64",
                    "statistic": "median and quartiles of ms per step over repeats, "
                                 "after two untimed steps; one child process per shape"},
-        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
-        "git": git_describe(),
-        "model_py_sha256": hashlib.sha256(Path(model.__file__).read_bytes()).hexdigest()[:12],
+        **_record.environment(model),
         "rows": rows,
-    }
-    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else {}
-    runs[args.label] = record
-    OUT.write_text(json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n")
-    print(f"wrote run {args.label!r} to {OUT.name}")
+    })
 
 
 if __name__ == "__main__":

@@ -42,6 +42,17 @@ class ValidationError(ValueError):
         self.field = field
 
 
+def require_integers(cfg, names, error=ValidationError) -> None:
+    """Raise error(message, field=name) for the first of the named fields of
+    cfg that is not an int or numpy integer. These fields size arrays or
+    count steps, so a bool or a float such as a JSON 16.0 is refused, not
+    used."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise error(f"{name} must be an integer, got {value!r}", field=name)
+
+
 class CapacityError(ValueError):
     """More elements than the configured token count."""
 
@@ -119,6 +130,7 @@ class DatasetConfig:
     w_max: float = 1.0
 
     def __post_init__(self):
+        require_integers(self, ("n_max", "num_categories"))
         if self.n_max < 1:
             raise ValidationError(f"n_max must be >= 1, got {self.n_max}", field="n_max")
         if not (1 <= self.num_categories <= MAX_CATEGORY):

@@ -117,10 +117,18 @@ def save_canonical(path: str, cfg: DatasetConfig, records, splits=None) -> None:
     atomic_write_text(path, serialize_canonical(cfg, records, splits))
 
 
+def _category(c):
+    """A record's category as written; a bool or a float such as 2.7 is
+    refused, as the record would not re-serialize byte for byte."""
+    if isinstance(c, bool) or not isinstance(c, int):
+        raise ValidationError(f"category {c!r} is not an integer", field="c")
+    return c
+
+
 def _parse_record(rec: dict, cfg: DatasetConfig, line_no):
     try:
         if cfg.mode == "layout":
-            boxes = tuple(BoundingBox(x, y, h, w, int(c)) for x, y, h, w, c in rec["boxes"])
+            boxes = tuple(BoundingBox(x, y, h, w, _category(c)) for x, y, h, w, c in rec["boxes"])
             item = Layout(H=rec["H"], W=rec["W"], boxes=boxes)
         else:
             item = tuple(Segment(*s) for s in rec["segments"])

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import require_integers
 from .schedule import ConfigError
 
 # the MLP's GELU is the tanh form of DiT's backbone (Hendrycks & Gimpel,
@@ -48,11 +49,9 @@ class ModelConfig:
         sizes = ("layers", "heads", "hidden", "token_dim", "n_max")
         if self.adapter_latent is not None:
             sizes += ("adapter_latent",)
+        require_integers(self, sizes, ConfigError)
         for name in sizes:
             value = getattr(self, name)
-            # these size arrays, so a JSON true or 16.0 is refused, not used
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.hidden % self.heads != 0:

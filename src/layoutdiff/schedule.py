@@ -11,7 +11,11 @@ import numpy as np
 
 
 class ConfigError(ValueError):
-    pass
+    """A config value is out of range; `field` names it when one field is."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import model as M
 from . import schedule as S
-from .core import DatasetConfig
+from .core import DatasetConfig, require_integers
 
 CKPT_MAGIC = b"LAYOUTDIFF-CKPT\n"
 CKPT_VERSION = 6
@@ -63,6 +63,8 @@ class TrainConfig:
     lr_schedule: str = "constant"  # "constant" | "cosine" (decay over total_steps)
 
     def __post_init__(self):
+        require_integers(self, ("batch_size", "total_steps", "seed", "checkpoint_every"),
+                         S.ConfigError)
         if not (self.lr > 0):
             raise S.ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:

@@ -64,6 +64,16 @@ class TestNormalizeBox:
         assert exc.value.field == "x"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_max", 4.0), ("n_max", True), ("num_categories", 5.0), ("num_categories", True),
+])
+def test_dataset_config_refuses_non_integer_counts(field, value):
+    """A float count would reach the codec: 5.0 categories detokenize as floats."""
+    with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value}$") as exc:
+        DatasetConfig(**{field: value})
+    assert exc.value.field == field
+
+
 class TestCategoryCodec:
     def test_pad_is_all_minus_one(self):
         assert np.array_equal(encode_category(0), [-1.0] * 8)

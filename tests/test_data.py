@@ -94,7 +94,17 @@ class TestCanonicalFormat:
          '"w_max":1.0}', "header: n_max must be >= 1, got 0"),
         ('{"version":1,"mode":"layout","n_max":"4","num_categories":5,"h_max":1.0,'
          '"w_max":1.0}', "header: "),
-    ], ids=["no-mode", "list", "n_max-0", "n_max-string"])
+        # counts size arrays: a float or a bool is refused, not used
+        ('{"version":1,"mode":"layout","n_max":4.0,"num_categories":5,"h_max":1.0,'
+         '"w_max":1.0}', r"header: n_max must be an integer, got 4\.0$"),
+        ('{"version":1,"mode":"layout","n_max":true,"num_categories":5,"h_max":1.0,'
+         '"w_max":1.0}', "header: n_max must be an integer, got True$"),
+        ('{"version":1,"mode":"layout","n_max":4,"num_categories":5.0,"h_max":1.0,'
+         '"w_max":1.0}', r"header: num_categories must be an integer, got 5\.0$"),
+        ('{"version":1,"mode":"layout","n_max":4,"num_categories":true,"h_max":1.0,'
+         '"w_max":1.0}', "header: num_categories must be an integer, got True$"),
+    ], ids=["no-mode", "list", "n_max-0", "n_max-string", "n_max-float", "n_max-bool",
+            "num_categories-float", "num_categories-bool"])
     def test_bad_header_raises_at_line_1(self, tmp_path, header, message):
         p = tmp_path / "h.jsonl"
         p.write_text(header + "\n")
@@ -123,7 +133,12 @@ class TestCanonicalFormat:
         ('{"H":256.0,"W":256.0,"boxes":[[300.0,16.0,64.0,96.0,1]]}',
          r"box field x=300\.0 outside scene bound \[0, 256\.0\]"),
         ('{"H":256.0,"W":256.0,"boxes":[["a",16.0,64.0,96.0,1]]}', "not supported"),
-    ], ids=["list", "box-outside-scene", "x-string"])
+        # int() would load these as 2 and 1, which re-serialize as other bytes
+        ('{"H":256.0,"W":256.0,"boxes":[[16.0,16.0,64.0,96.0,2.7]]}',
+         r"category 2\.7 is not an integer$"),
+        ('{"H":256.0,"W":256.0,"boxes":[[16.0,16.0,64.0,96.0,true]]}',
+         "category True is not an integer$"),
+    ], ids=["list", "box-outside-scene", "x-string", "category-float", "category-bool"])
     def test_bad_record_raises_at_its_line(self, tmp_path, split, record, message):
         """Every record that loads also tokenizes; one that does not is
         refused at its line, with or without a split filter."""

@@ -73,6 +73,13 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", True), ("total_steps", 2.5), ("checkpoint_every", 1.5), ("seed", 0.5),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value}$"):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize("variant,model_cfg", [("nonar", TINY_AR), ("ar", TINY)])
     def test_variant_must_match_ar_mode(self, variant, model_cfg):
         with pytest.raises(ConfigError, match=r"variant .* ModelConfig\.ar_mode"):
@@ -780,6 +787,9 @@ class TestCheckpoint:
          r"model_cfg .*missing field 'adapter_latent'"),
         # a key the writer does not write is refused, not ignored
         (lambda m: m.update(extra_top={"a": 1}), r"manifest has unknown key 'extra_top'"),
+        # one line naming the path and the group, not a TypeError from a step
+        (lambda m: m["train_cfg"].update(batch_size=32.0),
+         r"train_cfg is not a valid TrainConfig: batch_size must be an integer, got 32\.0$"),
     ])
     def test_bad_manifest_value_names_path(self, tmp_path, edit, message):
         path = tmp_path / "model.ckpt"
