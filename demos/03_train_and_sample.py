@@ -45,9 +45,9 @@ with tempfile.TemporaryDirectory() as tmp:
             if int(step) % 150 == 0:
                 print(f"step {step}  loss {float(loss):.5f}")
 
-print("\nsampling 8 layouts (DDIM) ...")
+print("\nsampling 8 layouts (DDPM) ...")
 samples, _, _ = sample_nonar(state.params, model_cfg, sched, dcfg,
-                             n_samples=8, seed=1, method="ddim")
+                             n_samples=8, seed=1)
 print("sampled alignment:", round(alignment_score(samples), 3))
 print("sampled overlap:  ", round(overlap_score(samples), 3))
 

@@ -35,14 +35,14 @@ print("reference categories:", [b.c for b in reference.boxes])
 # "cate": fix every token's category code (which also pins element count).
 cond = mask_from_layout(reference, dcfg, "cate")
 samples, _, _ = sample_nonar(state.params, model_cfg, sched, dcfg,
-                             n_samples=4, seed=2, mask=cond, method="ddim")
+                             n_samples=4, seed=2, mask=cond)
 for i, s in enumerate(samples):
     print(f"sample {i} categories:", [b.c for b in s.boxes])
 
 # "cate_size" additionally fixes each box's height and width.
 cond = mask_from_layout(reference, dcfg, "cate_size")
 samples, _, _ = sample_nonar(state.params, model_cfg, sched, dcfg,
-                             n_samples=2, seed=3, mask=cond, method="ddim")
+                             n_samples=2, seed=3, mask=cond)
 print("\nwith cate_size, sizes relative to the scene are pinned too:")
 for i, s in enumerate(samples):
     sizes = [(round(b.h / s.H, 4), round(b.w / s.W, 4)) for b in s.boxes]

@@ -10,7 +10,6 @@ import os
 import sys
 
 from layoutdiff import (
-    DatasetConfig,
     detokenize_segments,
     difference_score,
     render_svg,

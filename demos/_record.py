@@ -1,4 +1,4 @@
-"""The harness the record scripts (demos 07, 08, 10, 11 and 12) share.
+"""The harness the record scripts (demos 07, 08, 10 and 11) share.
 
 A record script imports this module before numpy: the import pins the BLAS
 to one thread, as in the benchmark. The script then parses its flags with

@@ -19,14 +19,21 @@ from .core import BoundingBox, DatasetConfig, Layout, Segment, ValidationError, 
 FORMAT_VERSION = 1
 # header fields besides the version, one per DatasetConfig field
 HEADER_KEYS = ("mode", "n_max", "num_categories", "h_max", "w_max")
+# record fields by mode; any record may also carry a "split" tag
+RECORD_KEYS = {"layout": ("H", "W", "boxes"), "segment": ("segments",)}
 # train / val / test shares of a converted corpus
 SPLITS = (0.85, 0.05, 0.10)
 
 
 class FormatError(ValueError):
-    def __init__(self, message, line=None):
-        super().__init__(f"line {line}: {message}" if line is not None else message)
-        self.line = line
+    """A corpus file's fault; load_canonical raises it as
+    "<path>: line N: <message>", with N in .line."""
+
+    def __init__(self, message, line=None, path=None):
+        self.message, self.line = message, line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(f"{path}: {message}" if path is not None else message)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -127,6 +134,9 @@ def _category(c):
 
 def _parse_record(rec: dict, cfg: DatasetConfig, line_no):
     try:
+        unknown = sorted(rec.keys() - {*RECORD_KEYS[cfg.mode], "split"})
+        if unknown:
+            raise ValidationError(f"record has unknown key {', '.join(map(repr, unknown))}")
         if cfg.mode == "layout":
             boxes = tuple(BoundingBox(x, y, h, w, _category(c)) for x, y, h, w, c in rec["boxes"])
             item = Layout(H=rec["H"], W=rec["W"], boxes=boxes)
@@ -139,10 +149,17 @@ def _parse_record(rec: dict, cfg: DatasetConfig, line_no):
 
 
 def load_canonical(path: str, split: str | None = None):
-    """Load (DatasetConfig, records[, filtered by split]); diagnostics carry
-    1-based line numbers."""
+    """Load (DatasetConfig, records[, filtered by split]); a fault raises
+    FormatError naming path and its 1-based line."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
+    try:
+        return _parse_canonical(lines, split)
+    except FormatError as e:
+        raise FormatError(e.message, line=e.line, path=path) from e
+
+
+def _parse_canonical(lines, split):
     if not lines:
         raise FormatError("empty file", line=1)
     try:
@@ -158,6 +175,9 @@ def load_canonical(path: str, split: str | None = None):
     missing = [k for k in HEADER_KEYS if k not in header]
     if missing:
         raise FormatError(f"header has no {', '.join(map(repr, missing))}", line=1)
+    unknown = sorted(header.keys() - {"version", *HEADER_KEYS})
+    if unknown:
+        raise FormatError(f"header has unknown key {', '.join(map(repr, unknown))}", line=1)
     try:
         cfg = DatasetConfig(**{k: header[k] for k in HEADER_KEYS})
     except (TypeError, ValueError) as e:

@@ -349,6 +349,15 @@ class TestTrain:
                        "to train on\n")
         assert not (out / "resolved_config.json").exists()
 
+    def test_bad_corpus_names_its_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "bad.jsonl"
+        data.write_text('{"version":1,"mode":"layout","n_max":4.0,"num_categories":5,'
+                        '"h_max":1.0,"w_max":1.0}\n')
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "r"))
+        assert code == 1
+        assert err == (f"error: FormatError: {data}: line 1: header: n_max must be an "
+                       "integer, got 4.0\n")
+
     def test_missing_data_is_error_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--data", str(tmp_path / "nope.jsonl"),
                            "--out", str(tmp_path / "r"))

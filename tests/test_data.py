@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -103,12 +104,15 @@ class TestCanonicalFormat:
          '"w_max":1.0}', r"header: num_categories must be an integer, got 5\.0$"),
         ('{"version":1,"mode":"layout","n_max":4,"num_categories":true,"h_max":1.0,'
          '"w_max":1.0}', "header: num_categories must be an integer, got True$"),
+        # a key the loader would drop on a resave
+        ('{"version":1,"mode":"layout","n_max":4,"n_maxx":9,"num_categories":5,"h_max":1.0,'
+         '"w_max":1.0}', "header has unknown key 'n_maxx'$"),
     ], ids=["no-mode", "list", "n_max-0", "n_max-string", "n_max-float", "n_max-bool",
-            "num_categories-float", "num_categories-bool"])
+            "num_categories-float", "num_categories-bool", "unknown-key"])
     def test_bad_header_raises_at_line_1(self, tmp_path, header, message):
         p = tmp_path / "h.jsonl"
         p.write_text(header + "\n")
-        with pytest.raises(FormatError, match=f"^line 1: {message}") as e:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: line 1: {message}") as e:
             load_canonical(str(p))
         assert e.value.line == 1
 
@@ -138,13 +142,16 @@ class TestCanonicalFormat:
          r"category 2\.7 is not an integer$"),
         ('{"H":256.0,"W":256.0,"boxes":[[16.0,16.0,64.0,96.0,true]]}',
          "category True is not an integer$"),
-    ], ids=["list", "box-outside-scene", "x-string", "category-float", "category-bool"])
+        # a key the loader would drop on a resave
+        ('{"H":256.0,"W":256.0,"boxes":[],"bxoes":[]}', "record has unknown key 'bxoes'$"),
+    ], ids=["list", "box-outside-scene", "x-string", "category-float", "category-bool",
+            "unknown-key"])
     def test_bad_record_raises_at_its_line(self, tmp_path, split, record, message):
         """Every record that loads also tokenizes; one that does not is
         refused at its line, with or without a split filter."""
         p = tmp_path / "r.jsonl"
         p.write_text(serialize_canonical(LCFG, LAYOUTS) + record + "\n")
-        with pytest.raises(FormatError, match=f"^line 4: .*{message}"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: line 4: .*{message}"):
             load_canonical(str(p), split=split)
 
     @pytest.mark.parametrize("cfg,record,message", [

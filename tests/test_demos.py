@@ -44,8 +44,7 @@ def test_segments_demo_writes_the_committed_svg(tmp_path):
 
 
 @pytest.mark.parametrize("name", [
-    "07_eval_scaling", "08_checkpoint_io", "10_ar_sampling", "11_train_memory",
-    "12_onepass_sampling",
+    "07_eval_scaling", "08_checkpoint_io", "10_sampling", "11_train_memory",
 ])
 def test_record_script_help_exits_0(name, tmp_path):
     """--help imports the harness and the package, and measures nothing."""
